@@ -380,7 +380,8 @@ def run_experiment(
         return _run_experiment(spec)
     with TRACER.recording(trace):
         with TRACER.span(
-            "experiment.run", cat="experiment", name=spec.name or "unnamed"
+            "experiment.run", cat="experiment",
+            experiment=spec.name or "unnamed",
         ):
             return _run_experiment(spec)
 

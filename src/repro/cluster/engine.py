@@ -74,7 +74,12 @@ from repro.models.compute import compute_time_seconds
 from repro.models.configs import CONFIG_FAMILIES
 from repro.obs import TRACER, ObsReport, TraceRecorder
 from repro.parallel.traffic import extract_traffic
-from repro.sim.cluster import JobSpec, SharedClusterSimulator, remap_traffic
+from repro.sim.cluster import (
+    FlowSet,
+    JobSpec,
+    SharedClusterSimulator,
+    remap_traffic,
+)
 
 _TIME_EPS = 1e-9
 
@@ -153,6 +158,9 @@ class _Prepared:
     #: Lazily measured uncontended iteration wall time (the backfill
     #: disciplines' reservation currency); exact on isolated shards.
     est_iteration_s: Optional[float] = None
+    #: Lazily compiled shard flow set, shared by every admission of
+    #: this template (shard mode only; see :meth:`ScenarioEngine._place`).
+    flows: Optional[FlowSet] = None
 
 
 @dataclass
@@ -510,6 +518,7 @@ class ScenarioEngine:
             return prepared.est_iteration_s
         try:
             fabric = prepared.fabric
+            flows = None
             if fabric is None:
                 ctx = FabricBuildContext(
                     num_servers=servers,
@@ -518,6 +527,8 @@ class ScenarioEngine:
                     seed=self.spec.seed,
                 )
                 fabric = build_fabric(self.spec.fabric, ctx)
+            else:
+                flows = self._shard_flows(prepared)
             sim = SharedClusterSimulator(
                 fabric.capacities(),
                 seed=0,
@@ -530,6 +541,7 @@ class ScenarioEngine:
                     traffic=prepared.traffic,
                     compute_s=prepared.compute_s,
                     fabric=fabric,
+                    flows=flows,
                 ),
                 start=0.0,
             )
@@ -551,6 +563,57 @@ class ScenarioEngine:
             estimate = 2.0 * prepared.compute_s
         prepared.est_iteration_s = max(estimate, _TIME_EPS)
         return prepared.est_iteration_s
+
+    # -- placement -----------------------------------------------------
+    @staticmethod
+    def _shard_flows(prepared: _Prepared) -> FlowSet:
+        """The template's shard flow set, compiled on first use.
+
+        Compiled on the shard-local fabric: every admission's relabeled
+        fabric keeps its link order, and shards are contiguous blocks,
+        so the set is the one a per-job build would produce.
+        """
+        if prepared.flows is None:
+            fabric = prepared.fabric
+            prepared.flows = FlowSet.compile(
+                fabric.capacities(), fabric, prepared.traffic
+            )
+        return prepared.flows
+
+    def _place(
+        self, name: str, prepared: _Prepared, servers: Sequence[int]
+    ) -> Tuple[SharedClusterSimulator, JobSpec]:
+        """The substrate a job runs on and its job spec there.
+
+        On ``topoopt`` every segment gets a fresh isolated shard
+        substrate (appended to the engine's list) carrying the
+        template's flow set; otherwise the one shared substrate, whose
+        kernel compiles the job's flows itself.
+        """
+        servers = list(servers)
+        traffic = remap_traffic(prepared.traffic, servers)
+        if not self.shardable:
+            return self._substrates[0], JobSpec(
+                name=name,
+                traffic=traffic,
+                compute_s=prepared.compute_s,
+                fabric=self._shared_fabric,
+            )
+        fabric = prepared.fabric.relabel(servers)
+        substrate = SharedClusterSimulator(
+            fabric.capacities(),
+            seed=0,
+            stagger=False,
+            solver=self.spec.solver,
+        )
+        self._substrates.append(substrate)
+        return substrate, JobSpec(
+            name=name,
+            traffic=traffic,
+            compute_s=prepared.compute_s,
+            fabric=fabric,
+            flows=self._shard_flows(prepared),
+        )
 
     # -- the event loop ------------------------------------------------
     def run(self) -> ScenarioResult:
@@ -797,25 +860,7 @@ class ScenarioEngine:
                 else replace(plan, servers=size)
             )
             prepared = self._prepare(seg_plan)
-            traffic = remap_traffic(prepared.traffic, list(servers))
-            if self.shardable:
-                fabric = prepared.fabric.relabel(list(servers))
-                substrate = SharedClusterSimulator(
-                    fabric.capacities(),
-                    seed=0,
-                    stagger=False,
-                    solver=spec.solver,
-                )
-                self._substrates.append(substrate)
-            else:
-                fabric = self._shared_fabric
-                substrate = self._substrates[0]
-            job = JobSpec(
-                name=plan.name,
-                traffic=traffic,
-                compute_s=prepared.compute_s,
-                fabric=fabric,
-            )
+            substrate, job = self._place(plan.name, prepared, servers)
             start = (
                 now
                 + life.pending_overhead_s
@@ -909,34 +954,13 @@ class ScenarioEngine:
             by_state.pop(id(entry.state), None)
             seg_plan = replace(plan, servers=len(block))
             prepared = self._prepare(seg_plan)
-            traffic = remap_traffic(prepared.traffic, list(block))
             start = now + sched_spec.resize_latency_s
+            substrate, job = self._place(plan.name, prepared, block)
             if self.shardable:
-                fabric = prepared.fabric.relabel(list(block))
-                substrate = SharedClusterSimulator(
-                    fabric.capacities(),
-                    seed=0,
-                    stagger=False,
-                    solver=spec.solver,
-                )
                 entry.substrate.suspend_job(entry.state)
                 drop_substrate(entry.substrate)
-                self._substrates.append(substrate)
-                job = JobSpec(
-                    name=plan.name,
-                    traffic=traffic,
-                    compute_s=prepared.compute_s,
-                    fabric=fabric,
-                )
                 state = substrate.resume_job(job, start=start)
             else:
-                substrate = entry.substrate
-                job = JobSpec(
-                    name=plan.name,
-                    traffic=traffic,
-                    compute_s=prepared.compute_s,
-                    fabric=self._shared_fabric,
-                )
                 state = substrate.resize_job(entry.state, job, start=start)
             entry.plan = seg_plan
             entry.prepared = prepared
@@ -1156,25 +1180,9 @@ class ScenarioEngine:
             drop_substrate(entry.substrate)
             by_state.pop(id(entry.state), None)
             prepared = self._prepare(plan)
-            traffic = remap_traffic(prepared.traffic, list(entry.servers))
-            fabric = prepared.fabric.relabel(list(entry.servers))
-            substrate = SharedClusterSimulator(
-                fabric.capacities(),
-                seed=0,
-                stagger=False,
-                solver=spec.solver,
-            )
-            self._substrates.append(substrate)
+            substrate, job = self._place(plan.name, prepared, entry.servers)
             start = now + recovery.reoptimize_latency_s
-            state = substrate.resume_job(
-                JobSpec(
-                    name=plan.name,
-                    traffic=traffic,
-                    compute_s=prepared.compute_s,
-                    fabric=fabric,
-                ),
-                start=start,
-            )
+            state = substrate.resume_job(job, start=start)
             entry.prepared = prepared
             entry.substrate = substrate
             entry.state = state

@@ -39,17 +39,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs import TRACER
 from repro.parallel.traffic import TrafficSummary
-from repro.perf.fairshare import (
-    IncrementalFairShare,
-    progressive_filling_rates,
-)
-from repro.sim.flows import Flow
+from repro.perf.fairshare import progressive_filling_rates
 from repro.sim.fluid import FluidNetwork, ReferenceFluidNetwork
 from repro.sim.network_sim import _allreduce_flows, _mp_flows
 
@@ -70,16 +66,90 @@ NETWORK_SOLVERS = {
     "reference": ReferenceFluidNetwork,
 }
 
-#: How the persistent kernel repairs the max-min allocation per event:
-#: ``"batch"`` re-runs masked progressive filling over the persistent
-#: incidence (round-for-round identical arithmetic to the per-event
-#: rebuild it replaced, hence bit-identical to the reference
-#: trajectory), ``"incremental"`` delta-repairs through one
-#: :class:`repro.perf.fairshare.IncrementalFairShare` instance per
-#: substrate (exact up to float rounding, not bitwise).  The scenario
-#: JSON gate requires bitwise equality, so ``"batch"`` is the default;
-#: flip for experiments on workloads where per-event solves dominate.
-KERNEL_SOLVE_MODE = "batch"
+
+def _incidence(rows, cols, num_links: int, num_flows: int):
+    """The (links x flows) 0/1 CSR incidence of COO ``(rows, cols)``."""
+    from scipy import sparse
+
+    return sparse.csr_matrix(
+        (
+            np.ones(len(rows)),
+            (
+                np.asarray(rows, dtype=np.int64),
+                np.asarray(cols, dtype=np.int64),
+            ),
+        ),
+        shape=(num_links, num_flows),
+    )
+
+
+class FlowSet:
+    """One job's communication flows, compiled against a link order.
+
+    Holds what the substrate kernel registers per job: each flow's link
+    rows (indices into the substrate's capacity table), the per-flow
+    entry counts, the flow sizes, and -- built on first use -- the
+    (links x flows) CSR incidence with its transpose.  A set compiled
+    on a shard-local TopoOpt fabric serves every admission of that
+    template: shards are contiguous server blocks and relabeling keeps
+    the capacity table's link order, so link rows, flow order and sizes
+    are the same on every block.  Treat a set as immutable; kernels
+    copy what they keep.
+    """
+
+    def __init__(
+        self,
+        rows: List[int],
+        nnz: List[int],
+        sizes: np.ndarray,
+        num_links: int,
+    ):
+        self.rows = rows
+        self.nnz = nnz
+        self.sizes = sizes
+        self.num_links = num_links
+        self.count = len(nnz)
+        self.cols = np.repeat(np.arange(self.count, dtype=np.int64), nnz)
+        self._matrices = None
+
+    @classmethod
+    def compile(
+        cls, links: Iterable[Link], fabric, traffic: TrafficSummary
+    ) -> "FlowSet":
+        """Build the MP + AllReduce flows of ``traffic`` on ``fabric``.
+
+        ``links`` lists the substrate's links in capacity-table order;
+        a flow's row is its link's position in that list.
+        """
+        link_rows = {link: row for row, link in enumerate(links)}
+        flows = _mp_flows(fabric, traffic)
+        flows.extend(_allreduce_flows(fabric, traffic))
+        rows: List[int] = []
+        nnz: List[int] = []
+        for index, flow in enumerate(flows):
+            # Duplicate links within one flow count once (the set
+            # semantics of the reference allocator).
+            unique = dict.fromkeys(flow.links)
+            for link in unique:
+                row = link_rows.get(link)
+                if row is None:
+                    raise KeyError(
+                        f"flow {index} uses link {link} which does not "
+                        "exist in the network"
+                    )
+                rows.append(row)
+            nnz.append(len(unique))
+        sizes = np.array([flow.size_bits for flow in flows], dtype=float)
+        return cls(rows, nnz, sizes, len(link_rows))
+
+    def matrices(self):
+        """``(incidence, incidence.T)`` in CSR form, built once."""
+        if self._matrices is None:
+            incidence = _incidence(
+                self.rows, self.cols, self.num_links, self.count
+            )
+            self._matrices = (incidence, incidence.T.tocsr())
+        return self._matrices
 
 
 @dataclass
@@ -88,13 +158,17 @@ class JobSpec:
 
     ``fabric`` must speak global server ids (a per-shard TopoOpt fabric
     or the shared switch fabric); ``traffic`` must already be expressed
-    in global ids as well (use :func:`remap_traffic`).
+    in global ids as well (use :func:`remap_traffic`).  ``flows`` is an
+    optional precompiled :class:`FlowSet` of this job in the substrate's
+    link order (a shard template); without one the kernel compiles the
+    set from ``fabric`` and ``traffic`` at the first phase.
     """
 
     name: str
     traffic: TrafficSummary
     compute_s: float
     fabric: object
+    flows: Optional[FlowSet] = None
 
 
 @dataclass
@@ -124,6 +198,10 @@ class _JobState:
     #: Kernel backend only: routing changed mid-phase, so the cached
     #: columns must be dropped and rebuilt at the next phase start.
     flows_stale: bool = False
+    #: Kernel backend only: routing changed since admission, so the
+    #: spec's precompiled flow set no longer applies and registration
+    #: compiles the flows from the patched fabric.
+    rerouted: bool = False
 
 
 def remap_traffic(
@@ -162,12 +240,9 @@ class _SubstrateFlowKernel:
     per event: every job's flows are registered **once** as columns of
     a persistent (links x flows) incidence over the substrate's fixed
     link set, and phase transitions merely flip an active mask.  Per
-    event the allocation is repaired either by masked progressive
-    filling over the persistent matrix (``mode="batch"`` -- the same
-    per-round arithmetic as the per-event rebuild, so rates are
-    bit-identical) or by delta repairs through one
-    :class:`repro.perf.fairshare.IncrementalFairShare` instance
-    (``mode="incremental"``).
+    event the allocation is repaired by masked progressive filling over
+    the persistent matrix -- the same per-round arithmetic as the
+    per-event rebuild, so rates are bit-identical.
 
     All per-flow state (size, remaining bits, rate, activity) lives in
     NumPy arrays indexed by column id; the owner bookkeeping stays in
@@ -176,15 +251,9 @@ class _SubstrateFlowKernel:
     dominate the matrix, so month-long scenarios do not accrete cost.
     """
 
-    def __init__(self, capacities: Dict[Link, float], mode: str = "batch"):
+    def __init__(self, capacities: Dict[Link, float]):
         if not capacities:
             raise ValueError("network needs at least one link")
-        if mode not in ("batch", "incremental"):
-            raise ValueError(
-                f"unknown kernel solve mode {mode!r}; "
-                "use 'batch' or 'incremental'"
-            )
-        self.mode = mode
         self._link_index = {
             link: row for row, link in enumerate(capacities)
         }
@@ -207,9 +276,12 @@ class _SubstrateFlowKernel:
         # Assembled lazily after registrations.
         self._incidence = None
         self._incidence_t = None
+        #: The one flow set registered into this kernel while empty (its
+        #: columns are then exactly the set's, so its prebuilt matrices
+        #: stand in for a rebuild); ``None`` once anything else lands.
+        self._sole_set: Optional[FlowSet] = None
         self._stale_structure = False
         self._rates_dirty = False
-        self._solver: Optional[IncrementalFairShare] = None
         self._dead_nnz = 0
         self._live_nnz = 0
         # Observability sampler state (see _sample_utilization):
@@ -221,36 +293,27 @@ class _SubstrateFlowKernel:
         self.sim_now = 0.0
 
     # -- registration --------------------------------------------------
-    def register(
-        self, link_lists: Sequence[Sequence[Link]], sizes: Sequence[float]
-    ) -> np.ndarray:
-        """Add one job's flows as inactive columns; return their ids."""
+    def register(self, flows: FlowSet) -> np.ndarray:
+        """Add one job's flow set as inactive columns; return their ids."""
+        if flows.num_links != self.num_links:
+            raise ValueError(
+                f"flow set compiled for {flows.num_links} links, "
+                f"this substrate has {self.num_links}"
+            )
         start = self._col_count
-        for offset, links in enumerate(link_lists):
-            col = start + offset
-            nnz = 0
-            # Duplicate links within one flow count once (the set
-            # semantics of the reference allocator).
-            for link in dict.fromkeys(links):
-                row = self._link_index.get(link)
-                if row is None:
-                    raise KeyError(
-                        f"flow {col} uses link {link} which does not "
-                        "exist in the network"
-                    )
-                self._coo_rows.append(row)
-                self._coo_cols.append(col)
-                nnz += 1
-            self._nnz_per_col.append(nnz)
-            self._live_nnz += nnz
-        count = len(link_lists)
+        self._sole_set = flows if start == 0 else None
+        self._coo_rows.extend(flows.rows)
+        self._coo_cols.extend((flows.cols + start).tolist())
+        self._nnz_per_col.extend(flows.nnz)
+        self._live_nnz += len(flows.rows)
+        count = flows.count
         self._col_count += count
-        size = np.asarray(sizes, dtype=float)
+        size = flows.sizes
         self._size = np.concatenate([self._size, size])
         self._eps = np.concatenate(
             [self._eps, _EPS * np.maximum(1.0, size)]
         )
-        self.remaining = np.concatenate([self.remaining, size.copy()])
+        self.remaining = np.concatenate([self.remaining, size])
         self._rates = np.concatenate([self._rates, np.zeros(count)])
         self._active = np.concatenate(
             [self._active, np.zeros(count, dtype=bool)]
@@ -299,6 +362,7 @@ class _SubstrateFlowKernel:
         self._col_count = int(keep.sum())
         self._dead = np.zeros(self._col_count, dtype=bool)
         self._dead_nnz = 0
+        self._sole_set = None
         self._stale_structure = True
         self._rates_dirty = True
         return mapping
@@ -309,49 +373,30 @@ class _SubstrateFlowKernel:
         self.remaining[cols] = self._size[cols]
         self._active[cols] = True
         self._rates_dirty = True
-        if self._solver is not None and not self._stale_structure:
-            self._solver.add_flows(cols)
 
     def deactivate(self, cols: np.ndarray) -> None:
         self._active[cols] = False
         self._rates_dirty = True
-        if self._solver is not None and not self._stale_structure:
-            self._solver.remove_flows(cols)
 
     # -- solves --------------------------------------------------------
     def _rebuild_structure(self) -> None:
-        from scipy import sparse
-
-        nnz = len(self._coo_rows)
-        self._incidence = sparse.csr_matrix(
-            (
-                np.ones(nnz),
-                (
-                    np.asarray(self._coo_rows, dtype=np.int64),
-                    np.asarray(self._coo_cols, dtype=np.int64),
-                ),
-            ),
-            shape=(self.num_links, self._col_count),
-        )
-        self._incidence_t = self._incidence.T.tocsr()
-        self._stale_structure = False
-        if self.mode == "incremental" and self._col_count:
-            self._solver = IncrementalFairShare(
-                self._cap_vec, self._incidence, active=self._active
+        if self._sole_set is not None:
+            self._incidence, self._incidence_t = self._sole_set.matrices()
+        else:
+            self._incidence = _incidence(
+                self._coo_rows, self._coo_cols,
+                self.num_links, self._col_count,
             )
-            self._rates = self._solver.rates_view().copy()
-            self._rates_dirty = False
+            self._incidence_t = self._incidence.T.tocsr()
+        self._stale_structure = False
 
     def _resolve_rates(self) -> None:
-        if self._solver is not None:
-            self._rates = self._solver.rates_view().copy()
-        else:
-            self._rates = progressive_filling_rates(
-                self._cap_vec,
-                self._incidence,
-                self._active,
-                incidence_t=self._incidence_t,
-            )
+        self._rates = progressive_filling_rates(
+            self._cap_vec,
+            self._incidence,
+            self._active,
+            incidence_t=self._incidence_t,
+        )
 
     def _solve_if_dirty(self) -> None:
         solved = self._stale_structure
@@ -471,21 +516,34 @@ class _SubstrateFlowKernel:
         best = float((self.remaining[act[moving]] / rates[moving]).min())
         return max(best, 0.0)
 
-    def advance(self, dt: float) -> np.ndarray:
-        """Progress active flows by ``dt``; return completed column ids.
+    def advance(self, now: float, target: float) -> np.ndarray:
+        """Progress active flows from ``now`` to ``target``.
+
+        Returns the completed column ids.  A flow completes when its
+        projected finish ``now + remaining / rate`` -- the float
+        expression :meth:`time_to_next_completion` minimizes, so the
+        flow that set an event's time always completes at it -- is at
+        or before ``target``, or when the step (padded by 1e-12 s, as
+        the reference allocator pads it) leaves at most its tolerance.
+        Without the first rule a flow left with less than one ULP of
+        the clock could not be reached on long horizons: its finish
+        rounds back to ``now`` and each event moved it only 1e-12 s.
 
         Uses the rates currently in force (matching the lazy-recompute
         semantics of :class:`FluidNetwork`: callers query
         :meth:`time_to_next_completion` between events, which refreshes
         them).
         """
-        if dt < 0:
-            raise ValueError(f"cannot advance time backwards (dt={dt})")
         act = np.flatnonzero(self._active)
         if act.size == 0:
             return np.empty(0, dtype=np.int64)
-        self.remaining[act] -= self._rates[act] * dt
-        done_mask = self.remaining[act] <= self._eps[act]
+        rates = self._rates[act]
+        remaining = self.remaining[act]
+        left = remaining - rates * (max(target - now, 0.0) + _EPS)
+        done_mask = left <= self._eps[act]
+        moving = rates > _EPS
+        done_mask[moving] |= now + remaining[moving] / rates[moving] <= target
+        self.remaining[act] = left
         done = act[done_mask]
         if done.size:
             self.remaining[done] = 0.0
@@ -536,9 +594,7 @@ class SharedClusterSimulator:
             self._kernel: Optional[_SubstrateFlowKernel] = None
         else:
             self.network = None
-            self._kernel = _SubstrateFlowKernel(
-                capacities, mode=KERNEL_SOLVE_MODE
-            )
+            self._kernel = _SubstrateFlowKernel(capacities)
         self.rng = random.Random(seed)
         self.stagger = stagger
         self.now = 0.0
@@ -658,17 +714,22 @@ class SharedClusterSimulator:
     def invalidate_flows(self, state: _JobState) -> None:
         """Drop a job's cached flow columns (after routing changed).
 
-        The kernel backend builds each job's flow set once and reuses
-        it every phase; failure injections patch routing in place, so
-        the engine calls this to force a rebuild at the next phase.
-        No-op on the reference backend, which rebuilds per phase.
+        The kernel backend registers each job's flow set once and
+        reuses it every phase; failure injections patch routing in
+        place, so the engine calls this to force a rebuild from the
+        patched fabric at the next phase (never again from the spec's
+        precompiled template).  No-op on the reference backend, which
+        rebuilds per phase.
 
         A job caught mid-communication keeps its in-flight flows on the
         old paths until the phase completes -- exactly the reference
         semantics, where flows already in the network are untouched by
         a routing patch -- and rebuilds at the next phase start.
         """
-        if self._kernel is None or state.flow_cols is None:
+        if self._kernel is None:
+            return
+        state.rerouted = True
+        if state.flow_cols is None:
             return
         if state.phase == "comm" and state.outstanding > 0:
             state.flows_stale = True
@@ -707,13 +768,12 @@ class SharedClusterSimulator:
         event (the hook the scenario engine checks quotas on).
         """
         self._finished_buffer = []
-        dt = max(target - self.now, 0.0) + 1e-12
-        self.now = target
+        now, self.now = self.now, target
         if self._kernel is not None:
             # Keep the kernel's simulated clock current: its lazy
             # solves stamp utilization-timeline samples with it.
             self._kernel.sim_now = target
-            done_cols = self._kernel.advance(dt)
+            done_cols = self._kernel.advance(now, target)
             finishers: List[_JobState] = []
             for col in done_cols:
                 owner = self._flow_owner.pop(int(col), None)
@@ -729,7 +789,7 @@ class SharedClusterSimulator:
             for owner in finishers:
                 self._finish_communication(owner, self.now)
         else:
-            completed = self.network.advance(dt)
+            completed = self.network.advance(max(target - now, 0.0) + 1e-12)
             for flow in completed:
                 owner = self._flow_owner.pop(flow.flow_id, None)
                 if owner is None:
@@ -802,15 +862,15 @@ class SharedClusterSimulator:
                 state.flows_stale = False
                 cols = None
             if cols is None:
-                # Built once per job (and after routing invalidation),
-                # not once per phase: paths and sizes are pure
-                # functions of (fabric, traffic).
-                flows = _mp_flows(spec.fabric, spec.traffic)
-                flows.extend(_allreduce_flows(spec.fabric, spec.traffic))
-                cols = self._kernel.register(
-                    [flow.links for flow in flows],
-                    [flow.size_bits for flow in flows],
-                )
+                # Registered once per job (and after routing
+                # invalidation), not once per phase: paths and sizes
+                # are pure functions of (fabric, traffic).
+                flows = None if state.rerouted else spec.flows
+                if flows is None:
+                    flows = FlowSet.compile(
+                        self._kernel._link_index, spec.fabric, spec.traffic
+                    )
+                cols = self._kernel.register(flows)
                 state.flow_cols = cols
             if cols.size == 0:
                 self._finish_communication(state, now)

@@ -14,6 +14,14 @@ import threading
 
 import pytest
 
+from repro.api import (
+    ClusterSpec,
+    ExperimentSpec,
+    FabricSpec,
+    OptimizerSpec,
+    WorkloadSpec,
+    run_experiment,
+)
 from repro.cluster import ScenarioSpec, run_scenario
 from repro.obs import (
     ObsReport,
@@ -390,6 +398,30 @@ class TestScenarioObservation:
             for t, value in points:
                 assert t >= 0.0
                 assert 0.0 <= value
+
+
+class TestExperimentObservation:
+    def test_traced_run_byte_identical_and_spanned(self):
+        spec = ExperimentSpec(
+            name="traced",
+            workload=WorkloadSpec(model="DLRM", scale="shared"),
+            cluster=ClusterSpec(servers=8, degree=4, bandwidth_gbps=100.0),
+            fabric=FabricSpec(kind="topoopt"),
+            optimizer=OptimizerSpec(
+                strategy="mcmc", rounds=1, mcmc_iterations=10
+            ),
+            baselines=(FabricSpec(kind="fattree"),),
+        )
+        plain = run_experiment(spec)
+        rec = TraceRecorder()
+        traced = run_experiment(spec, trace=rec)
+        assert (
+            json.dumps(plain.to_dict(), sort_keys=True)
+            == json.dumps(traced.to_dict(), sort_keys=True)
+        )
+        runs = [s for s in rec.spans if s.name == "experiment.run"]
+        assert len(runs) == 1
+        assert runs[0].args == {"experiment": "traced"}
 
 
 class TestWarmcacheStats:

@@ -86,16 +86,19 @@ class TestFailuresMidScenario:
         assert first["failure_log"][0]["link"] == [0, 1]
 
     def test_identical_templates_not_contaminated_by_cache(self):
-        # Two jobs share one cached pipeline (same template).  The
-        # failure patch must apply to a per-job copy of the routing,
-        # not the shared cached fabric -- otherwise the healthy twin
-        # (and every later admission) inherits the detour.
+        # Three jobs share one cached pipeline and shard flow set (same
+        # template).  The failure patch must apply to a per-job copy of
+        # the routing, not the shared cached fabric or flow set --
+        # otherwise the healthy twin and every later admission inherit
+        # the detour.
         spec = ScenarioSpec.preset("shared").with_overrides({
-            "arrivals.times": [0.0, 0.05],
+            "arrivals.times": [0.0, 0.05, 0.05],
             "jobs.0.model": "DLRM",
             "jobs.1.model": "DLRM",
+            "jobs.2.model": "DLRM",
             "jobs.0.iterations": 6,
             "jobs.1.iterations": 6,
+            "jobs.2.iterations": 6,
         })
         base = run_scenario(spec)
         period = base.jobs[0].iteration_avg_s
@@ -107,6 +110,12 @@ class TestFailuresMidScenario:
         # The unfailed twin's iterations are bit-identical to baseline.
         assert (
             result.jobs[1].iteration_times == base.jobs[1].iteration_times
+        )
+        # A third admission of the template after the fault runs the
+        # template's flow set: bit-identical to the healthy twin.
+        assert result.jobs[2].admitted_s > 1.5 * period
+        assert (
+            result.jobs[2].iteration_times == result.jobs[1].iteration_times
         )
         # And the failed job really did slow down.
         assert max(result.jobs[0].iteration_times) > period * 1.001

@@ -11,10 +11,15 @@ statistics, and the LP assembly dispatch:
 * wall-clock trace durations produce run-length-encoded iteration logs
   that round-trip through JSON;
 * fast-forward on/off agree on iteration counts and makespan;
-* warm caches change wall time only, never results.
+* warm caches change wall time only, never results;
+* event stepping costs the same at any clock offset (no flow creeps
+  toward completion while the clock stands still);
+* a shard admission that adopts its template's flow set registers
+  exactly what a per-job build on the relabeled fabric would.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +32,10 @@ from repro.cluster import (
     ScenarioSpec,
     run_scenario,
 )
+from repro.cluster.engine import ScenarioEngine
 from repro.cluster.results import _weighted_percentile
+from repro.models.configs import CONFIG_FAMILIES
+from repro.sim.cluster import SharedClusterSimulator
 
 
 def normalized_json(result) -> str:
@@ -77,6 +85,23 @@ class TestKernelMatchesReference:
             kinds = [entry["kind"] for entry in kernel.failure_log]
             assert "skipped" not in kinds and len(kinds) == 3
 
+    def test_failure_before_first_phase_byte_identical(self):
+        # A cut that lands while job 0 is still in its first compute
+        # phase patches routing before any flow is registered: the
+        # first registration must compile from the patched fabric,
+        # not adopt the template's healthy flow set.
+        healthy = run_scenario(staggered_spec(0, "kernel"))
+        job = healthy.jobs[0]
+        failures = [FailureInjection(time_s=0.5 * job.compute_s, job_index=0)]
+        kernel = run_scenario(staggered_spec(0, "kernel"), failures=failures)
+        reference = run_scenario(
+            staggered_spec(0, "reference"), failures=failures
+        )
+        assert kernel.failure_log[0]["kind"] == "mp_detour"
+        assert normalized_json(kernel) == normalized_json(reference)
+        first = kernel.jobs[0].iteration_times[0]
+        assert first > job.iteration_times[0] * 1.001
+
     def test_shared_fabric_contention_byte_identical(self):
         # The fattree substrate is shared: all jobs' flows contend in
         # one fair-share solve, the path where the persistent flow
@@ -101,6 +126,91 @@ class TestKernelMatchesReference:
                 spec.with_overrides({"seed": seed, "solver": "reference"})
             )
             assert normalized_json(kernel) == normalized_json(reference)
+
+
+def offset_spec(t0: float, solver: str = "kernel") -> ScenarioSpec:
+    """The staggered three-job scenario shifted to start at ``t0``."""
+    return ScenarioSpec.preset("shared").with_overrides({
+        "solver": solver,
+        "arrivals.times": [t0, t0 + 40.0, t0 + 95.0],
+        "jobs.0.iterations": 5,
+        "jobs.1.iterations": 5,
+        "jobs.2.iterations": 5,
+        "max_sim_time_s": 4e7,
+    })
+
+
+class TestLongHorizonStepping:
+    """Beyond ~16,000 s half a ULP of the clock exceeds the 1e-12 s
+    step pad: a flow whose projected finish rounds back to ``now`` must
+    still complete at that event instead of creeping 1e-12 s per event.
+    """
+
+    def test_event_count_independent_of_clock_offset(self, monkeypatch):
+        events = []
+        advance_to = SharedClusterSimulator.advance_to
+
+        def counted(sim, target):
+            events.append((id(sim), target))
+            return advance_to(sim, target)
+
+        monkeypatch.setattr(SharedClusterSimulator, "advance_to", counted)
+        counts = []
+        for t0 in (0.0, 1e5, 2e6, 3e7):
+            events.clear()
+            run_scenario(offset_spec(t0))
+            counts.append(len(events))
+            # No substrate steps twice at one instant: every event
+            # completes a flow or fires a timer.
+            assert len(set(events)) == len(events), t0
+        assert counts == [counts[0]] * 4
+
+    @pytest.mark.parametrize("t0", [0.0, 1e5, 2e6])
+    def test_kernel_matches_reference_at_offset(self, t0):
+        kernel = run_scenario(offset_spec(t0, "kernel"))
+        reference = run_scenario(offset_spec(t0, "reference"))
+        assert normalized_json(kernel) == normalized_json(reference)
+
+
+def first_phase_kernel(substrate, job):
+    """Run ``job`` alone into its first communication phase and solve."""
+    substrate.add_job(job, start=0.0)
+    substrate.advance_to(substrate.next_event_time())
+    substrate.next_event_time()
+    return substrate._kernel
+
+
+class TestShardFlowTemplates:
+    @pytest.mark.parametrize("model", sorted(CONFIG_FAMILIES["shared"]))
+    def test_adopted_template_equals_per_job_build(self, model):
+        spec = ScenarioSpec.preset("shared").with_overrides({
+            "arrivals.times": [0.0],
+            "jobs.0.model": model,
+        })
+        engine = ScenarioEngine(spec)
+        assert engine.shardable
+        plan = engine._draw_jobs()[0]
+        servers = spec.cluster.servers
+        for size in (2, 4, 6, 8):
+            prepared = engine._prepare(replace(plan, servers=size))
+            for start in (0, 3, servers - size):
+                block = tuple(range(start, start + size))
+                substrate, job = engine._place(plan.name, prepared, block)
+                adopted = first_phase_kernel(substrate, job)
+                assert job.flows is prepared.flows
+                assert adopted._incidence is prepared.flows.matrices()[0]
+                substrate, job = engine._place(plan.name, prepared, block)
+                built = first_phase_kernel(
+                    substrate, replace(job, flows=None)
+                )
+                for mine, theirs in (
+                    (adopted._incidence, built._incidence),
+                    (adopted._incidence_t, built._incidence_t),
+                ):
+                    assert np.array_equal(mine.data, theirs.data)
+                    assert np.array_equal(mine.indices, theirs.indices)
+                    assert np.array_equal(mine.indptr, theirs.indptr)
+                assert np.array_equal(adopted._size, built._size)
 
 
 class TestKernelPortSwapRoundTrip:
