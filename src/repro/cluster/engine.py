@@ -74,12 +74,7 @@ from repro.models.compute import compute_time_seconds
 from repro.models.configs import CONFIG_FAMILIES
 from repro.obs import TRACER, ObsReport, TraceRecorder
 from repro.parallel.traffic import extract_traffic
-from repro.sim.cluster import (
-    FlowSet,
-    JobSpec,
-    SharedClusterSimulator,
-    remap_traffic,
-)
+from repro.sim.cluster import FlowSet, JobSpec, SharedClusterSimulator
 
 _TIME_EPS = 1e-9
 
@@ -588,16 +583,18 @@ class ScenarioEngine:
         On ``topoopt`` every segment gets a fresh isolated shard
         substrate (appended to the engine's list) carrying the
         template's flow set; otherwise the one shared substrate, whose
-        kernel compiles the job's flows itself.
+        kernel compiles the job's flows itself.  The spec keeps the
+        template's local-id traffic plus the block as ``server_map``:
+        only a flow build ever needs the global-id view.
         """
         servers = list(servers)
-        traffic = remap_traffic(prepared.traffic, servers)
         if not self.shardable:
             return self._substrates[0], JobSpec(
                 name=name,
-                traffic=traffic,
+                traffic=prepared.traffic,
                 compute_s=prepared.compute_s,
                 fabric=self._shared_fabric,
+                server_map=servers,
             )
         fabric = prepared.fabric.relabel(servers)
         substrate = SharedClusterSimulator(
@@ -609,10 +606,11 @@ class ScenarioEngine:
         self._substrates.append(substrate)
         return substrate, JobSpec(
             name=name,
-            traffic=traffic,
+            traffic=prepared.traffic,
             compute_s=prepared.compute_s,
             fabric=fabric,
             flows=self._shard_flows(prepared),
+            server_map=servers,
         )
 
     # -- the event loop ------------------------------------------------

@@ -66,18 +66,19 @@ Hole = Tuple[int, int]  # (start, length)
 _EPS = 1e-9
 
 
+def _edge_runs(edges: np.ndarray) -> List[Hole]:
+    """``(start, length)`` runs of a 0/1 mask from its +1/-1 edges."""
+    starts = np.flatnonzero(edges == 1).tolist()
+    ends = np.flatnonzero(edges == -1).tolist()
+    return [(start, end - start) for start, end in zip(starts, ends)]
+
+
 def _mask_holes(mask: np.ndarray) -> List[Hole]:
     """Maximal ``True`` runs of a boolean mask as ``(start, length)``."""
     padded = np.empty(len(mask) + 1, dtype=np.int8)
     padded[: len(mask)] = mask
     padded[len(mask)] = 0
-    edges = np.diff(padded, prepend=np.int8(0))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    return [
-        (int(start), int(end - start))
-        for start, end in zip(starts, ends)
-    ]
+    return _edge_runs(np.diff(padded, prepend=np.int8(0)))
 
 
 class ShardAllocator:
@@ -104,9 +105,14 @@ class ShardAllocator:
         self.rng = rng
         self._free = set(range(num_servers))
         # Mirror of _free as a 0/1 mask, padded with a trailing 0 so
-        # run ends always show up in the diff below.
+        # run ends always show up in the edges below.
         self._mask = np.ones(num_servers + 1, dtype=np.int8)
         self._mask[num_servers] = 0
+        self._edges = np.empty(num_servers + 1, dtype=np.int8)
+        #: Bumped at every mask write; :meth:`holes` rescans only when
+        #: it moved since the cached scan.
+        self._version = 0
+        self._holes_at: Tuple[int, List[Hole]] = (-1, [])
         #: start id -> the exact server tuple carved there.
         self._blocks: Dict[int, Tuple[int, ...]] = {}
         #: servers taken out of service by a host failure.  Failed
@@ -135,18 +141,20 @@ class ShardAllocator:
     def holes(self) -> List[Hole]:
         """Maximal free runs as ``(start, length)``, in address order.
 
-        Computed as run boundaries of the free mask (one ``np.diff``)
-        rather than a per-server Python scan: fragmentation is sampled
-        at every admission and departure, so this is on the scenario
-        engine's per-event path.
+        Computed as run boundaries of the free mask (one vectorized
+        subtract into a reused buffer) rather than a per-server Python
+        scan, and cached until the next mask write: fragmentation is
+        sampled at every admission and departure, so a sample and the
+        next allocation at one instant share one scan.
         """
-        edges = np.diff(self._mask, prepend=np.int8(0))
-        starts = np.flatnonzero(edges == 1)
-        ends = np.flatnonzero(edges == -1)
-        return [
-            (int(start), int(end - start))
-            for start, end in zip(starts, ends)
-        ]
+        version, runs = self._holes_at
+        if version != self._version:
+            mask, edges = self._mask, self._edges
+            edges[0] = mask[0]
+            np.subtract(mask[1:], mask[:-1], out=edges[1:])
+            runs = _edge_runs(edges)
+            self._holes_at = (self._version, runs)
+        return list(runs)
 
     def largest_hole(self) -> int:
         """Length of the largest free run (0 when nothing is free)."""
@@ -209,6 +217,7 @@ class ShardAllocator:
         servers = tuple(range(start, start + count))
         self._free -= set(servers)
         self._mask[start:start + count] = 0
+        self._version += 1
         self._blocks[start] = servers
         return servers
 
@@ -240,6 +249,7 @@ class ShardAllocator:
         del self._blocks[start]
         self._free |= set(servers)
         self._mask[list(servers)] = 1
+        self._version += 1
 
     # ------------------------------------------------------------------
     def fail_server(self, server: int) -> None:
@@ -267,6 +277,7 @@ class ShardAllocator:
         self._free.discard(server)
         self._failed.add(server)
         self._mask[server] = 0
+        self._version += 1
 
     def repair_server(self, server: int) -> None:
         """Return a failed server to the free pool."""
@@ -275,6 +286,7 @@ class ShardAllocator:
         self._failed.discard(server)
         self._free.add(server)
         self._mask[server] = 1
+        self._version += 1
 
 
 class AvailabilityProfile:

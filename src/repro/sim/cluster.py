@@ -53,6 +53,13 @@ Link = Tuple[int, int]
 
 _EPS = 1e-12
 
+#: Entries one :class:`FlowSet`'s rate memo may hold.  A shard phase
+#: walks one active mask per completion event and every phase of a
+#: template replays the same walk: ``bench scenario_fleet --n 1000``
+#: peaks at 184 masks (a 275-flow DLRM shard).  The cap only bounds
+#: memory where masks never repeat.
+_RATE_MEMO_CAP = 512
+
 #: Max-min allocator backends selectable per simulation: the persistent
 #: array-backed kernel (default; see :class:`_SubstrateFlowKernel`) or
 #: the retained pure-Python reference allocator (the equivalence
@@ -93,8 +100,10 @@ class FlowSet:
     on a shard-local TopoOpt fabric serves every admission of that
     template: shards are contiguous server blocks and relabeling keeps
     the capacity table's link order, so link rows, flow order and sizes
-    are the same on every block.  Treat a set as immutable; kernels
-    copy what they keep.
+    are the same on every block.  A set is immutable except for its
+    rate memo: max-min rate vectors solved over its incidence, keyed by
+    the bytes of the capacity vector and active mask they were solved
+    for (see :meth:`memo_rates`).  Kernels copy what they keep.
     """
 
     def __init__(
@@ -111,6 +120,7 @@ class FlowSet:
         self.count = len(nnz)
         self.cols = np.repeat(np.arange(self.count, dtype=np.int64), nnz)
         self._matrices = None
+        self._rate_memo: Dict[Tuple[bytes, bytes], np.ndarray] = {}
 
     @classmethod
     def compile(
@@ -151,17 +161,39 @@ class FlowSet:
             self._matrices = (incidence, incidence.T.tocsr())
         return self._matrices
 
+    def memo_rates(self, key: Tuple[bytes, bytes]) -> Optional[np.ndarray]:
+        """A copy of the rates memoized under ``key``, or ``None``.
+
+        ``key`` is ``(capacities.tobytes(), active.tobytes())``: with
+        the incidence fixed, max-min rates are a pure function of the
+        two, so a memoized vector is the one a fresh solve would give.
+        """
+        rates = self._rate_memo.get(key)
+        return None if rates is None else rates.copy()
+
+    def memoize_rates(
+        self, key: Tuple[bytes, bytes], rates: np.ndarray
+    ) -> None:
+        """Remember a copy of ``rates`` under ``key`` (until the cap)."""
+        if len(self._rate_memo) < _RATE_MEMO_CAP:
+            self._rate_memo[key] = rates.copy()
+
 
 @dataclass
 class JobSpec:
     """One training job placed on a shard of the cluster.
 
     ``fabric`` must speak global server ids (a per-shard TopoOpt fabric
-    or the shared switch fabric); ``traffic`` must already be expressed
-    in global ids as well (use :func:`remap_traffic`).  ``flows`` is an
-    optional precompiled :class:`FlowSet` of this job in the substrate's
-    link order (a shard template); without one the kernel compiles the
-    set from ``fabric`` and ``traffic`` at the first phase.
+    or the shared switch fabric).  ``traffic`` is in global ids when
+    ``server_map`` is ``None``; otherwise it stays in the template's
+    local ids and ``server_map[i]`` is the global id of local server
+    ``i``.  :meth:`global_traffic` gives the global-id view either way,
+    remapping at most once per spec and only when a flow build needs it
+    -- so an admission that adopts a precompiled set never pays for the
+    dense remap.  ``flows`` is an optional precompiled :class:`FlowSet`
+    of this job in the substrate's link order (a shard template);
+    without one the kernel compiles the set from ``fabric`` and
+    :meth:`global_traffic` at the first phase.
     """
 
     name: str
@@ -169,6 +201,18 @@ class JobSpec:
     compute_s: float
     fabric: object
     flows: Optional[FlowSet] = None
+    server_map: Optional[Sequence[int]] = None
+    _global: Optional[TrafficSummary] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def global_traffic(self) -> TrafficSummary:
+        """``traffic`` in global server ids (remapped once, on demand)."""
+        if self.server_map is None:
+            return self.traffic
+        if self._global is None:
+            self._global = remap_traffic(self.traffic, self.server_map)
+        return self._global
 
 
 @dataclass
@@ -260,6 +304,7 @@ class _SubstrateFlowKernel:
         self._cap_vec = np.fromiter(
             capacities.values(), dtype=float, count=len(capacities)
         )
+        self._cap_key = self._cap_vec.tobytes()
         self.num_links = len(capacities)
         # Growing COO triplets of the persistent incidence.
         self._coo_rows: List[int] = []
@@ -278,7 +323,8 @@ class _SubstrateFlowKernel:
         self._incidence_t = None
         #: The one flow set registered into this kernel while empty (its
         #: columns are then exactly the set's, so its prebuilt matrices
-        #: stand in for a rebuild); ``None`` once anything else lands.
+        #: stand in for a rebuild and its rate memo for solves);
+        #: ``None`` once anything else lands or compaction rebuilds.
         self._sole_set: Optional[FlowSet] = None
         self._stale_structure = False
         self._rates_dirty = False
@@ -391,12 +437,26 @@ class _SubstrateFlowKernel:
         self._stale_structure = False
 
     def _resolve_rates(self) -> None:
+        # While the incidence is exactly one adopted set's, rates are a
+        # pure function of (capacities, active mask): every phase of an
+        # isolated shard -- and every admission of its template --
+        # replays the same masks, so solves are memoized on the set.
+        flows = self._sole_set
+        if flows is not None:
+            key = (self._cap_key, self._active.tobytes())
+            rates = flows.memo_rates(key)
+            if rates is not None:
+                self._rates = rates
+                TRACER.count("flow.solve_memo_hits")
+                return
         self._rates = progressive_filling_rates(
             self._cap_vec,
             self._incidence,
             self._active,
             incidence_t=self._incidence_t,
         )
+        if flows is not None:
+            flows.memoize_rates(key, self._rates)
 
     def _solve_if_dirty(self) -> None:
         solved = self._stale_structure
@@ -868,7 +928,9 @@ class SharedClusterSimulator:
                 flows = None if state.rerouted else spec.flows
                 if flows is None:
                     flows = FlowSet.compile(
-                        self._kernel._link_index, spec.fabric, spec.traffic
+                        self._kernel._link_index,
+                        spec.fabric,
+                        spec.global_traffic(),
                     )
                 cols = self._kernel.register(flows)
                 state.flow_cols = cols
@@ -883,8 +945,9 @@ class SharedClusterSimulator:
                 self._flow_owner[int(col)] = state
             self._kernel.activate(cols)
             return
-        flows = _mp_flows(spec.fabric, spec.traffic)
-        flows.extend(_allreduce_flows(spec.fabric, spec.traffic))
+        traffic = spec.global_traffic()
+        flows = _mp_flows(spec.fabric, traffic)
+        flows.extend(_allreduce_flows(spec.fabric, traffic))
         if not flows:
             self._finish_communication(state, now)
             return

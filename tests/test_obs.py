@@ -373,6 +373,15 @@ class TestScenarioObservation:
         assert obs["gauges"]["engine.sim_now_s"] > 0.0
         assert set(obs["warmcache"]) == {"costmodel", "pipeline"}
 
+    def test_report_counts_memo_hits(self):
+        # Every job runs two iterations on its own shard, so the second
+        # replays the first's active masks from its template's memo.
+        warmcache.clear_all()
+        obs = run_scenario(observed_spec(observe=True)).obs
+        report = ObsReport.from_dict(obs)
+        hits = report.counters["flow.solve_memo_hits"]
+        assert 0 < hits < report.spans["flow.solve"]["count"]
+
     def test_explicit_recorder_receives_the_run(self):
         rec = TraceRecorder()
         run_scenario(observed_spec(), recorder=rec)

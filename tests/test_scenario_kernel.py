@@ -15,7 +15,9 @@ statistics, and the LP assembly dispatch:
 * event stepping costs the same at any clock offset (no flow creeps
   toward completion while the clock stands still);
 * a shard admission that adopts its template's flow set registers
-  exactly what a per-job build on the relabeled fabric would.
+  exactly what a per-job build on the relabeled fabric would;
+* the per-template solve memo returns what a fresh solve would, never
+  serves a rerouted job or other capacities, and changes no result.
 """
 
 import json
@@ -35,7 +37,14 @@ from repro.cluster import (
 from repro.cluster.engine import ScenarioEngine
 from repro.cluster.results import _weighted_percentile
 from repro.models.configs import CONFIG_FAMILIES
-from repro.sim.cluster import SharedClusterSimulator
+from repro.obs import TRACER, TraceRecorder
+from repro.perf.fairshare import progressive_filling_rates
+from repro.sim.cluster import (
+    FlowSet,
+    JobSpec,
+    SharedClusterSimulator,
+    _SubstrateFlowKernel,
+)
 
 
 def normalized_json(result) -> str:
@@ -211,6 +220,230 @@ class TestShardFlowTemplates:
                     assert np.array_equal(mine.indices, theirs.indices)
                     assert np.array_equal(mine.indptr, theirs.indptr)
                 assert np.array_equal(adopted._size, built._size)
+
+
+def storm_spec(policy: str, seed: int = 0) -> ScenarioSpec:
+    """Eight overlapping jobs on 16 servers under a host + link storm.
+
+    Two shard sizes of every shared-scale model, so each template's
+    shards repeat its flow set; the storms kill hosts and cut ring
+    links of running jobs, recovered by ``policy``.
+    """
+    jobs = tuple(
+        JobTemplateSpec(model=model, servers=size, iterations=12)
+        for model in ("DLRM", "BERT", "CANDLE", "VGG16")
+        for size in (2, 4)
+    )
+    return ScenarioSpec(
+        name=f"memo-storm-{policy}",
+        seed=seed,
+        cluster=ClusterSpec(servers=16, degree=4, bandwidth_gbps=100.0),
+        fabric=FabricSpec(kind="topoopt"),
+        arrivals=ArrivalSpec(
+            process="explicit", times=tuple(0.05 * i for i in range(8))
+        ),
+        jobs=jobs,
+    ).with_overrides({
+        "storms": 3,
+        "storm_window_s": 0.6,
+        "storm_region_size": 16,
+        "storm_servers": 1,
+        "storm_links": 2,
+        "mean_repair_s": 0.3,
+        "recovery_policy": policy,
+        "checkpoint_interval_s": 0.1,
+    })
+
+
+def scenario_json(result) -> str:
+    return json.dumps(result.to_dict(), sort_keys=True)
+
+
+def force_memo_misses(monkeypatch) -> None:
+    """Every memo lookup misses (the memo still fills)."""
+    monkeypatch.setattr(FlowSet, "memo_rates", lambda flows, key: None)
+
+
+def shard_template(model: str = "DLRM", servers: int = 4):
+    """The (warm-cached) pipeline output of a one-job shard template."""
+    spec = ScenarioSpec.preset("shared").with_overrides({
+        "arrivals.times": [0.0],
+        "jobs.0.model": model,
+        "jobs.0.servers": servers,
+    })
+    engine = ScenarioEngine(spec)
+    return engine._prepare(engine._draw_jobs()[0])
+
+
+class TestRateMemo:
+    """Isolated shards replay their template's active masks, so the
+    kernel memoizes solves on the adopted flow set."""
+
+    def test_every_hit_equals_a_fresh_solve(self, monkeypatch):
+        hits = []
+        memo_rates = FlowSet.memo_rates
+        resolve = _SubstrateFlowKernel._resolve_rates
+
+        def recorded(flows, key):
+            rates = memo_rates(flows, key)
+            if rates is not None:
+                hits.append(rates)
+            return rates
+
+        def checked(kernel):
+            before = len(hits)
+            resolve(kernel)
+            if len(hits) == before:
+                return
+            fresh = progressive_filling_rates(
+                kernel._cap_vec,
+                kernel._incidence,
+                kernel._active,
+                incidence_t=kernel._incidence_t,
+            )
+            assert kernel._rates.tobytes() == fresh.tobytes()
+            assert kernel._rates is hits[-1]
+            for stored in kernel._sole_set._rate_memo.values():
+                assert not np.shares_memory(kernel._rates, stored)
+
+        monkeypatch.setattr(FlowSet, "memo_rates", recorded)
+        monkeypatch.setattr(_SubstrateFlowKernel, "_resolve_rates", checked)
+        for policy in ("detour", "reoptimize", "checkpoint-restart"):
+            run_scenario(storm_spec(policy))
+        assert len(hits) > 100
+
+    @pytest.mark.parametrize("first_phase", [True, False])
+    def test_rerouted_job_never_reads_its_template_memo(
+        self, monkeypatch, first_phase
+    ):
+        # Once a detoured job's flows are recompiled from the patched
+        # fabric, its kernel must stop consulting the template's memo:
+        # same capacities, often the same mask bytes, other paths.  A
+        # cut in the first compute phase recompiles before the template
+        # was ever registered; one a few iterations in, after.
+        templates = {}
+        shard_flows = ScenarioEngine._shard_flows
+
+        def collected(prepared):
+            flows = shard_flows(prepared)
+            templates[id(flows)] = flows
+            return flows
+
+        # Kernels are kept alive here so their ids are never reused.
+        rerouted = {}
+        template_reads = []
+        solves = []
+        solving = []
+        register = _SubstrateFlowKernel.register
+        resolve = _SubstrateFlowKernel._resolve_rates
+        memo_rates = FlowSet.memo_rates
+
+        def tracked_register(kernel, flows):
+            if id(flows) not in templates:
+                rerouted[id(kernel)] = kernel
+            return register(kernel, flows)
+
+        def tracked_resolve(kernel):
+            if id(kernel) in rerouted:
+                solves.append(kernel)
+            solving.append(kernel)
+            try:
+                resolve(kernel)
+            finally:
+                solving.pop()
+
+        def tracked_memo(flows, key):
+            if id(solving[-1]) in rerouted:
+                template_reads.append(id(flows) in templates)
+            return memo_rates(flows, key)
+
+        monkeypatch.setattr(
+            ScenarioEngine, "_shard_flows", staticmethod(collected)
+        )
+        monkeypatch.setattr(_SubstrateFlowKernel, "register", tracked_register)
+        monkeypatch.setattr(
+            _SubstrateFlowKernel, "_resolve_rates", tracked_resolve
+        )
+        monkeypatch.setattr(FlowSet, "memo_rates", tracked_memo)
+        spec = staggered_spec(0, "kernel")
+        healthy = run_scenario(spec).jobs[0]
+        cut_s = (
+            0.5 * healthy.compute_s if first_phase
+            else 3.5 * healthy.iteration_avg_s
+        )
+        failures = [FailureInjection(time_s=cut_s, job_index=0)]
+        memoized = run_scenario(spec, failures=failures)
+        assert memoized.failure_log[0]["kind"] == "mp_detour"
+        assert rerouted and solves, "no rerouted kernel solved"
+        assert not any(template_reads)
+        reference = run_scenario(
+            staggered_spec(0, "reference"), failures=failures
+        )
+        assert normalized_json(memoized) == normalized_json(reference)
+
+    def test_different_capacities_miss(self):
+        prepared = shard_template()
+        fabric = prepared.fabric
+        capacities = fabric.capacities()
+        halved = {link: 0.5 * cap for link, cap in capacities.items()}
+        flows = FlowSet.compile(capacities, fabric, prepared.traffic)
+
+        def solved(caps):
+            job = JobSpec(
+                "memo", prepared.traffic, prepared.compute_s, fabric,
+                flows=flows,
+            )
+            sim = SharedClusterSimulator(caps, seed=0, stagger=False)
+            return first_phase_kernel(sim, job)
+
+        with TRACER.recording(TraceRecorder()) as recorder:
+            full = solved(capacities)
+            assert recorder.counters.get("flow.solve_memo_hits", 0) == 0
+            again = solved(capacities)
+            assert recorder.counters["flow.solve_memo_hits"] == 1
+            # A hit hands out a copy: scribbling on it must not leak
+            # into the memo the next admission reads.
+            again._rates[:] = -1.0
+            half = solved(halved)
+            assert recorder.counters["flow.solve_memo_hits"] == 1
+            third = solved(capacities)
+            assert recorder.counters["flow.solve_memo_hits"] == 2
+        assert third._rates.tobytes() == full._rates.tobytes()
+        fresh = progressive_filling_rates(
+            half._cap_vec, half._incidence, half._active,
+            incidence_t=half._incidence_t,
+        )
+        assert half._rates.tobytes() == fresh.tobytes()
+        assert not np.array_equal(half._rates, full._rates)
+
+    @pytest.mark.parametrize(
+        "policy", ["detour", "reoptimize", "checkpoint-restart"]
+    )
+    def test_forced_misses_byte_identical(self, monkeypatch, policy):
+        spec = storm_spec(policy)
+        memoized = run_scenario(spec)
+        kinds = {entry["kind"] for entry in memoized.failure_log}
+        assert kinds & {"mp_detour", "link_cut"}, kinds
+        assert "server_fail" in kinds
+        force_memo_misses(monkeypatch)
+        assert scenario_json(run_scenario(spec)) == scenario_json(memoized)
+
+    def test_memo_carries_most_solves(self, monkeypatch):
+        # The count gate: a hit is still a ``flow.solve`` (same span
+        # count as solving everything), and on a storm of repeated
+        # templates the memo must carry at least 90% of the solves.
+        spec = storm_spec("detour", seed=5)
+        with monkeypatch.context() as patch:
+            force_memo_misses(patch)
+            missed = TraceRecorder()
+            run_scenario(spec, recorder=missed)
+        memoized = TraceRecorder()
+        run_scenario(spec, recorder=memoized)
+        solves = memoized.span_summary()["flow.solve"]["count"]
+        assert solves == missed.span_summary()["flow.solve"]["count"]
+        assert "flow.solve_memo_hits" not in missed.counters
+        hits = memoized.counters["flow.solve_memo_hits"]
+        assert 0.9 * solves <= hits < solves
 
 
 class TestKernelPortSwapRoundTrip:

@@ -15,6 +15,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.spec import SpecError
 from repro.cluster import ScenarioSpec, run_scenario
@@ -99,6 +101,80 @@ class TestStrictFree:
         assert list(alloc.free_mask()[:9]) == (
             [True] * 4 + [False] * 4 + [True]
         )
+
+
+def scanned_holes(num_servers, free):
+    """Maximal runs of ``free`` server ids, by a plain Python scan."""
+    holes, start = [], None
+    for server in range(num_servers + 1):
+        if server < num_servers and server in free:
+            if start is None:
+                start = server
+        elif start is not None:
+            holes.append((start, server - start))
+            start = None
+    return holes
+
+
+#: One allocator step: (operation, a draw that picks its argument).
+allocator_steps = st.lists(
+    st.tuples(
+        st.sampled_from(("allocate", "carve", "free", "fail", "repair")),
+        st.integers(min_value=0, max_value=2 ** 16),
+    ),
+    max_size=60,
+)
+
+
+class TestHoleCacheProperty:
+    """``holes()`` caches its scan until the next mask write; every
+    write must invalidate it, or a stale scan leaks into allocation."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.integers(min_value=1, max_value=24),
+        st.sampled_from(("first-fit", "best-fit", "random")),
+        allocator_steps,
+    )
+    def test_holes_match_a_python_scan(self, servers, policy, steps):
+        alloc = allocator(servers, policy)
+        free = set(range(servers))
+        failed = set()
+        blocks = []
+        for op, draw in steps:
+            if op == "allocate":
+                block = alloc.allocate(1 + draw % servers)
+                if block is not None:
+                    blocks.append(block)
+                    free -= set(block)
+            elif op == "carve":
+                start, count = draw % servers, 1 + draw // servers % 4
+                block = tuple(range(start, start + count))
+                if set(block) <= free:
+                    assert alloc.allocate_block(start, count) == block
+                    blocks.append(block)
+                    free -= set(block)
+            elif op == "free" and blocks:
+                block = blocks.pop(draw % len(blocks))
+                alloc.free(block)
+                free |= set(block)
+            elif op == "fail" and free:
+                server = sorted(free)[draw % len(free)]
+                alloc.fail_server(server)
+                free.discard(server)
+                failed.add(server)
+            elif op == "repair" and failed:
+                server = sorted(failed)[draw % len(failed)]
+                alloc.repair_server(server)
+                failed.discard(server)
+                free.add(server)
+            expected = scanned_holes(servers, free)
+            assert alloc.holes() == expected
+            largest = max((length for _, length in expected), default=0)
+            assert alloc.largest_hole() == largest
+            assert alloc.fragmentation() == (
+                1.0 - largest / len(free) if free else 0.0
+            )
 
 
 class TestAvailabilityProfile:
