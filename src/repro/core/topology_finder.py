@@ -30,6 +30,10 @@ from repro.core.totient import coprime_strides, prime_strides, ring_permutation
 from repro.network.topology import DegreeExceededError, DirectConnectTopology
 
 Pair = Tuple[int, int]
+#: One route: the server sequence a transfer crosses.
+Path = Tuple[int, ...]
+#: Every route of one ordered pair; traffic splits evenly across them.
+PathSet = Tuple[Path, ...]
 
 
 @dataclass(frozen=True)
@@ -81,18 +85,25 @@ class RoutingTable:
     routes over the AllReduce sub-topology); ``mp_paths`` carry MP traffic
     (k-shortest paths over the combined topology).  Both map ordered
     server pairs to one or more explicit server-sequence paths.
+
+    Path sets are tuples of int tuples.  Immutability lets every caller
+    share the table's own objects safely (results are shared through the
+    process-wide warm caches), and CPython's collector untracks a tuple
+    of ints, so a cached result's routes cost full collections nothing.
+    Writers (:class:`repro.sim.failures.FailureManager`) replace whole
+    path sets.
     """
 
-    allreduce_paths: Dict[Pair, List[List[int]]] = field(default_factory=dict)
-    mp_paths: Dict[Pair, List[List[int]]] = field(default_factory=dict)
+    allreduce_paths: Dict[Pair, PathSet] = field(default_factory=dict)
+    mp_paths: Dict[Pair, PathSet] = field(default_factory=dict)
 
-    def paths_for(self, src: int, dst: int, kind: str = "mp") -> List[List[int]]:
+    def paths_for(self, src: int, dst: int, kind: str = "mp") -> PathSet:
         table = self.allreduce_paths if kind == "allreduce" else self.mp_paths
         paths = table.get((src, dst))
         if paths:
             return paths
         other = self.mp_paths if kind == "allreduce" else self.allreduce_paths
-        return other.get((src, dst), [])
+        return other.get((src, dst), ())
 
 
 @dataclass
@@ -287,6 +298,7 @@ def _build_routing(
 ) -> RoutingTable:
     """Algorithm 1 lines 19-20: coin-change + k-shortest-path routing."""
     routing = RoutingTable()
+    allreduce = routing.allreduce_paths
     for plan in plans:
         if plan.router is None:
             continue
@@ -296,8 +308,9 @@ def _build_routing(
                 if src == dst:
                     continue
                 positions = plan.router.path(i, j)
-                path = [members[p] for p in positions]
-                routing.allreduce_paths.setdefault((src, dst), []).append(path)
+                path = tuple([members[p] for p in positions])
+                # A pair in several groups keeps each plan's route.
+                allreduce[(src, dst)] = allreduce.get((src, dst), ()) + (path,)
     # MP routing: ECMP over all minimum-hop paths (up to mp_path_count)
     # on the *combined* topology for every pair with MP demand, plus a
     # shortest-path default for all pairs so the simulator can always
@@ -313,7 +326,7 @@ def _build_routing(
             if not paths:
                 continue
             if demand_row[dst]:
-                routing.mp_paths[(src, dst)] = paths
+                routing.mp_paths[(src, dst)] = tuple(map(tuple, paths))
             else:
-                routing.mp_paths[(src, dst)] = paths[:1]
+                routing.mp_paths[(src, dst)] = (tuple(paths[0]),)
     return routing

@@ -7,10 +7,10 @@ the flow simulator and the cost model.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
 if TYPE_CHECKING:  # avoid a circular import; only needed for annotations
-    from repro.core.topology_finder import TopologyFinderResult
+    from repro.core.topology_finder import PathSet, TopologyFinderResult
 
 Link = Tuple[int, int]
 
@@ -33,7 +33,7 @@ class TopoOptFabric:
         self.link_bandwidth_bps = link_bandwidth_bps
         self.num_servers = result.topology.n
         self.name = "TopoOpt"
-        self._fallback_cache: Dict[Tuple[int, int], List[List[int]]] = {}
+        self._fallback_cache: Dict[Tuple[int, int], "PathSet"] = {}
 
     def capacities(self) -> Dict[Link, float]:
         return {
@@ -41,24 +41,33 @@ class TopoOptFabric:
             for src, dst, count in self.result.topology.edges()
         }
 
-    def paths(self, src: int, dst: int, kind: str = "mp") -> List[List[int]]:
+    def paths(self, src: int, dst: int, kind: str = "mp") -> "PathSet":
+        """The ``kind`` routes from ``src`` to ``dst``, as int tuples.
+
+        The routing table's own immutable path set when it has one,
+        else a cached shortest path over the topology; ``()`` when
+        ``dst`` is unreachable.  Callers share the returned objects and
+        cannot alter the routes other callers see.
+        """
         if src == dst:
-            return [[src]]
+            return ((src,),)
         paths = self.result.routing.paths_for(src, dst, kind)
         if paths:
             return paths
         key = (src, dst)
         if key not in self._fallback_cache:
             path = self.result.topology.shortest_path(src, dst)
-            self._fallback_cache[key] = [path] if path else []
+            self._fallback_cache[key] = (tuple(path),) if path else ()
         return self._fallback_cache[key]
 
-    def bulk_paths(self, kind: str = "mp"):
+    def bulk_paths(
+        self, kind: str = "mp"
+    ) -> Iterator[Tuple[int, int, "PathSet"]]:
         """Yield ``(src, dst, paths)`` over the whole ordered pair space.
 
         Bulk enumeration for the cost-model kernel's routing-matrix
-        assembly; same per-pair results as :meth:`paths` (routing-table
-        hit, then cached shortest-path fallback).
+        assembly; same per-pair path sets as :meth:`paths`
+        (routing-table hit, then cached shortest-path fallback).
         """
         for src in range(self.num_servers):
             for dst in range(self.num_servers):
@@ -124,9 +133,15 @@ class RemappedFabric:
             for (src, dst), cap in self.fabric.capacities().items()
         }
 
-    def paths(self, src: int, dst: int, kind: str = "mp") -> List[List[int]]:
+    def paths(self, src: int, dst: int, kind: str = "mp") -> "PathSet":
+        """The local fabric's path set, translated to global ids.
+
+        Same shape as :meth:`TopoOptFabric.paths`: a fresh tuple of int
+        tuples, in the local path order.
+        """
         local = self.fabric.paths(self._inverse[src], self._inverse[dst], kind)
-        return [[self.server_map[node] for node in path] for path in local]
+        relabel = self.server_map.__getitem__
+        return tuple([tuple(map(relabel, path)) for path in local])
 
     def ring_edge_paths(self, members: Tuple[int, ...]):
         local_members = tuple(self._inverse[m] for m in members)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -40,6 +41,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -59,7 +61,7 @@ SYNC_INTERVAL = 256
 
 def _iter_pair_paths(
     fabric, kind: str, n: int
-) -> Iterator[Tuple[int, int, List[List[int]]]]:
+) -> Iterator[Tuple[int, int, Sequence[Sequence[int]]]]:
     """Yield ``(src, dst, paths)`` for every ordered server pair.
 
     Fabrics may expose a ``bulk_paths(kind)`` hook that enumerates the
@@ -146,6 +148,31 @@ class CostModelKernel:
         except KeyError:
             raise KeyError(f"routed traffic uses unknown link {(a, b)}")
 
+    def _link_ids(self, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        """Link index of every ``heads[i] -> tails[i]`` hop.
+
+        Looked up in a sorted table of ``a * stride + b`` link codes
+        with :func:`np.searchsorted`; a hop on a link the fabric lacks
+        raises :class:`KeyError` naming the first such link, as
+        :meth:`_link_id` does.
+        """
+        ends = np.asarray(self.links, dtype=np.int64).reshape(-1, 2)
+        stride = 1 + int(max(
+            ends.max(initial=0), heads.max(initial=0), tails.max(initial=0)
+        ))
+        link_codes = ends[:, 0] * stride + ends[:, 1]
+        order = np.argsort(link_codes)
+        sorted_codes = link_codes[order]
+        codes = heads * stride + tails
+        pos = np.searchsorted(sorted_codes, codes)
+        known = pos < sorted_codes.size
+        known[known] = sorted_codes[pos[known]] == codes[known]
+        if not known.all():
+            bad = int(np.argmin(known))
+            link = (int(heads[bad]), int(tails[bad]))
+            raise KeyError(f"routed traffic uses unknown link {link}")
+        return order[pos]
+
     def mp_routing(self, n: int) -> _MPRouting:
         """The (n*n x links) MP routing-fraction matrix, built lazily.
 
@@ -153,25 +180,42 @@ class CostModelKernel:
         each link carries under equal splitting over the fabric's MP
         path set; pairs without any path are flagged ``unroutable``
         (demand there makes the phase time infinite, as in the seed).
+        The COO triplets come from the flattened path sets in pair,
+        path, hop order, so the matrix is the same bit for bit as one
+        assembled hop by hop.
         """
         routing = self._mp_routing.get(n)
         if routing is not None:
             return routing
-        rows: List[int] = []
-        cols: List[int] = []
-        data: List[float] = []
         unroutable = np.zeros(n * n, dtype=bool)
+        pairs: List[int] = []
+        path_counts: List[int] = []
+        paths_flat: List[Sequence[int]] = []
         for src, dst, paths in _iter_pair_paths(self.fabric, "mp", n):
             pair = src * n + dst
             if not paths:
                 unroutable[pair] = True
                 continue
-            fraction = 1.0 / len(paths)
-            for path in paths:
-                for a, b in zip(path, path[1:]):
-                    rows.append(pair)
-                    cols.append(self._link_id(a, b))
-                    data.append(fraction)
+            pairs.append(pair)
+            path_counts.append(len(paths))
+            paths_flat.extend(paths)
+        lens = np.fromiter(
+            map(len, paths_flat), dtype=np.int64, count=len(paths_flat)
+        )
+        flat = np.fromiter(
+            chain.from_iterable(paths_flat), dtype=np.int64,
+            count=int(lens.sum()),
+        )
+        # Every node but the last of each path heads one hop.
+        is_head = np.ones(flat.size, dtype=bool)
+        is_head[np.cumsum(lens) - 1] = False
+        head_pos = np.flatnonzero(is_head)
+        per_pair = np.asarray(path_counts, dtype=np.int64)
+        hops = lens - 1
+        rows = np.repeat(np.repeat(np.asarray(pairs, dtype=np.int64),
+                                   per_pair), hops)
+        cols = self._link_ids(flat[head_pos], flat[head_pos + 1])
+        data = np.repeat(np.repeat(1.0 / per_pair, per_pair), hops)
         matrix = sparse.csr_matrix(
             (data, (rows, cols)), shape=(n * n, self.num_links)
         )
@@ -239,14 +283,34 @@ class CostModelKernel:
         return max(0.0, 8.0 * worst)
 
     def compile_layer(self, contribution: LayerTraffic) -> CompiledLayerTraffic:
-        """Pre-route a layer contribution into a per-link load vector."""
+        """Pre-route a layer contribution into a per-link load vector.
+
+        Gathers the layer's rows straight from the CSR arrays and sums
+        ``data * bytes`` per link with :func:`np.bincount`, which adds
+        in row, then entry order -- the order of scipy's
+        ``matrix[idx].T.dot(values)`` -- so the loads are bitwise the
+        same without building three sparse objects per call.
+        """
         n = contribution.n
         routing = self.mp_routing(n)
         idx = contribution.mp_pair_indices
         values = contribution.mp_pair_bytes
         if idx.size:
-            mp_loads = routing.matrix[idx].T.dot(values)
-            mp_loads = np.asarray(mp_loads).reshape(-1)
+            matrix = routing.matrix
+            starts = matrix.indptr[idx]
+            counts = matrix.indptr[idx + 1] - starts
+            # Positions of the selected rows' entries, row after row.
+            firsts = np.cumsum(counts) - counts
+            entries = np.repeat(starts - firsts, counts) + np.arange(
+                int(counts.sum())
+            )
+            # bincount returns integer zeros when no selected pair has a
+            # path (diagonal or unroutable pairs only); loads are float.
+            mp_loads = np.bincount(
+                matrix.indices[entries],
+                weights=matrix.data[entries] * np.repeat(values, counts),
+                minlength=self.num_links,
+            ).astype(float, copy=False)
             unroutable = float(values[routing.unroutable[idx]].sum())
         else:
             mp_loads = np.zeros(self.num_links)

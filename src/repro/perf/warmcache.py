@@ -131,6 +131,14 @@ def kernel_for(fabric):
     the cache entry so its id cannot be recycled while the entry
     lives.  Plain switch fabrics are keyed by class and full sorted
     capacity table, which determines their deterministic routing.
+
+    An anchored entry costs what it keeps alive: the result's topology
+    and caches, group plans and route table, plus the kernel's routing
+    matrices.  A full cache of co-search entries (16-40 servers) holds
+    about 440 KiB per entry.  Routes are tuples of ints (see
+    :class:`~repro.core.topology_finder.RoutingTable`), which CPython's
+    cyclic collector untracks, so an entry leaves only ~160 tracked
+    objects for every full collection to rescan.
     """
     from repro.perf.costmodel import CostModelKernel
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.topology_finder import TopologyFinderResult
+from repro.core.topology_finder import Path, TopologyFinderResult
 
 Link = Tuple[int, int]
 
@@ -102,15 +102,20 @@ class FailureManager:
 
     # ------------------------------------------------------------------
     def _patch_routing(self, link: Link, detour: List[int]) -> None:
-        """Replace every routed path crossing ``link`` with the detour."""
+        """Replace every routed path crossing ``link`` with the detour.
+
+        Path sets are immutable tuples (see
+        :class:`~repro.core.topology_finder.RoutingTable`), so each is
+        replaced by a new tuple rather than edited.
+        """
         for table in (
             self.result.routing.allreduce_paths,
             self.result.routing.mp_paths,
         ):
             for pair, paths in table.items():
-                table[pair] = [
+                table[pair] = tuple([
                     self._splice(path, link, detour) for path in paths
-                ]
+                ])
 
     def _unpatch_routing(self, link: Link) -> None:
         """Collapse detours of a repaired link back to the direct edge."""
@@ -120,12 +125,12 @@ class FailureManager:
             self.result.routing.mp_paths,
         ):
             for pair, paths in table.items():
-                table[pair] = [
+                table[pair] = tuple([
                     self._collapse(path, src, dst) for path in paths
-                ]
+                ])
 
     @staticmethod
-    def _splice(path: List[int], link: Link, detour: List[int]) -> List[int]:
+    def _splice(path: Path, link: Link, detour: List[int]) -> Path:
         src, dst = link
         out: List[int] = []
         i = 0
@@ -140,11 +145,11 @@ class FailureManager:
             else:
                 out.append(path[i])
                 i += 1
-        return out
+        return tuple(out)
 
     @staticmethod
-    def _collapse(path: List[int], src: int, dst: int) -> List[int]:
-        """Shortcut any src..dst detour segment back to [src, dst]."""
+    def _collapse(path: Path, src: int, dst: int) -> Path:
+        """Shortcut any src..dst detour segment back to (src, dst)."""
         try:
             i = path.index(src)
             j = path.index(dst, i + 1)

@@ -4,7 +4,9 @@ The kernel layer (repro.perf.costmodel) must produce the same phase
 times and iteration costs as the retained pure-Python reference
 (ReferenceIterationCostModel), and the delta-updated incremental
 evaluator must track the full rebuild exactly across randomized move
-sequences -- including past the re-synchronization interval.
+sequences -- including past the re-synchronization interval.  The
+routing matrix and compiled layer loads must match their per-hop and
+scipy oracles byte for byte.
 """
 
 import math
@@ -12,10 +14,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
-from repro.core.topology_finder import topology_finder
+from repro.core.topology_finder import AllReduceGroup, topology_finder
 from repro.models import build_dlrm, build_vgg
 from repro.network.fattree import (
+    FatTreeFabric,
     IdealSwitchFabric,
     LeafSpineFabric,
     OversubscribedFatTreeFabric,
@@ -30,6 +36,7 @@ from repro.parallel.strategy import (
     hybrid_strategy,
 )
 from repro.parallel.traffic import (
+    LayerTraffic,
     _add_model_parallel_traffic,
     _add_sharded_traffic,
     extract_traffic,
@@ -345,3 +352,186 @@ class TestIncrementalEvaluator:
             model, strategy, search.batch_per_gpu
         ))
         assert evaluator.cost() == pytest.approx(expected, rel=1e-12)
+
+
+# ----------------------------------------------------------------------
+# Bitwise oracles for the routing matrix and the layer compiler
+# ----------------------------------------------------------------------
+
+def hop_by_hop_routing(kernel, n):
+    """The per-hop assembly ``mp_routing`` replaced (the bitwise oracle).
+
+    One COO triplet per hop, appended in pair, path, hop order.
+    """
+    rows, cols, data = [], [], []
+    unroutable = np.zeros(n * n, dtype=bool)
+    for src in range(n):
+        for dst in range(n):
+            if src == dst:
+                continue
+            pair = src * n + dst
+            paths = kernel.fabric.paths(src, dst, "mp")
+            if not paths:
+                unroutable[pair] = True
+                continue
+            fraction = 1.0 / len(paths)
+            for path in paths:
+                for a, b in zip(path, path[1:]):
+                    rows.append(pair)
+                    cols.append(kernel.link_index[(a, b)])
+                    data.append(fraction)
+    matrix = sparse.csr_matrix(
+        (data, (rows, cols)), shape=(n * n, kernel.num_links)
+    )
+    return matrix, unroutable
+
+
+def assert_bitwise(got, expected):
+    assert got.dtype == expected.dtype
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+class SkipRingFabric:
+    """Ring links ``i -> i+1``; only pairs one or two hops apart route.
+
+    Every other pair has no path, so its demand is unroutable.
+    """
+
+    name = "skip-ring"
+
+    def __init__(self, n):
+        self.num_servers = n
+
+    def capacities(self):
+        n = self.num_servers
+        return {(i, (i + 1) % n): GBPS for i in range(n)}
+
+    def paths(self, src, dst, kind="mp"):
+        n = self.num_servers
+        if src == dst:
+            return ((src,),)
+        hops = (dst - src) % n
+        if hops > 2:
+            return ()
+        return (tuple((src + h) % n for h in range(hops + 1)),)
+
+
+def routed_fabrics(n, degree, seed, density):
+    rng = np.random.default_rng(seed)
+    demand = rng.random((n, n)) * 1e8 * (rng.random((n, n)) < density)
+    np.fill_diagonal(demand, 0.0)
+    group = AllReduceGroup(
+        members=tuple(range(n)), total_bytes=float(rng.uniform(1e6, 1e9))
+    )
+    result = topology_finder(n, degree, [group], demand)
+    return [
+        TopoOptFabric(result, 100 * GBPS),
+        IdealSwitchFabric(n, degree, 100 * GBPS),
+        FatTreeFabric(n, degree, 40 * GBPS),
+        SkipRingFabric(n),
+    ]
+
+
+def layer_contributions(n, rng):
+    """DP, MP (one and two owners), sharded, and repeated raw pairs."""
+    model = small_dlrm()
+    dense = model.layers[-1]
+    table = model.embedding_layers[0]
+    owners = tuple(int(o) for o in rng.choice(n, size=2, replace=False))
+    placements = [
+        (dense, LayerPlacement(
+            PlacementKind.DATA_PARALLEL, tuple(range(n))
+        )),
+        (table, LayerPlacement(PlacementKind.MODEL_PARALLEL, owners[:1])),
+        (table, LayerPlacement(PlacementKind.MODEL_PARALLEL, owners)),
+        (table, LayerPlacement(PlacementKind.SHARDED)),
+    ]
+    contributions = [
+        layer_traffic(layer, placement, 128, n)
+        for layer, placement in placements
+    ]
+    # Repeated pair indices (diagonal ones too) with bytes spanning
+    # twelve decades, so any change in summation order shows.
+    size = int(rng.integers(1, 4 * n * n))
+    idx = rng.integers(0, n * n, size=size).astype(np.int64)
+    values = rng.random(size) * 10.0 ** rng.integers(0, 12, size=size)
+    contributions.append(LayerTraffic(n, None, 0.0, idx, values))
+    return contributions
+
+
+class TestBitwiseKernel:
+    @settings(deadline=None, max_examples=25)
+    @given(
+        n=st.integers(4, 24),
+        degree=st.integers(2, 4),
+        seed=st.integers(0, 2 ** 32 - 1),
+        density=st.floats(0.0, 1.0),
+    )
+    def test_matrix_and_layer_loads_match_oracles(
+        self, n, degree, seed, density
+    ):
+        rng = np.random.default_rng(seed)
+        contributions = layer_contributions(n, rng)
+        for fabric in routed_fabrics(n, degree, seed, density):
+            kernel = CostModelKernel(fabric)
+            routing = kernel.mp_routing(n)
+            matrix, unroutable = hop_by_hop_routing(kernel, n)
+            assert_bitwise(routing.matrix.data, matrix.data)
+            assert_bitwise(routing.matrix.indices, matrix.indices)
+            assert_bitwise(routing.matrix.indptr, matrix.indptr)
+            assert_bitwise(routing.unroutable, unroutable)
+            for contribution in contributions:
+                idx = contribution.mp_pair_indices
+                values = contribution.mp_pair_bytes
+                compiled = kernel.compile_layer(contribution)
+                expected = np.asarray(
+                    routing.matrix[idx].T.dot(values)
+                ).reshape(-1)
+                assert_bitwise(compiled.mp_loads, expected)
+                assert compiled.unroutable_bytes == float(
+                    values[unroutable[idx]].sum()
+                )
+
+    def test_skip_ring_unroutable_demand(self):
+        # The property's partial fabric must exercise unroutable pairs.
+        n = 6
+        kernel = CostModelKernel(SkipRingFabric(n))
+        routing = kernel.mp_routing(n)
+        assert routing.unroutable.sum() == n * (n - 3)
+        sharded = layer_traffic(
+            small_dlrm().embedding_layers[0],
+            LayerPlacement(PlacementKind.SHARDED), 128, n,
+        )
+        assert kernel.compile_layer(sharded).unroutable_bytes > 0
+        # Only a diagonal and pathless pairs: no link carries a byte,
+        # and the loads are still float zeros, as scipy's product.
+        idx = np.array([0, 0 * n + 3, 0 * n + 3, 1 * n + 5], dtype=np.int64)
+        values = np.array([5.0, 2.0, 3.0, 4.0])
+        assert routing.unroutable[idx].tolist() == [False, True, True, True]
+        compiled = kernel.compile_layer(
+            LayerTraffic(n, None, 0.0, idx, values)
+        )
+        assert_bitwise(compiled.mp_loads, np.zeros(kernel.num_links))
+        assert compiled.unroutable_bytes == 9.0
+
+    def test_unknown_link_raises_key_error_naming_it(self):
+        class MissingLinkFabric:
+            # (1, 3) and (2, 0) are routed over but never provisioned;
+            # pair (0, 3) comes first in pair order.
+            name = "missing"
+            num_servers = 4
+
+            def capacities(self):
+                return {(0, 1): GBPS, (1, 2): GBPS, (2, 3): GBPS}
+
+            def paths(self, src, dst, kind="mp"):
+                if (src, dst) == (0, 3):
+                    return ((0, 1, 3),)
+                if (src, dst) == (2, 1):
+                    return ((2, 0, 1),)
+                return ()
+
+        kernel = CostModelKernel(MissingLinkFabric())
+        with pytest.raises(KeyError, match=r"unknown link \(1, 3\)"):
+            kernel.mp_routing(4)

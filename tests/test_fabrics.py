@@ -1,9 +1,15 @@
 """Unit tests for the switch, expander, and TopoOpt fabrics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core.topology_finder import AllReduceGroup, topology_finder
+from repro.core.topology_finder import (
+    AllReduceGroup,
+    RoutingTable,
+    topology_finder,
+)
 from repro.network.expander import ExpanderFabric, random_regular_topology
 from repro.network.fattree import (
     FatTreeFabric,
@@ -152,6 +158,39 @@ class TestTopoOptFabric:
                     assert fabric.paths(src, dst, "mp")
                     assert fabric.paths(src, dst, "allreduce")
 
+    def test_returned_paths_cannot_rewrite_routes(self):
+        # Every caller (and every job sharing a cached pipeline result)
+        # gets the routing table's own path sets, so they must be
+        # immutable: editing one used to rewrite the table for all.
+        fabric = _topoopt(n=8, d=4)
+        routing = fabric.result.routing
+        before = (dict(routing.mp_paths), dict(routing.allreduce_paths))
+        remapped = fabric.relabel([10 + i for i in range(8)])
+        # Without routing-table entries, paths fall back to a cached
+        # shortest path.
+        unrouted = TopoOptFabric(
+            dataclasses.replace(fabric.result, routing=RoutingTable()),
+            25 * GBPS,
+        )
+        for paths in (
+            fabric.paths(0, 5),
+            fabric.paths(0, 5, "allreduce"),
+            fabric.paths(3, 3),
+            remapped.paths(10, 15),
+            unrouted.paths(0, 5),
+        ):
+            assert isinstance(paths, tuple)
+            with pytest.raises(AttributeError):
+                paths[0].append(99)
+            with pytest.raises(TypeError):
+                paths[0][-1] = 99
+            with pytest.raises(AttributeError):
+                paths.append((0, 99))
+        assert (dict(routing.mp_paths), dict(routing.allreduce_paths)) == (
+            before
+        )
+        assert fabric.paths(0, 5) == routing.mp_paths[(0, 5)]
+
     def test_ring_edges_are_direct(self):
         fabric = _topoopt()
         members = tuple(range(12))
@@ -230,12 +269,12 @@ class TestRemappedFabric:
                     continue
                 for kind in ("mp", "allreduce"):
                     local = fabric.paths(src, dst, kind)
-                    translated = [
-                        [inverse[node] for node in path]
+                    translated = tuple(
+                        tuple(inverse[node] for node in path)
                         for path in remapped.paths(
                             server_map[src], server_map[dst], kind
                         )
-                    ]
+                    )
                     assert translated == local
         members = tuple(range(6))
         mapped = tuple(server_map[m] for m in members)

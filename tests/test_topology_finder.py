@@ -1,5 +1,8 @@
 """Unit and integration tests for TopologyFinder (Algorithm 1)."""
 
+import copy
+import gc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.core.topology_finder import (
     _distribute_degree,
     topology_finder,
 )
+from repro.sim.failures import FailureManager
 
 
 def full_group(n, size_bytes):
@@ -166,6 +170,53 @@ class TestRouting:
         for (src, dst), paths in result.routing.mp_paths.items():
             shortest = result.topology.shortest_path(src, dst)
             assert all(len(p) == len(shortest) for p in paths)
+
+
+def assert_routes_untracked(routing):
+    """No route of ``routing`` is left for the cyclic collector to scan."""
+    # A container is untracked only once everything it holds is: the
+    # first full collection untracks each int-only path, the second the
+    # path sets holding them and the tables holding those.
+    gc.collect()
+    gc.collect()
+    for table in (routing.mp_paths, routing.allreduce_paths):
+        assert table
+        assert not gc.is_tracked(table)
+        for paths in table.values():
+            assert not gc.is_tracked(paths)
+            for path in paths:
+                assert not gc.is_tracked(path)
+
+
+class TestRoutesUntracked:
+    """Cached results anchor their routes for the life of the process,
+    so every path set must be an immutable, untrackable int tuple."""
+
+    def _result(self, n=40):
+        rng = np.random.default_rng(40)
+        demand = rng.random((n, n)) * 1e8 * (rng.random((n, n)) < 0.2)
+        np.fill_diagonal(demand, 0.0)
+        # Two overlapping groups: some pairs hold routes of both plans.
+        groups = [
+            full_group(n, 1e9),
+            AllReduceGroup(members=tuple(range(0, n, 2)), total_bytes=4e9),
+        ]
+        return topology_finder(n, 4, groups, demand)
+
+    def test_fresh_result(self):
+        assert_routes_untracked(self._result().routing)
+
+    def test_copy_on_write_fault_path(self):
+        # The scenario engine's fault path: a private deep copy, a
+        # detour, then the port-swap repair that collapses it.
+        isolated = copy.deepcopy(self._result())
+        assert_routes_untracked(isolated.routing)
+        manager = FailureManager(isolated)
+        link = manager.ring_edges()[0]
+        manager.fail_link(*link)
+        assert_routes_untracked(isolated.routing)
+        manager.repair_permanently(*link)
+        assert_routes_untracked(isolated.routing)
 
 
 class TestValidation:
