@@ -4,7 +4,8 @@ Every bench prints the same rows/series the paper reports and also
 writes them to ``benchmarks/results/<bench>.txt`` so the tables survive
 pytest's stdout capture.  ``REPRO_SCALE=full`` in the environment runs
 the paper-scale configuration; the default is a reduced-but-
-representative scale whose result *shapes* match (see EXPERIMENTS.md).
+representative scale whose result *shapes* match (both sets of
+dimensions are in :func:`scale_config`).
 
 Since the declarative API landed, workloads, strategies, and fabrics
 resolve through the :mod:`repro.api` registries: a paper architecture

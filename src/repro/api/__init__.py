@@ -5,7 +5,7 @@ This package is the repo's front door.  Describe an experiment as data
 parameter grid over it (:func:`run_sweep`), and consume typed,
 JSON-serializable results (:class:`ExperimentResult`,
 :class:`SweepResult`).  See ``docs/api.md`` for the schema, the registry
-names, and the legacy-CLI migration table.
+names, and the flag-CLI migration table.
 
 Quick start::
 

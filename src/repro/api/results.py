@@ -5,7 +5,7 @@ returns: strategy summary, traffic volumes, topology statistics,
 per-fabric iteration timings, interconnect costs, and seed provenance.
 ``to_dict()`` is **deterministic for a given spec and seed** -- wall
 time lives only on the in-memory object (``wall_time_s``), never in the
-JSON -- which is what makes the legacy-CLI shim-equivalence guarantee
+JSON -- which is what makes the CLI's preset-equivalence guarantee
 testable byte for byte.
 
 :class:`SweepResult` wraps one :class:`SweepPoint` per grid point and
@@ -277,8 +277,8 @@ class ExperimentResult:
 
     ``wall_time_s`` is measured, not derived from the spec, so
     :meth:`to_dict` deliberately omits it: the JSON of a result is a
-    pure function of (spec, seed), which the CLI shim-equivalence test
-    relies on.
+    pure function of (spec, seed), which the CLI preset-equivalence
+    test relies on.
     """
 
     spec: ExperimentSpec

@@ -13,10 +13,10 @@
 5. return an :class:`~repro.api.results.ExperimentResult`.
 
 :func:`run_sweep` expands a parameter grid over a base spec and runs
-each point through ``concurrent.futures`` with a deterministic per-point
-seed; :func:`compare_fabrics` times one prepared experiment on a set of
-fabrics (the evaluation-harness primitive behind ``repro compare`` and
-the ``bench_fig*`` drivers).
+each point through :class:`repro.service.BatchExecutor` with a
+deterministic per-point seed; :func:`compare_fabrics` times one
+prepared experiment on a set of fabrics (the evaluation-harness
+primitive behind ``repro compare`` and the ``bench_fig*`` drivers).
 """
 
 from __future__ import annotations
@@ -25,13 +25,8 @@ import itertools
 import json
 import time
 import zlib
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    TimeoutError as FuturesTimeoutError,
-)
-from dataclasses import dataclass, replace as dc_replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.api.registry import (
     STRATEGIES,
@@ -478,92 +473,6 @@ def expand_grid(
     ]
 
 
-def _point_runner(spec):
-    """The run function for a spec type (experiment or scenario)."""
-    from repro.cluster.engine import run_scenario
-    from repro.cluster.spec import ScenarioSpec
-
-    if isinstance(spec, ScenarioSpec):
-        return run_scenario
-    return run_experiment
-
-
-def _run_point(args: Tuple[ExperimentSpec, Dict[str, Any]]) -> SweepPoint:
-    base_spec, overrides = args
-    # An explicit "seed" grid axis wins (seed-replication sweeps);
-    # otherwise every point gets a derived deterministic seed.
-    if "seed" in overrides:
-        seed = overrides["seed"]
-    else:
-        seed = point_seed(base_spec.seed, overrides)
-    try:
-        spec = base_spec.with_overrides({**overrides, "seed": seed})
-        result = _point_runner(spec)(spec)
-        return SweepPoint(overrides=overrides, seed=seed, result=result)
-    except Exception as error:  # per-point isolation: a bad point is a row
-        return SweepPoint(
-            overrides=overrides,
-            seed=seed,
-            error=f"{type(error).__name__}: {error}",
-        )
-
-
-def _run_pool(
-    pool_cls,
-    workers: int,
-    jobs: Dict[int, Tuple[Any, Dict[str, Any]]],
-    timeout: Optional[float],
-) -> Tuple[Dict[int, SweepPoint], Dict[int, str]]:
-    """Run one round of sweep points through a fresh pool.
-
-    Returns ``(results, failures)`` keyed by point index.  A failure is
-    a *pool-level* casualty -- a worker that crashed (e.g. a broken
-    process pool) or overran ``timeout`` -- as opposed to an in-point
-    exception, which :func:`_run_point` already converts to an error
-    row.  The pool is always torn down without waiting, so one hung
-    worker cannot wedge the sweep; surviving processes are terminated.
-    """
-    results: Dict[int, SweepPoint] = {}
-    failures: Dict[int, str] = {}
-    pool = pool_cls(max_workers=workers)
-    try:
-        futures = {
-            index: pool.submit(_run_point, job)
-            for index, job in jobs.items()
-        }
-        for index, future in futures.items():
-            try:
-                results[index] = future.result(timeout=timeout)
-            except FuturesTimeoutError:
-                future.cancel()
-                failures[index] = (
-                    f"TimeoutError: point exceeded "
-                    f"point_timeout_s={timeout:g}"
-                )
-            except Exception as error:  # worker crashed, not the point
-                failures[index] = f"{type(error).__name__}: {error}"
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-        # A hung or crashed process pool can leave workers behind;
-        # reap them so a retry round starts from a clean slate.
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except Exception:
-                pass
-    return results, failures
-
-
-def _point_spec(base_spec, overrides: Mapping[str, Any]):
-    """The fully-resolved spec of one grid point (seed applied)."""
-    if "seed" in overrides:
-        seed = overrides["seed"]
-    else:
-        seed = point_seed(base_spec.seed, overrides)
-    return base_spec.with_overrides({**overrides, "seed": seed}), seed
-
-
 def run_sweep(
     base_spec: ExperimentSpec,
     grid: Mapping[str, Sequence[Any]],
@@ -584,103 +493,71 @@ def run_sweep(
     their Cartesian product.  Each point gets a deterministic seed from
     :func:`point_seed` -- unless ``"seed"`` is itself a grid axis, in
     which case the axis value is used verbatim (seed-replication
-    sweeps) -- and runs in a ``concurrent.futures`` pool (``executor``:
-    ``"thread"``, ``"process"``, or ``"serial"``).  Specs, points, and
-    results all pickle, so ``executor="process"`` scales paper-size
-    grids across cores with the per-point seeds unchanged.
+    sweeps).
 
-    Failure containment, per point: an exception inside the point
-    becomes an error row; a worker that *crashes* or overruns
-    ``point_timeout_s`` is resubmitted -- same overrides, same derived
-    seed -- up to ``retries`` more times on a fresh pool, and only then
-    becomes an error row.  Rows that needed more than one submission
-    carry ``attempts`` so the retry is visible in the sweep result
-    rather than silent.  (``point_timeout_s`` needs a pool executor;
-    the serial path runs inline and cannot time out.)
+    The sweep is a client of :class:`repro.service.BatchExecutor`
+    (``executor``: ``"thread"``, ``"process"``, or ``"serial"``): every
+    point's spec is built here -- a spec that fails to build is an
+    error row -- and submitted, and rows come back in grid order.  The
+    executor supplies the rest:
 
-    A :class:`repro.service.store.ResultStore` passed as ``store``
-    turns the sweep memoizing: every point's fully-resolved spec is
-    looked up first -- hits become ``cache_hit`` rows without touching
-    the pool -- and every fresh result is written back, so an identical
-    second sweep recomputes nothing.
+    * an exception inside a point becomes an error row; a worker that
+      *crashes* or overruns ``point_timeout_s`` is resubmitted -- same
+      spec, same seed -- up to ``retries`` more times, and only then
+      becomes an error row.  Rows that needed more than one submission
+      carry ``attempts``.  (``point_timeout_s`` needs a pool executor;
+      the serial path runs inline and cannot time out.)
+    * points whose specs are identical while one of them is in flight
+      compute once and share the result.
+    * a :class:`repro.service.store.ResultStore` passed as ``store`` is
+      consulted first -- hits become ``cache_hit`` rows -- and every
+      fresh result is written back, so an identical second sweep
+      recomputes nothing.
     """
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
+    from repro.service.executor import BatchExecutor
+
     points = expand_grid(grid)
     if not points:
         raise ValueError("run_sweep needs a non-empty grid")
-    jobs = [(base_spec, overrides) for overrides in points]
-    rows: List[Optional[SweepPoint]] = [None] * len(jobs)
-    if store is not None:
-        # Store-first admission, in the parent: hits never hit the pool.
-        for index, overrides in enumerate(points):
-            try:
-                spec, seed = _point_spec(base_spec, overrides)
-                cached = store.get(spec)
-            except Exception:
-                continue  # a bad point still becomes an error row below
-            if cached is not None:
-                rows[index] = SweepPoint(
-                    overrides=overrides,
-                    seed=seed,
-                    result=cached,
-                    cache_hit=True,
-                )
-    todo = [index for index in range(len(jobs)) if rows[index] is None]
-    if executor == "serial":
-        for index in todo:
-            rows[index] = _run_point(jobs[index])
-        results = rows
-    elif executor in ("thread", "process"):
-        pool_cls = (
-            ThreadPoolExecutor if executor == "thread"
-            else ProcessPoolExecutor
+    rows: List[Optional[SweepPoint]] = [None] * len(points)
+    seeds: List[int] = []
+    specs: Dict[int, Any] = {}
+    for index, overrides in enumerate(points):
+        seed = (
+            overrides["seed"] if "seed" in overrides
+            else point_seed(base_spec.seed, overrides)
         )
-        workers = max_workers or min(max(len(todo), 1), 8)
-        attempts = [0] * len(jobs)
-        pending = todo
-        while pending:
-            for index in pending:
-                attempts[index] += 1
-            round_results, round_failures = _run_pool(
-                pool_cls,
-                min(workers, len(pending)),
-                {index: jobs[index] for index in pending},
-                point_timeout_s,
+        seeds.append(seed)
+        try:
+            specs[index] = base_spec.with_overrides(
+                {**overrides, "seed": seed}
             )
-            retry: List[int] = []
-            for index in pending:
-                if index in round_results:
-                    row = round_results[index]
-                    if attempts[index] > 1:
-                        row = dc_replace(row, attempts=attempts[index])
-                    rows[index] = row
-                elif attempts[index] <= retries:
-                    retry.append(index)
-                else:
-                    overrides = points[index]
-                    rows[index] = SweepPoint(
-                        overrides=overrides,
-                        seed=overrides.get(
-                            "seed",
-                            point_seed(base_spec.seed, overrides),
-                        ),
-                        error=round_failures[index],
-                        attempts=attempts[index],
-                    )
-            pending = retry
-        results = rows
-    else:
-        raise ValueError(
-            f"unknown executor {executor!r}; "
-            f"use 'thread', 'process', or 'serial'"
+        except Exception as error:  # a bad point is a row, not a crash
+            rows[index] = SweepPoint(
+                overrides=overrides,
+                seed=seed,
+                error=f"{type(error).__name__}: {error}",
+            )
+    with BatchExecutor(
+        store=store,
+        max_workers=max_workers or min(len(specs), 8),
+        executor=executor,
+        point_timeout_s=point_timeout_s,
+        retries=retries,
+    ) as service:
+        requests = service.drain(list(specs.values()))
+    for index, request in zip(specs, requests):
+        error = request.future.exception()
+        rows[index] = SweepPoint(
+            overrides=points[index],
+            seed=seeds[index],
+            result=request.future.result() if error is None else None,
+            error=str(error) if error is not None else None,
+            attempts=max(request.attempts, 1),
+            cache_hit=request.route == "store",
         )
-    if store is not None:
-        for row in results:
-            if row is not None and row.ok and not row.cache_hit:
-                store.put(row.result.spec, row.result)
     return SweepResult(
         base_spec=base_spec,
         grid={k: list(v) for k, v in grid.items()},
-        points=tuple(results),
+        points=tuple(rows),
     )

@@ -4,8 +4,8 @@ An :class:`ExperimentSpec` describes one TopoOpt experiment end to end
 -- workload, cluster, fabric, optimizer, simulator -- as frozen,
 JSON-serializable data.  It is the input of
 :func:`repro.api.runner.run_experiment` and the unit the sweep engine
-expands; the CLI (``repro run --spec exp.json``) and the legacy flag
-interface both construct one.
+expands; the CLI (``repro run --spec exp.json`` or ``--preset``)
+constructs one.
 
 Invariants:
 

@@ -33,10 +33,8 @@ cProfile breakdown plus warm-cache counters), ``check-docs`` (doctests
 + doc reference validation), and ``check-examples`` (runs every
 ``examples/*.py`` at smoke scale under a wall-time cap).
 
-The original flag interface (``python -m repro.cli --model DLRM ...``)
-survives as a thin legacy shim that constructs an ``ExperimentSpec``
-and calls the same runner; prefer ``run --spec`` (see ``docs/api.md``
-for the migration table).
+Without a subcommand, ``python -m repro.cli`` prints the subcommand
+list and exits 2.
 """
 
 from __future__ import annotations
@@ -48,121 +46,26 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.api import (
-    ClusterSpec,
     ExperimentResult,
     ExperimentSpec,
     FabricSpec,
-    OptimizerSpec,
     RegistryError,
     SpecError,
-    WorkloadSpec,
     compare_fabrics,
     parse_overrides,
     run_experiment,
     run_sweep,
 )
 from repro.api.spec import EXPERIMENT_PRESETS
-from repro.models.configs import CONFIG_FAMILIES, FAMILY_DESCRIPTIONS
-
-GBPS = 1e9
+from repro.models.configs import FAMILY_DESCRIPTIONS
 
 
 # ----------------------------------------------------------------------
-# Legacy flag interface (deprecated shim)
+# Reports
 # ----------------------------------------------------------------------
-
-def build_parser() -> argparse.ArgumentParser:
-    """The legacy flag parser, kept as a shim over ``run --spec``."""
-    scale_help = "; ".join(
-        f"{name}: {FAMILY_DESCRIPTIONS[name]}" for name in CONFIG_FAMILIES
-    )
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=(
-            "TopoOpt co-optimization: find a topology + parallelization "
-            "strategy for one training job and compare fabrics. "
-            "This flag interface is a legacy shim; prefer "
-            "'repro run --spec exp.json' (docs/api.md)."
-        ),
-        epilog=(
-            "Subcommands: 'repro run|sweep|compare' execute declarative "
-            "experiment specs; 'repro scenario' runs multi-job "
-            "shared-cluster scenarios; 'repro bench-smoke [--json PATH]' runs "
-            "the kernel micro-benchmarks at smoke scale (<60 s); "
-            "'repro check-docs' verifies doctests and repro.cli "
-            "references in the docs; 'repro check-examples' runs every "
-            "example at smoke scale."
-        ),
-    )
-    parser.add_argument(
-        "--model",
-        default="DLRM",
-        help="workload name (run 'repro run --help' for the preset list)",
-    )
-    parser.add_argument(
-        "--scale",
-        default="shared",
-        choices=tuple(CONFIG_FAMILIES),
-        help=f"model preset family ({scale_help}; default: shared)",
-    )
-    parser.add_argument("--servers", type=int, default=16)
-    parser.add_argument("--degree", type=int, default=4)
-    parser.add_argument("--bandwidth-gbps", type=float, default=100.0)
-    parser.add_argument("--gpus-per-server", type=int, default=4)
-    parser.add_argument("--batch-per-gpu", type=int, default=None)
-    parser.add_argument("--rounds", type=int, default=3,
-                        help="alternating-optimization rounds")
-    parser.add_argument("--mcmc-iterations", type=int, default=150)
-    parser.add_argument(
-        "--mcmc-restarts", type=int, default=1,
-        help="independent MCMC chains per round (best-of)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--primes-only",
-        action="store_true",
-        help="restrict TotientPerms strides to primes (large clusters)",
-    )
-    parser.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="also write the ExperimentResult JSON to PATH",
-    )
-    return parser
-
-
-def spec_from_legacy_args(args: argparse.Namespace) -> ExperimentSpec:
-    """Translate legacy flags into the spec they always meant."""
-    return ExperimentSpec(
-        name=f"{args.model}-{args.scale}",
-        seed=args.seed,
-        workload=WorkloadSpec(
-            model=args.model,
-            scale=args.scale,
-            batch_per_gpu=args.batch_per_gpu,
-        ),
-        cluster=ClusterSpec(
-            servers=args.servers,
-            degree=args.degree,
-            bandwidth_gbps=args.bandwidth_gbps,
-            gpus_per_server=args.gpus_per_server,
-        ),
-        fabric=FabricSpec(kind="topoopt"),
-        optimizer=OptimizerSpec(
-            strategy="mcmc",
-            rounds=args.rounds,
-            mcmc_iterations=args.mcmc_iterations,
-            mcmc_restarts=args.mcmc_restarts,
-            primes_only=args.primes_only,
-        ),
-        baselines=(
-            FabricSpec(kind="ideal-switch"),
-            FabricSpec(kind="fattree"),
-        ),
-    )
-
 
 def print_report(result: ExperimentResult) -> None:
-    """Human-readable experiment report (shared by run and the shim)."""
+    """Human-readable experiment report (``repro run``)."""
     spec = result.spec
     workload = result.workload
     print(f"workload      : {workload.model} ({workload.scale} preset)")
@@ -218,24 +121,6 @@ def print_report(result: ExperimentResult) -> None:
                           f"{timing.cost_usd / primary.cost_usd:.1f}x")
 
 
-def legacy_main(argv: Sequence[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(list(argv))
-    print("note: the flag interface is a legacy shim; prefer "
-          "'python -m repro.cli run --spec exp.json' (docs/api.md)",
-          file=sys.stderr)
-    try:
-        spec = spec_from_legacy_args(args)
-        result = run_experiment(spec)
-    except (SpecError, RegistryError, KeyError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print_report(result)
-    if args.json and not _write_json(args.json, result.to_dict()):
-        return 2
-    return 0
-
-
 # ----------------------------------------------------------------------
 # Spec loading helpers
 # ----------------------------------------------------------------------
@@ -245,10 +130,14 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         "--spec", default=None, metavar="PATH",
         help="ExperimentSpec JSON file (see docs/api.md for the schema)",
     )
+    families = "; ".join(
+        f"{name}: {FAMILY_DESCRIPTIONS[name]}" for name in EXPERIMENT_PRESETS
+    )
     parser.add_argument(
         "--preset", default=None,
         choices=tuple(EXPERIMENT_PRESETS),
-        help="start from a named preset instead of a spec file",
+        help=f"start from a named preset instead of a spec file "
+             f"({families})",
     )
     parser.add_argument(
         "--set", action="append", default=[], metavar="KEY=VALUE",
@@ -829,7 +718,8 @@ def bench_smoke(argv: Sequence[str] = ()) -> int:
     results must be byte-identical to fresh computes), or the
     observability gate trips (a traced scenario run must produce
     byte-identical result JSON to an untraced one, with tracing
-    overhead under 10%).
+    overhead under 10%).  Every failed gate is reported, not just the
+    first (:func:`smoke_gate_failures`).
     """
     from repro.perf.bench import SMOKE_SIZES, format_results, run_benchmarks
 
@@ -847,118 +737,111 @@ def bench_smoke(argv: Sequence[str] = ()) -> int:
 
         write_results(results, args.json)
         print(f"results written to {args.json}")
-    gate_key = f"n={max(SMOKE_SIZES)}"
-    regressed = [
-        scenario
-        for scenario in (
-            "phase_sim", "routing", "staggered_phase",
-            "mcmc_steps", "alternating",
-        )
-        if results[scenario][gate_key]["speedup"] < 1.0
-    ]
-    if regressed:
-        print(f"PERF REGRESSION: {', '.join(regressed)} slower than the "
-              f"seed implementation at {gate_key}", file=sys.stderr)
-        return 1
-    if results["mcmc_steps"][gate_key]["cost_rel_err"] >= 1e-12:
-        print("EQUIVALENCE REGRESSION: incremental MCMC costs drifted "
-              "from the full-rebuild oracle", file=sys.stderr)
-        return 1
-    scenario = results["scenario"][gate_key]
-    if not scenario["deterministic"]:
-        print("DETERMINISM REGRESSION: same (scenario spec, seed) "
-              "produced different result JSON", file=sys.stderr)
-        return 1
-    if scenario["iteration_rel_err"] >= 1e-9:
-        print("EQUIVALENCE REGRESSION: scenario kernel allocator "
-              "drifted from the pure-Python reference", file=sys.stderr)
-        return 1
-    if scenario["speedup"] < 1.5:
-        print(f"PERF REGRESSION: scenario kernel speedup "
-              f"{scenario['speedup']}x at {gate_key} under the 1.5x "
-              f"floor", file=sys.stderr)
-        return 1
-    fleet = next(iter(results["scenario_fleet"].values()))
-    if fleet["jobs_completed"] < fleet["jobs_submitted"]:
-        print(f"FLEET REGRESSION: scenario_fleet completed "
-              f"{fleet['jobs_completed']}/{fleet['jobs_submitted']} "
-              f"jobs (trace did not drain)", file=sys.stderr)
-        return 1
-    sweep = next(iter(results["scheduler_sweep"].values()))
-    if not sweep["drained"]:
-        print("SCHEDULER REGRESSION: a queue policy failed to drain "
-              "the 100-job trace", file=sys.stderr)
-        return 1
-    if not sweep["deterministic"]:
-        print("DETERMINISM REGRESSION: same (spec, seed) under EASY "
-              "backfill produced different result JSON",
-              file=sys.stderr)
-        return 1
-    if not sweep["backfill_beats_fcfs"]:
-        print("SCHEDULER REGRESSION: backfill no longer beats FCFS "
-              "mean queueing delay on the head-of-line-blocking "
-              "trace", file=sys.stderr)
-        return 1
-    if sweep["wall_s"] > 60.0:
-        print(f"PERF REGRESSION: scheduler_sweep took "
-              f"{sweep['wall_s']}s (wall-time cap 60 s)",
-              file=sys.stderr)
-        return 1
-    storm = next(iter(results["scenario_storm"].values()))
-    if not storm["drained"]:
-        print("RESILIENCE REGRESSION: a recovery policy failed to "
-              "drain the 100-job trace through the fault storm",
-              file=sys.stderr)
-        return 1
-    if not storm["deterministic"]:
-        print("DETERMINISM REGRESSION: same (spec, seed) under the "
-              "fault storm produced different result JSON",
-              file=sys.stderr)
-        return 1
-    if storm["invariant_violations"]:
-        print(f"RESILIENCE REGRESSION: {storm['invariant_violations']} "
-              f"scheduler-invariant violations under the fault storm",
-              file=sys.stderr)
-        return 1
-    if not storm["storm_bites"]:
-        print(f"RESILIENCE REGRESSION: the storm schedule only landed "
-              f"{storm['fault_events']} fault events (floor 20) -- "
-              f"the chaos gate is no longer exercising recovery",
-              file=sys.stderr)
-        return 1
-    service = next(iter(results["service_throughput"].values()))
-    if not service["dedup_exact"]:
-        print(f"SERVICE REGRESSION: cold drain launched "
-              f"{service['computed']} computations for "
-              f"{service['unique_requested']} unique specs (in-flight "
-              f"dedup must coalesce duplicates onto one computation)",
-              file=sys.stderr)
-        return 1
-    if not service["byte_identical"]:
-        print("SERVICE REGRESSION: a store-served result's JSON "
-              "differs from a freshly computed one (content-addressed "
-              "memoization must be byte-identical)", file=sys.stderr)
-        return 1
-    if service["warm_speedup"] < 5.0:
-        print(f"SERVICE REGRESSION: warm drain only "
-              f"{service['warm_speedup']}x cold specs/sec (floor 5x) "
-              f"-- the result store is no longer paying for itself",
-              file=sys.stderr)
-        return 1
-    obs = next(iter(results["obs_overhead"].values()))
-    if not obs["byte_identical"]:
-        print("OBSERVABILITY REGRESSION: a traced scenario run's "
-              "result JSON differs from the untraced run's "
-              "(instrumentation must never perturb simulation "
-              "results)", file=sys.stderr)
-        return 1
-    if obs["overhead_pct"] >= 10.0:
-        print(f"PERF REGRESSION: tracing overhead "
-              f"{obs['overhead_pct']}% on the scenario engine "
-              f"(cap 10%)", file=sys.stderr)
+    failures = smoke_gate_failures(results, f"n={max(SMOKE_SIZES)}")
+    for message in failures:
+        print(message, file=sys.stderr)
+    if failures:
         return 1
     print("bench-smoke ok")
     return 0
+
+
+def smoke_gate_failures(results: Dict[str, Any], gate_key: str) -> List[str]:
+    """The message of every ``bench-smoke`` gate ``results`` fails.
+
+    ``results`` is the :func:`repro.perf.bench.run_benchmarks` tree and
+    ``gate_key`` the size the per-size gates read (``"n=64"``); the
+    single-size entries are read at whatever size they ran.  One
+    ``(failed, message)`` row per gate, all evaluated, so a run reports
+    every failure rather than the first.
+    """
+    def at_gate(entry: str) -> Dict[str, Any]:
+        return results[entry][gate_key]
+
+    def only(entry: str) -> Dict[str, Any]:
+        return next(iter(results[entry].values()))
+
+    slower = [
+        entry
+        for entry in (
+            "phase_sim", "routing", "staggered_phase",
+            "mcmc_steps", "alternating",
+        )
+        if at_gate(entry)["speedup"] < 1.0
+    ]
+    scenario = at_gate("scenario")
+    fleet = only("scenario_fleet")
+    sweep = only("scheduler_sweep")
+    storm = only("scenario_storm")
+    service = only("service_throughput")
+    obs = only("obs_overhead")
+    gates = [
+        (slower,
+         f"PERF REGRESSION: {', '.join(slower)} slower than the seed "
+         f"implementation at {gate_key}"),
+        (at_gate("mcmc_steps")["cost_rel_err"] >= 1e-12,
+         "EQUIVALENCE REGRESSION: incremental MCMC costs drifted from "
+         "the full-rebuild oracle"),
+        (not scenario["deterministic"],
+         "DETERMINISM REGRESSION: same (scenario spec, seed) produced "
+         "different result JSON"),
+        (scenario["iteration_rel_err"] >= 1e-9,
+         "EQUIVALENCE REGRESSION: scenario kernel allocator drifted "
+         "from the pure-Python reference"),
+        (scenario["speedup"] < 1.5,
+         f"PERF REGRESSION: scenario kernel speedup "
+         f"{scenario['speedup']}x at {gate_key} under the 1.5x floor"),
+        (fleet["jobs_completed"] < fleet["jobs_submitted"],
+         f"FLEET REGRESSION: scenario_fleet completed "
+         f"{fleet['jobs_completed']}/{fleet['jobs_submitted']} jobs "
+         f"(trace did not drain)"),
+        (not sweep["drained"],
+         "SCHEDULER REGRESSION: a queue policy failed to drain the "
+         "100-job trace"),
+        (not sweep["deterministic"],
+         "DETERMINISM REGRESSION: same (spec, seed) under EASY backfill "
+         "produced different result JSON"),
+        (not sweep["backfill_beats_fcfs"],
+         "SCHEDULER REGRESSION: backfill no longer beats FCFS mean "
+         "queueing delay on the head-of-line-blocking trace"),
+        (sweep["wall_s"] > 60.0,
+         f"PERF REGRESSION: scheduler_sweep took {sweep['wall_s']}s "
+         f"(wall-time cap 60 s)"),
+        (not storm["drained"],
+         "RESILIENCE REGRESSION: a recovery policy failed to drain the "
+         "100-job trace through the fault storm"),
+        (not storm["deterministic"],
+         "DETERMINISM REGRESSION: same (spec, seed) under the fault "
+         "storm produced different result JSON"),
+        (storm["invariant_violations"],
+         f"RESILIENCE REGRESSION: {storm['invariant_violations']} "
+         f"scheduler-invariant violations under the fault storm"),
+        (not storm["storm_bites"],
+         f"RESILIENCE REGRESSION: the storm schedule only landed "
+         f"{storm['fault_events']} fault events (floor 20) -- the chaos "
+         f"gate is no longer exercising recovery"),
+        (not service["dedup_exact"],
+         f"SERVICE REGRESSION: cold drain launched "
+         f"{service['computed']} computations for "
+         f"{service['unique_requested']} unique specs (in-flight dedup "
+         f"must coalesce duplicates onto one computation)"),
+        (not service["byte_identical"],
+         "SERVICE REGRESSION: a store-served result's JSON differs from "
+         "a freshly computed one (content-addressed memoization must be "
+         "byte-identical)"),
+        (service["warm_speedup"] < 5.0,
+         f"SERVICE REGRESSION: warm drain only "
+         f"{service['warm_speedup']}x cold specs/sec (floor 5x) -- the "
+         f"result store is no longer paying for itself"),
+        (not obs["byte_identical"],
+         "OBSERVABILITY REGRESSION: a traced scenario run's result JSON "
+         "differs from the untraced run's (instrumentation must never "
+         "perturb simulation results)"),
+        (obs["overhead_pct"] >= 10.0,
+         f"PERF REGRESSION: tracing overhead {obs['overhead_pct']}% on "
+         f"the scenario engine (cap 10%)"),
+    ]
+    return [message for failed, message in gates if failed]
 
 
 def cmd_bench(argv: Sequence[str] = ()) -> int:
@@ -1458,12 +1341,30 @@ COMMANDS = {
 SUBCOMMANDS = tuple(COMMANDS)
 
 
+def _usage() -> str:
+    """The subcommand list printed when no subcommand is given."""
+    lines = ["usage: python -m repro.cli <subcommand> [options]", "",
+             "subcommands:"]
+    for name, command in COMMANDS.items():
+        summary = command.__doc__.strip().splitlines()[0].replace("``", "")
+        lines.append(f"  {name:<15} {summary}")
+    lines += ["", "'python -m repro.cli <subcommand> --help' lists the "
+                  "subcommand's options"]
+    return "\n".join(lines)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] in COMMANDS:
         return COMMANDS[argv[0]](argv[1:])
-    return legacy_main(argv)
+    if argv and argv[0] in ("-h", "--help"):
+        print(_usage())
+        return 0
+    if argv:
+        print(f"error: unknown subcommand {argv[0]!r}", file=sys.stderr)
+    print(_usage(), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

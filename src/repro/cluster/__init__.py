@@ -29,12 +29,7 @@ Quick start::
     easy = run_scenario(spec.with_overrides({"queue": "easy"}))
 """
 
-from repro.cluster.engine import (
-    FailureInjection,
-    ScenarioEngine,
-    ScenarioError,
-    run_scenario,
-)
+from repro.cluster.engine import ScenarioEngine, ScenarioError, run_scenario
 from repro.cluster.faults import (
     FAULT_KINDS,
     RECOVERY_POLICIES,
@@ -86,7 +81,6 @@ __all__ = [
     "SCHEDULER_POLICIES",
     "ArrivalSpec",
     "AvailabilityProfile",
-    "FailureInjection",
     "FaultEventSpec",
     "FaultScheduleSpec",
     "JobResult",

@@ -68,10 +68,10 @@ RECOVERY_POLICIES = ("detour", "reoptimize", "checkpoint-restart")
 class FaultEventSpec:
     """One scheduled fault.
 
-    ``kind="link"`` cuts one shard link of job ``job_index`` at
-    ``time_s`` (``link=None`` picks the job's first AllReduce ring
-    edge, like :class:`repro.cluster.engine.FailureInjection`);
-    ``repair_s`` schedules the permanent port-swap repair.
+    ``kind="link"`` cuts one shard link of job ``job_index`` (its
+    arrival-order index) at ``time_s`` (``link=None`` picks the job's
+    first AllReduce ring edge); ``repair_s`` schedules the permanent
+    port-swap repair.
 
     ``kind="server"`` kills host ``server`` at ``time_s``: the
     resident job is crash-suspended and requeued, and the host stays

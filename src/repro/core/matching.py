@@ -9,40 +9,40 @@ on freshly matched pairs is halved before the next round so repeated
 rounds diversify connectivity instead of piling parallel links onto the
 single heaviest pair (the "diminishing return" of Algorithm 1 line 17).
 
-Two implementations share the interface.  The historical one builds a
-:mod:`networkx` graph and runs Galil's O(n^3) Blossom -- it is retained
-as :func:`max_weight_matching_reference`, the equivalence oracle.  The
-default ``"kernel"`` backend decomposes the demand graph into connected
+:func:`max_weight_matching` decomposes the demand graph into connected
 components (``scipy.sparse.csgraph``) and solves each *bipartite*
 component -- paths, stars, even cycles, and most real MP demand graphs
 -- with the Hungarian kernel
 (:func:`scipy.optimize.linear_sum_assignment` over a zero-padded
 bipartite weight matrix, which is exact for non-negative weights
 because any matching extends to a padded perfect matching of equal
-weight).  Components containing odd cycles fall back to the Blossom
-oracle, so every input is solved exactly.
+weight).  Components containing odd cycles fall back to Galil's
+O(n^3) Blossom from :mod:`networkx`, so every input is solved exactly.
+The historical all-Blossom implementation is retained as
+:func:`max_weight_matching_reference`, the tests' equivalence oracle.
+:mod:`networkx` is imported only where Blossom runs: it is costly to
+import, and most processes never reach Blossom.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 Pair = Tuple[int, int]
-
-#: Matching backends accepted by :func:`max_weight_matching`.
-MATCHING_BACKENDS = ("kernel", "reference")
 
 
 def max_weight_matching_reference(demand: np.ndarray) -> Set[Pair]:
     """The seed implementation: Blossom over an explicit nx graph.
 
-    Kept verbatim as the equivalence oracle for the kernel backend --
-    both return a maximum-weight matching, and the tests assert equal
-    total weight on every structure either can see.
+    Kept verbatim as the equivalence oracle for
+    :func:`max_weight_matching` -- both return a maximum-weight
+    matching, and the tests assert equal total weight on every
+    structure either can see.
     """
+    import networkx as nx
+
     n = demand.shape[0]
     if demand.shape != (n, n):
         raise ValueError(f"demand must be square, got {demand.shape}")
@@ -79,9 +79,7 @@ def _bipartite_component_matching(
         matched.add((min(a, b), max(a, b)))
 
 
-def max_weight_matching(
-    demand: np.ndarray, backend: str = "kernel"
-) -> Set[Pair]:
+def max_weight_matching(demand: np.ndarray) -> Set[Pair]:
     """One round of maximum-weight matching over a demand matrix.
 
     Parameters
@@ -89,22 +87,12 @@ def max_weight_matching(
     demand:
         ``n x n`` array of (symmetrized) traffic demand in bytes.  Entries
         ``demand[i, j] + demand[j, i]`` form the undirected edge weight.
-    backend:
-        ``"kernel"`` (scipy component decomposition + Hungarian, odd
-        cycles via Blossom) or ``"reference"`` (pure Blossom oracle).
 
     Returns
     -------
     Set of matched pairs ``(i, j)`` with ``i < j``.  Zero-demand pairs are
     never matched.
     """
-    if backend not in MATCHING_BACKENDS:
-        raise ValueError(
-            f"unknown matching backend {backend!r}; "
-            f"use one of {sorted(MATCHING_BACKENDS)}"
-        )
-    if backend == "reference":
-        return max_weight_matching_reference(demand)
     n = demand.shape[0]
     if demand.shape != (n, n):
         raise ValueError(f"demand must be square, got {demand.shape}")
@@ -143,6 +131,8 @@ def max_weight_matching(
         if bipartite:
             _bipartite_component_matching(nodes, color, weights, matched)
             continue
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(int(u) for u in nodes)
         for u in nodes:
@@ -165,7 +155,6 @@ def mp_matchings(
     demand: np.ndarray,
     rounds: int,
     discount: Optional[Callable[[float], float]] = None,
-    backend: str = "kernel",
 ) -> List[Set[Pair]]:
     """Run ``rounds`` of matching with demand discounting between rounds.
 
@@ -183,7 +172,7 @@ def mp_matchings(
     work = np.array(demand, dtype=float, copy=True)
     matchings: List[Set[Pair]] = []
     for _ in range(rounds):
-        matched = max_weight_matching(work, backend=backend)
+        matched = max_weight_matching(work)
         matchings.append(matched)
         for (i, j) in matched:
             work[i, j] = discount(work[i, j])

@@ -201,16 +201,16 @@ TESTBED_CONFIGS: Dict[str, ModelConfig] = {
 
 
 #: The paper's three preset families, keyed by scale name -- the single
-#: source of truth consumed by :func:`build_model`, the CLI's
-#: ``--scale`` choices, and the experiment-spec validation in
-#: :mod:`repro.api.spec`.
+#: source of truth consumed by :func:`build_model` and the
+#: experiment-spec validation in :mod:`repro.api.spec`.
 CONFIG_FAMILIES: Dict[str, Dict[str, ModelConfig]] = {
     "simulation": SIMULATION_CONFIGS,
     "shared": SHARED_CLUSTER_CONFIGS,
     "testbed": TESTBED_CONFIGS,
 }
 
-#: One-line description per preset family (``--help`` text and docs).
+#: One-line description per preset family (``repro run --preset``
+#: help text and docs).
 FAMILY_DESCRIPTIONS: Dict[str, str] = {
     "simulation": "section 5.3 dedicated 128-server cluster presets",
     "shared": "section 5.6 shared 432-server cluster presets",

@@ -11,11 +11,12 @@ up with the AllReduce rings.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.network.topology import DirectConnectTopology
 
 Link = Tuple[int, int]
+PathSet = Tuple[Tuple[int, ...], ...]
 
 
 def random_regular_topology(
@@ -75,7 +76,7 @@ class ExpanderFabric:
         self.topology = random_regular_topology(num_servers, degree, seed)
         self.path_count = path_count
         self.name = "Expander"
-        self._path_cache: Dict[Tuple[int, int], List[List[int]]] = {}
+        self._path_cache: Dict[Tuple[int, int], PathSet] = {}
 
     def capacities(self) -> Dict[Link, float]:
         return {
@@ -83,12 +84,19 @@ class ExpanderFabric:
             for src, dst, count in self.topology.edges()
         }
 
-    def paths(self, src: int, dst: int, kind: str = "mp") -> List[List[int]]:
+    def paths(self, src: int, dst: int, kind: str = "mp") -> PathSet:
+        """The k shortest paths from ``src`` to ``dst``, as int tuples.
+
+        Cached per pair and shared by every caller, so immutable: no
+        caller can alter the routes another one sees.
+        """
         if src == dst:
-            return [[src]]
+            return ((src,),)
         key = (src, dst)
         if key not in self._path_cache:
-            self._path_cache[key] = self.topology.k_shortest_paths(
-                src, dst, self.path_count
+            self._path_cache[key] = tuple(
+                tuple(path) for path in self.topology.k_shortest_paths(
+                    src, dst, self.path_count
+                )
             )
         return self._path_cache[key]

@@ -18,13 +18,17 @@ request is served exactly one of three ways:
    (``submit`` blocks when the bound is reached: backpressure, not an
    unbounded queue).
 
-Failure handling reuses PR 8's sweep knobs with the same semantics:
-an exception *inside* a request is deterministic and fails the request
+Failure handling (the sweep knobs ``point_timeout_s`` / ``retries``;
+:func:`repro.api.runner.run_sweep` is a client of this executor): an
+exception *inside* a request is deterministic and fails the request
 immediately, while a worker that crashes or overruns
 ``point_timeout_s`` is resubmitted -- same payload -- up to
-``retries`` more times (the pool is rebuilt after a crash) before the
-request fails.  Timeouts need a real pool (``executor="process"`` can
-also abandon the hung worker; thread pools can only abandon the wait).
+``retries`` more times before the request fails.  A crashed process
+pool, or any pool holding a timed-out computation, is retired: new
+work goes to a fresh pool at once, and :meth:`BatchExecutor.shutdown`
+waits on no retired pool -- a timed-out thread is abandoned (threads
+cannot be killed), a timed-out process worker is terminated.
+Timeouts need a real pool (the serial path runs inline).
 
 Workers share compiled-kernel state the same way the scenario engine
 does: each pool worker owns the process-wide warm caches of
@@ -140,6 +144,9 @@ class ServiceRequest:
     key: str
     route: str
     future: Future
+    #: Pool submissions its computation took, retries included (0 for
+    #: a store hit); final once ``future`` is done.
+    attempts: int = field(default=0, init=False)
 
     def result(self, timeout: Optional[float] = None):
         """The typed result (blocks); raises :class:`ServiceError`."""
@@ -159,9 +166,13 @@ class _Computation:
     key: str
     spec: object
     payload: Dict[str, Any]
-    #: ``(client_future, submit_monotonic)`` pairs; appended under the
+    #: ``(request, submit_monotonic)`` pairs; appended under the
     #: executor lock, drained exactly once at resolution.
-    waiters: List[Tuple[Future, float]] = field(default_factory=list)
+    waiters: List[Tuple[ServiceRequest, float]] = field(
+        default_factory=list
+    )
+    #: Pool submissions so far (the retry loop's counter).
+    attempts: int = field(default=0, init=False)
 
 
 class BatchExecutor:
@@ -213,6 +224,8 @@ class BatchExecutor:
         self._inflight: Dict[str, _Computation] = {}
         self._sema = threading.BoundedSemaphore(queue_depth)
         self._threads: List[threading.Thread] = []
+        #: Worker processes of retired pools (see :meth:`_retire_pool`).
+        self._orphans: List[Any] = []
         self._worker_caches: Dict[int, Dict[str, Any]] = {}
         self._shutdown = False
         self._started = time.monotonic()
@@ -238,33 +251,34 @@ class BatchExecutor:
             self._warm_payloads = []
         return ThreadPoolExecutor(max_workers=self._max_workers)
 
-    def _rebuild_pool(self) -> None:
-        """Replace a broken pool (crashed worker) with a fresh one."""
-        with self._pool_lock:
-            if self._shutdown or self._pool is None:
-                return
-            old, self._pool = self._pool, None
-            try:
-                old.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-            processes = getattr(old, "_processes", None) or {}
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except Exception:
-                    pass
-            self._pool = self._make_pool()
+    def _retire_pool(self, pool) -> None:
+        """Send new work to a fresh pool; nobody waits on ``pool``.
 
-    def _submit_to_pool(self, payload: Dict[str, Any]) -> Future:
+        Called when ``pool`` crashed (process pools) or holds a
+        timed-out computation.  Work already on it runs on (a crashed
+        process pool has none left), but :meth:`shutdown` waits on none
+        of it: a retired pool's threads are abandoned and its processes
+        terminated.
+        """
+        with self._pool_lock:
+            if self._shutdown or self._pool is not pool:
+                return  # already retired by a concurrent failure
+            self._pool = self._make_pool()
+            # Snapshot now: a pool's shutdown drops its process table.
+            processes = getattr(pool, "_processes", None) or {}
+            self._orphans.extend(processes.values())
+        pool.shutdown(wait=False)
+
+    def _submit_to_pool(self, payload: Dict[str, Any]):
+        """``(pool, future)`` of one computation attempt."""
         if self._kind == "serial":
             done: Future = Future()
             done.set_result(_service_compute(payload))
-            return done
+            return None, done
         with self._pool_lock:
             if self._shutdown or self._pool is None:
                 raise RuntimeError("executor is shut down")
-            return self._pool.submit(_service_compute, payload)
+            return self._pool, self._pool.submit(_service_compute, payload)
 
     # -- submission ----------------------------------------------------
     def submit(self, spec) -> ServiceRequest:
@@ -300,12 +314,12 @@ class BatchExecutor:
         attached = self._attach_if_inflight(key, started, release=True)
         if attached is not None:
             return attached
-        future = Future()
+        request = ServiceRequest(key=key, route="compute", future=Future())
         comp = _Computation(
             key=key,
             spec=spec,
             payload=spec.to_dict(),
-            waiters=[(future, started)],
+            waiters=[(request, started)],
         )
         with self._lock:
             self._inflight[key] = comp
@@ -318,7 +332,7 @@ class BatchExecutor:
             )
             self._threads.append(thread)
             thread.start()
-        return ServiceRequest(key=key, route="compute", future=future)
+        return request
 
     def _attach_if_inflight(
         self, key: str, started: float, release: bool = False
@@ -328,12 +342,12 @@ class BatchExecutor:
             comp = self._inflight.get(key)
             if comp is None:
                 return None
-            future: Future = Future()
-            comp.waiters.append((future, started))
+            request = ServiceRequest(key=key, route="dedup", future=Future())
+            comp.waiters.append((request, started))
         if release:
             self._sema.release()
         self.counters.bump("deduplicated")
-        return ServiceRequest(key=key, route="dedup", future=future)
+        return request
 
     def drain(self, specs: Sequence[object]) -> List[ServiceRequest]:
         """Submit every spec, wait for all, return requests in order."""
@@ -348,14 +362,13 @@ class BatchExecutor:
     # -- computation lifecycle ----------------------------------------
     def _run_computation(self, comp: _Computation) -> None:
         """Compute one unique spec with timeout/retry containment."""
-        attempts = 0
         last_error = "ServiceError: no attempt ran"
-        while attempts <= self.retries:
-            attempts += 1
-            if attempts > 1:
+        while comp.attempts <= self.retries:
+            comp.attempts += 1
+            if comp.attempts > 1:
                 self.counters.bump("retries")
             try:
-                pool_future = self._submit_to_pool(comp.payload)
+                pool, pool_future = self._submit_to_pool(comp.payload)
             except RuntimeError as error:
                 last_error = str(error)
                 break
@@ -366,16 +379,18 @@ class BatchExecutor:
             except FuturesTimeoutError:
                 self.counters.bump("timeouts")
                 pool_future.cancel()
+                self._retire_pool(pool)
                 last_error = (
                     f"TimeoutError: request exceeded point_timeout_s="
                     f"{self.point_timeout_s:g}"
                 )
                 continue
             except Exception as error:
-                # The worker died, not the request: rebuild and retry.
+                # The worker died, not the request: retry (on a fresh
+                # pool if the process pool broke).
                 last_error = f"{type(error).__name__}: {error}"
                 if self._kind == "process":
-                    self._rebuild_pool()
+                    self._retire_pool(pool)
                 continue
             status, value, cache_stats = outcome
             self._note_worker_cache(cache_stats)
@@ -392,19 +407,20 @@ class BatchExecutor:
             self._store.put(comp.spec, result)
         waiters = self._detach(comp)
         now = time.monotonic()
-        for index, (future, started) in enumerate(waiters):
+        for index, (request, started) in enumerate(waiters):
             elapsed = now - started
             self.latencies.record(elapsed)
             self._trace_request(
                 comp.key, "compute" if index == 0 else "dedup", elapsed
             )
-            future.set_result(result)
+            request.attempts = comp.attempts
+            request.future.set_result(result)
 
     def _fail(self, comp: _Computation, message: str) -> None:
         self.counters.bump("errors")
         waiters = self._detach(comp)
         now = time.monotonic()
-        for index, (future, started) in enumerate(waiters):
+        for index, (request, started) in enumerate(waiters):
             elapsed = now - started
             self.latencies.record(elapsed)
             self._trace_request(
@@ -413,7 +429,8 @@ class BatchExecutor:
                 elapsed,
                 error=True,
             )
-            future.set_exception(ServiceError(message))
+            request.attempts = comp.attempts
+            request.future.set_exception(ServiceError(message))
 
     def _trace_request(
         self,
@@ -449,7 +466,9 @@ class BatchExecutor:
         if error:
             recorder.bump("service.errors")
 
-    def _detach(self, comp: _Computation) -> List[Tuple[Future, float]]:
+    def _detach(
+        self, comp: _Computation
+    ) -> List[Tuple[ServiceRequest, float]]:
         """Retire a computation; late duplicates go to the store."""
         with self._lock:
             self._inflight.pop(comp.key, None)
@@ -494,14 +513,24 @@ class BatchExecutor:
         )
 
     def shutdown(self, wait: bool = True) -> None:
+        """Stop accepting work; ``wait`` for in-flight computations.
+
+        Retired pools are never waited on: their threads are abandoned
+        and their processes terminated, so a hung worker cannot wedge
+        shutdown or outlive it.
+        """
         self._shutdown = True
         if wait:
             for thread in list(self._threads):
                 thread.join()
         with self._pool_lock:
             pool, self._pool = self._pool, None
+            orphans, self._orphans = self._orphans, []
         if pool is not None:
             pool.shutdown(wait=wait, cancel_futures=not wait)
+        for process in orphans:
+            process.terminate()
+            process.join()
 
     def __enter__(self) -> "BatchExecutor":
         return self

@@ -1,5 +1,6 @@
-"""Runner + sweep engine: determinism, shim equivalence, tidy rows."""
+"""Runner + sweep engine: determinism, preset equivalence, tidy rows."""
 
+import argparse
 import json
 
 import pytest
@@ -169,47 +170,56 @@ class TestRunExperiment:
         assert baseline.result.topology.num_links() == 8 * 4
 
 
-class TestShimEquivalence:
-    """Acceptance: legacy flags and run --spec emit identical JSON."""
+class TestPresetEquivalence:
+    """Acceptance: ``run --preset --set`` and ``run --spec`` emit
+    identical JSON, and both resolve to the API's spec."""
 
-    LEGACY = [
-        "--model", "DLRM", "--scale", "shared", "--servers", "8",
-        "--degree", "4", "--rounds", "1", "--mcmc-iterations", "10",
-        "--seed", "3",
-    ]
+    OVERRIDES = {
+        "servers": 8, "degree": 4, "rounds": 1, "mcmc_iterations": 10,
+        "seed": 3,
+    }
 
-    def test_legacy_flags_match_spec_file(self, tmp_path, capsys):
-        from repro.cli import build_parser, main, spec_from_legacy_args
+    def preset_argv(self):
+        argv = ["run", "--preset", "shared"]
+        for key, value in self.OVERRIDES.items():
+            argv += ["--set", f"{key}={value}"]
+        return argv
 
-        spec = spec_from_legacy_args(
-            build_parser().parse_args(self.LEGACY)
-        )
+    def test_preset_overrides_match_spec_file(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spec = ExperimentSpec.preset("shared").with_overrides(self.OVERRIDES)
         spec_path = tmp_path / "exp.json"
         spec_path.write_text(json.dumps(spec.to_dict()))
 
-        legacy_out = tmp_path / "legacy.json"
+        preset_out = tmp_path / "preset.json"
         run_out = tmp_path / "run.json"
-        assert main(self.LEGACY + ["--json", str(legacy_out)]) == 0
+        assert main(self.preset_argv() + ["--json", str(preset_out)]) == 0
         assert main(
             ["run", "--spec", str(spec_path), "--json", str(run_out)]
         ) == 0
         capsys.readouterr()
         assert (
-            json.loads(legacy_out.read_text())
+            json.loads(preset_out.read_text())
             == json.loads(run_out.read_text())
         )
 
-    def test_shim_matches_runner_api(self):
-        from repro.cli import build_parser, spec_from_legacy_args
+    def test_preset_matches_runner_api(self):
+        from repro.cli import _load_spec
 
-        spec = spec_from_legacy_args(
-            build_parser().parse_args(self.LEGACY)
+        args = argparse.Namespace(
+            spec=None, preset="shared",
+            overrides=[f"{k}={v}" for k, v in self.OVERRIDES.items()],
         )
-        via_shim = run_experiment(spec).to_dict()
+        spec = _load_spec(args)
+        assert spec == ExperimentSpec.preset("shared").with_overrides(
+            self.OVERRIDES
+        )
+        via_cli = run_experiment(spec).to_dict()
         via_api = run_experiment(
             ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         ).to_dict()
-        assert via_shim == via_api
+        assert via_cli == via_api
 
 
 class TestCompareFabrics:

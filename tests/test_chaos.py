@@ -10,18 +10,20 @@ The acceptance gates of the failure-storm issue, as tier-1 tests:
 * checkpoint-restart loses at most one checkpoint interval (plus the
   iteration in flight) per host failure;
 * a host death releases the victim's exact server block;
-* a legacy ``FailureInjection`` that disconnects a shard suspends the
-  job instead of raising, even with the fault plane disabled.
+* a link cut that disconnects a shard suspends the job instead of
+  raising.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from repro.api.spec import ClusterSpec, FabricSpec
 from repro.cluster import (
     ArrivalSpec,
-    FailureInjection,
+    FaultEventSpec,
+    FaultScheduleSpec,
     JobTemplateSpec,
     ScenarioSpec,
     run_scenario,
@@ -220,14 +222,11 @@ class TestLegacyDisconnectionSuspends:
         spec = self.two_server_spec()
         period = run_scenario(spec).jobs[0].iteration_avg_s
         # A 2-server shard has no detour for its only ring edge, so
-        # this legacy injection disconnects the shard.  With the fault
-        # plane entirely disabled the engine must still suspend +
+        # this cut disconnects the shard.  The engine must suspend +
         # requeue instead of raising.
+        cut = FaultEventSpec(kind="link", time_s=2.5 * period, job_index=0)
         result = run_scenario(
-            spec,
-            failures=[
-                FailureInjection(time_s=2.5 * period, job_index=0)
-            ],
+            replace(spec, faults=FaultScheduleSpec(events=(cut,)))
         )
         cut = next(
             e for e in result.failure_log if e["kind"] == "link_cut"

@@ -1,39 +1,61 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import SUBCOMMANDS, build_parser, main
+from repro.api import SpecError
+from repro.cli import (
+    SUBCOMMANDS,
+    _add_spec_arguments,
+    _load_spec,
+    main,
+    smoke_gate_failures,
+)
+
+
+def run_spec(argv):
+    """The spec ``repro run`` resolves from these spec arguments."""
+    parser = argparse.ArgumentParser(prog="repro run")
+    _add_spec_arguments(parser)
+    return _load_spec(parser.parse_args(argv))
+
+
+def spec_parser_action(dest):
+    parser = argparse.ArgumentParser(prog="repro run")
+    _add_spec_arguments(parser)
+    return next(a for a in parser._actions if a.dest == dest)
 
 
 class TestParser:
     def test_defaults(self):
-        args = build_parser().parse_args([])
-        assert args.model == "DLRM"
-        assert args.servers == 16
-        assert args.degree == 4
+        spec = run_spec(["--preset", "shared"])
+        assert spec.workload.model == "DLRM"
+        assert spec.cluster.servers == 16
+        assert spec.cluster.degree == 4
 
     def test_custom_arguments(self):
-        args = build_parser().parse_args(
-            ["--model", "BERT", "--servers", "8", "--primes-only"]
-        )
-        assert args.model == "BERT"
-        assert args.servers == 8
-        assert args.primes_only
+        spec = run_spec([
+            "--preset", "shared", "--set", "model=BERT",
+            "--set", "servers=8", "--set", "primes_only=true",
+        ])
+        assert spec.workload.model == "BERT"
+        assert spec.cluster.servers == 8
+        assert spec.optimizer.primes_only
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--scale", "galactic"])
+            run_spec(["--preset", "galactic"])
+        with pytest.raises(SpecError):
+            run_spec(["--preset", "shared", "--set", "scale=galactic"])
 
     def test_scale_choices_track_config_families(self):
         """Satellite: one source of truth for the preset families."""
         from repro.models.configs import CONFIG_FAMILIES
 
-        action = next(
-            a for a in build_parser()._actions if a.dest == "scale"
-        )
-        assert tuple(action.choices) == tuple(CONFIG_FAMILIES)
+        action = spec_parser_action("preset")
+        assert set(action.choices) == set(CONFIG_FAMILIES)
         # The help text documents each family (no leftover "List 1").
         assert "List 1" not in action.help
         for family in CONFIG_FAMILIES:
@@ -41,22 +63,32 @@ class TestParser:
 
 
 class TestMain:
+    def test_no_subcommand_lists_subcommands(self, capsys):
+        assert main([]) == 2
+        err = capsys.readouterr().err
+        for command in SUBCOMMANDS:
+            assert command in err
+        assert main(["--help"]) == 0
+        assert "bench-smoke" in capsys.readouterr().out
+
+    def test_unknown_subcommand_exits_nonzero(self, capsys):
+        assert main(["--model", "DLRM"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown subcommand '--model'" in err
+        assert "serve-batch" in err
+
     def test_unknown_model_exits_nonzero(self, capsys):
-        code = main(["--model", "AlexNet"])
+        code = main(["run", "--preset", "shared", "--set", "model=AlexNet"])
         assert code == 2
         assert "error" in capsys.readouterr().err
 
     def test_small_run_succeeds(self, capsys):
-        code = main(
-            [
-                "--model", "VGG16",
-                "--scale", "shared",
-                "--servers", "4",
-                "--degree", "2",
-                "--rounds", "1",
-                "--mcmc-iterations", "5",
-            ]
-        )
+        code = main([
+            "run", "--preset", "shared",
+            "--set", "model=VGG16", "--set", "servers=4",
+            "--set", "degree=2", "--set", "rounds=1",
+            "--set", "mcmc_iterations=5",
+        ])
         assert code == 0
         out = capsys.readouterr().out
         assert "iteration time" in out
@@ -64,16 +96,12 @@ class TestMain:
         assert "interconnect cost" in out
 
     def test_dlrm_reports_mp_layers(self, capsys):
-        code = main(
-            [
-                "--model", "DLRM",
-                "--scale", "shared",
-                "--servers", "8",
-                "--degree", "4",
-                "--rounds", "1",
-                "--mcmc-iterations", "10",
-            ]
-        )
+        code = main([
+            "run", "--preset", "shared",
+            "--set", "model=DLRM", "--set", "servers=8",
+            "--set", "degree=4", "--set", "rounds=1",
+            "--set", "mcmc_iterations=10",
+        ])
         assert code == 0
         out = capsys.readouterr().out
         assert "model-parallel" in out
@@ -187,6 +215,62 @@ class TestDeclarativeCommands:
             "cache", "trace", "bench", "bench-smoke", "chaos-smoke",
             "check-docs", "check-examples",
         }
+
+
+def passing_smoke_results():
+    """A ``bench-smoke`` results tree that passes every gate at n=64."""
+    return {
+        "phase_sim": {"n=64": {"speedup": 2.0}},
+        "routing": {"n=64": {"speedup": 2.0}},
+        "staggered_phase": {"n=64": {"speedup": 2.0}},
+        "mcmc_steps": {"n=64": {"speedup": 2.0, "cost_rel_err": 0.0}},
+        "alternating": {"n=64": {"speedup": 2.0}},
+        "scenario": {"n=64": {
+            "deterministic": True, "iteration_rel_err": 0.0,
+            "speedup": 2.0,
+        }},
+        "scenario_fleet": {"n=200": {
+            "jobs_completed": 10, "jobs_submitted": 10,
+        }},
+        "scheduler_sweep": {"n=100": {
+            "drained": True, "deterministic": True,
+            "backfill_beats_fcfs": True, "wall_s": 1.0,
+        }},
+        "scenario_storm": {"n=100": {
+            "drained": True, "deterministic": True,
+            "invariant_violations": 0, "storm_bites": True,
+            "fault_events": 30,
+        }},
+        "service_throughput": {"n=16": {
+            "dedup_exact": True, "computed": 4, "unique_requested": 4,
+            "byte_identical": True, "warm_speedup": 10.0,
+        }},
+        "obs_overhead": {"n=64": {
+            "byte_identical": True, "overhead_pct": 1.0,
+        }},
+    }
+
+
+class TestBenchSmokeGates:
+    def test_passing_results_report_nothing(self):
+        assert smoke_gate_failures(passing_smoke_results(), "n=64") == []
+
+    def test_every_failed_gate_is_reported(self, monkeypatch, capsys):
+        import repro.perf.bench as bench
+
+        results = passing_smoke_results()
+        results["routing"]["n=64"]["speedup"] = 0.5
+        results["obs_overhead"]["n=64"]["overhead_pct"] = 12.0
+        monkeypatch.setattr(bench, "run_benchmarks", lambda sizes: results)
+        monkeypatch.setattr(bench, "format_results", lambda results: [])
+        assert main(["bench-smoke"]) == 1
+        err = capsys.readouterr().err
+        assert (
+            "PERF REGRESSION: routing slower than the seed implementation "
+            "at n=64" in err
+        )
+        assert "tracing overhead 12.0% on the scenario engine" in err
+        assert len(err.strip().splitlines()) == 2
 
 
 def _cheap_spec_dict():

@@ -134,6 +134,21 @@ class TestExpanderFabric:
         fabric = ExpanderFabric(12, 3, 25 * GBPS, seed=2)
         assert fabric.paths(0, 5) is fabric.paths(0, 5)
 
+    def test_returned_paths_cannot_rewrite_routes(self):
+        # The path cache is shared by every caller, so its entries must
+        # be immutable: editing one used to rewrite them for all.
+        fabric = ExpanderFabric(12, 3, 25 * GBPS, seed=2)
+        before = [list(path) for path in fabric.paths(0, 5)]
+        for paths in (fabric.paths(0, 5), fabric.paths(3, 3)):
+            assert isinstance(paths, tuple)
+            with pytest.raises(AttributeError):
+                paths[0].append(99)
+            with pytest.raises(TypeError):
+                paths[0][-1] = 99
+            with pytest.raises(AttributeError):
+                paths.append((0, 99))
+        assert [list(path) for path in fabric.paths(0, 5)] == before
+
 
 def _topoopt(n=12, d=4):
     group = AllReduceGroup(members=tuple(range(n)), total_bytes=1e9)

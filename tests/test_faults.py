@@ -12,7 +12,6 @@ import pytest
 
 from repro.api.spec import SpecError
 from repro.cluster import ScenarioSpec
-from repro.cluster.engine import FailureInjection, ScenarioError
 from repro.cluster.faults import (
     FaultEventSpec,
     FaultPlane,
@@ -188,13 +187,21 @@ class TestScenarioSpecIntegration:
                 ],
             })
 
-    def test_legacy_injection_validated_at_construction(self):
-        with pytest.raises(ScenarioError):
-            FailureInjection(time_s=-1.0, job_index=0)
-        with pytest.raises(ScenarioError):
-            FailureInjection(time_s=5.0, job_index=0, repair_s=2.0)
-        with pytest.raises(ScenarioError):
-            FailureInjection(time_s=5.0, job_index=-1)
+    def test_link_fault_validated_at_construction(self):
+        with pytest.raises(SpecError):
+            FaultEventSpec(kind="link", time_s=-1.0, job_index=0)
+        with pytest.raises(SpecError):
+            FaultEventSpec(
+                kind="link", time_s=5.0, job_index=0, repair_s=2.0
+            )
+        with pytest.raises(SpecError):
+            FaultEventSpec(kind="link", time_s=5.0, job_index=-1)
+        with pytest.raises(SpecError):
+            ScenarioSpec.preset("shared").with_overrides({
+                "faults.events": [
+                    {"kind": "link", "time_s": 5.0, "job_index": -1}
+                ],
+            })
 
 
 class TestFaultPlane:

@@ -99,7 +99,7 @@ class TestHelpers:
 
 
 class TestKernelBackendOracle:
-    """The scipy kernel backend against the retained Blossom oracle."""
+    """The scipy kernel against the retained Blossom oracle."""
 
     @staticmethod
     def total_weight(matched, demand):
@@ -126,7 +126,7 @@ class TestKernelBackendOracle:
             demand = rng.uniform(0.0, 100.0, size=(n, n))
             demand *= rng.random((n, n)) < density
             np.fill_diagonal(demand, 0.0)
-            kernel = max_weight_matching(demand, backend="kernel")
+            kernel = max_weight_matching(demand)
             oracle = max_weight_matching_reference(demand)
             self.assert_valid(kernel, demand)
             assert self.total_weight(kernel, demand) == pytest.approx(
@@ -142,7 +142,7 @@ class TestKernelBackendOracle:
         weights = [10.0, 1.0, 9.0, 1.0, 8.0]
         for k in range(n):
             demand[k, (k + 1) % n] = weights[k]
-        matched = max_weight_matching(demand, backend="kernel")
+        matched = max_weight_matching(demand)
         assert matched == {(0, 1), (2, 3)}
 
     def test_path_component_uses_hungarian(self):
@@ -152,15 +152,22 @@ class TestKernelBackendOracle:
         demand = demand_for(
             {(0, 1): 5.0, (1, 2): 8.0, (2, 3): 5.0}, 4
         )
-        matched = max_weight_matching(demand, backend="kernel")
+        matched = max_weight_matching(demand)
         assert matched == {(0, 1), (2, 3)}
 
-    def test_backends_validated(self):
-        with pytest.raises(ValueError, match="backend"):
-            max_weight_matching(np.zeros((2, 2)), backend="bogus")
-
     def test_mp_matchings_backend_passthrough(self):
+        """``mp_matchings`` agrees round for round with the oracle run
+        through the same halving (the former ``"reference"`` backend's
+        pass-through, spelled out)."""
+        from repro.core.matching import max_weight_matching_reference
+
         demand = demand_for({(0, 1): 100.0, (2, 3): 40.0}, 4)
-        kernel = mp_matchings(demand, rounds=3, backend="kernel")
-        reference = mp_matchings(demand, rounds=3, backend="reference")
-        assert kernel == reference
+        work = demand.copy()
+        reference = []
+        for _ in range(3):
+            matched = max_weight_matching_reference(work)
+            reference.append(matched)
+            for i, j in matched:
+                work[i, j] /= 2.0
+                work[j, i] /= 2.0
+        assert mp_matchings(demand, rounds=3) == reference

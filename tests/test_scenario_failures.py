@@ -1,13 +1,26 @@
 """FailureManager composed with a running scenario (section 7).
 
-The satellite requirement: inject a transient and a permanent link
-failure mid-scenario and assert the repaired routing keeps jobs
-progressing.
+Link cuts are declared as spec-level ``FaultEventSpec(kind="link")``
+events: a transient and a permanent link failure mid-scenario, and the
+repaired routing keeps jobs progressing.
 """
+
+from dataclasses import replace
 
 import pytest
 
-from repro.cluster import FailureInjection, ScenarioSpec, run_scenario
+from repro.cluster import (
+    FaultEventSpec,
+    FaultScheduleSpec,
+    ScenarioSpec,
+    run_scenario,
+)
+
+
+def with_link_cuts(spec, *cuts):
+    """``spec`` with one ``kind="link"`` fault event per keyword dict."""
+    events = tuple(FaultEventSpec(kind="link", **cut) for cut in cuts)
+    return replace(spec, faults=FaultScheduleSpec(events=events))
 
 
 def two_job_spec(iterations=6):
@@ -28,14 +41,9 @@ class TestFailuresMidScenario:
         period = self._baseline_period(spec)
         fail_t = 2.5 * period
         repair_t = 4.5 * period
-        result = run_scenario(
-            spec,
-            failures=[
-                FailureInjection(
-                    time_s=fail_t, job_index=0, repair_s=repair_t
-                )
-            ],
-        )
+        result = run_scenario(with_link_cuts(
+            spec, dict(time_s=fail_t, job_index=0, repair_s=repair_t)
+        ))
         # Both jobs still complete their full quota: the repaired
         # routing keeps them progressing.
         assert [job.iterations_completed for job in result.jobs] == [6, 6]
@@ -63,8 +71,7 @@ class TestFailuresMidScenario:
         base = run_scenario(spec)
         period = base.jobs[0].iteration_avg_s
         result = run_scenario(
-            spec,
-            failures=[FailureInjection(time_s=2.5 * period, job_index=0)],
+            with_link_cuts(spec, dict(time_s=2.5 * period, job_index=0))
         )
         # Physical isolation: the other job's iteration times are
         # bit-identical with and without the neighbor's fiber cut.
@@ -75,13 +82,11 @@ class TestFailuresMidScenario:
     def test_explicit_link_and_determinism(self):
         spec = two_job_spec(iterations=4)
         period = self._baseline_period(spec)
-        injections = [
-            FailureInjection(
-                time_s=1.5 * period, job_index=0, link=(0, 1)
-            )
-        ]
-        first = run_scenario(spec, failures=injections).to_dict()
-        second = run_scenario(spec, failures=injections).to_dict()
+        faulted = with_link_cuts(
+            spec, dict(time_s=1.5 * period, job_index=0, link=(0, 1))
+        )
+        first = run_scenario(faulted).to_dict()
+        second = run_scenario(faulted).to_dict()
         assert first == second
         assert first["failure_log"][0]["link"] == [0, 1]
 
@@ -103,8 +108,7 @@ class TestFailuresMidScenario:
         base = run_scenario(spec)
         period = base.jobs[0].iteration_avg_s
         result = run_scenario(
-            spec,
-            failures=[FailureInjection(time_s=1.5 * period, job_index=0)],
+            with_link_cuts(spec, dict(time_s=1.5 * period, job_index=0))
         )
         assert result.failure_log[0]["kind"] == "mp_detour"
         # The unfailed twin's iterations are bit-identical to baseline.
@@ -123,24 +127,21 @@ class TestFailuresMidScenario:
     def test_late_injection_logged_as_skipped(self):
         spec = two_job_spec(iterations=2)
         result = run_scenario(
-            spec,
-            failures=[FailureInjection(time_s=1e6, job_index=0)],
+            with_link_cuts(spec, dict(time_s=1e6, job_index=0))
         )
         entry = result.failure_log[0]
         assert entry["kind"] == "skipped"
-        assert entry["reason"] == "scenario ended before injection time"
+        assert entry["reason"] == "scenario ended before link_fail time"
         assert entry["time_s"] == 1e6
 
     def test_repeated_failure_on_same_link_logged_not_raised(self):
         spec = two_job_spec()
         period = self._baseline_period(spec)
-        result = run_scenario(
+        result = run_scenario(with_link_cuts(
             spec,
-            failures=[
-                FailureInjection(time_s=1.5 * period, job_index=0),
-                FailureInjection(time_s=2.5 * period, job_index=0),
-            ],
-        )
+            dict(time_s=1.5 * period, job_index=0),
+            dict(time_s=2.5 * period, job_index=0),
+        ))
         kinds = [entry["kind"] for entry in result.failure_log]
         assert kinds == ["mp_detour", "skipped"]
         assert "already failed" in result.failure_log[1]["reason"]
@@ -149,22 +150,16 @@ class TestFailuresMidScenario:
     def test_nonexistent_link_logged_not_raised(self):
         spec = two_job_spec(iterations=2)
         period = self._baseline_period(spec)
-        result = run_scenario(
-            spec,
-            failures=[
-                FailureInjection(
-                    time_s=0.5 * period, job_index=0, link=(0, 0)
-                )
-            ],
-        )
+        result = run_scenario(with_link_cuts(
+            spec, dict(time_s=0.5 * period, job_index=0, link=(0, 0))
+        ))
         assert result.failure_log[0]["kind"] == "skipped"
         assert [job.iterations_completed for job in result.jobs] == [2, 2]
 
     def test_failure_on_idle_job_is_skipped(self):
         spec = two_job_spec(iterations=2)
         result = run_scenario(
-            spec,
-            failures=[FailureInjection(time_s=0.0, job_index=99)],
+            with_link_cuts(spec, dict(time_s=0.0, job_index=99))
         )
         assert result.failure_log[0]["kind"] == "skipped"
         assert [job.iterations_completed for job in result.jobs] == [2, 2]
@@ -174,8 +169,7 @@ class TestFailuresMidScenario:
             {"fabric.kind": "fattree"}
         )
         result = run_scenario(
-            spec,
-            failures=[FailureInjection(time_s=0.01, job_index=0)],
+            with_link_cuts(spec, dict(time_s=0.01, job_index=0))
         )
         assert result.failure_log[0]["kind"] == "skipped"
         assert "shard" in result.failure_log[0]["reason"]

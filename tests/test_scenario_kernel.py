@@ -7,7 +7,8 @@ statistics, and the LP assembly dispatch:
 
 * kernel vs reference solver: byte-identical ``ScenarioResult`` JSON
   (modulo the spec's own ``solver`` field) on staggered multi-job
-  scenarios with mid-scenario link failures, across seeds;
+  scenarios with mid-scenario link cuts (spec fault events), across
+  seeds;
 * wall-clock trace durations produce run-length-encoded iteration logs
   that round-trip through JSON;
 * fast-forward on/off agree on iteration counts and makespan;
@@ -29,7 +30,8 @@ import pytest
 from repro.api.spec import ClusterSpec, FabricSpec
 from repro.cluster import (
     ArrivalSpec,
-    FailureInjection,
+    FaultEventSpec,
+    FaultScheduleSpec,
     JobTemplateSpec,
     ScenarioSpec,
     run_scenario,
@@ -70,24 +72,28 @@ def staggered_spec(seed: int, solver: str) -> ScenarioSpec:
     })
 
 
+def with_link_cuts(spec, *cuts):
+    """``spec`` with one ``kind="link"`` fault event per keyword dict."""
+    events = tuple(FaultEventSpec(kind="link", **cut) for cut in cuts)
+    return replace(spec, faults=FaultScheduleSpec(events=events))
+
+
 class TestKernelMatchesReference:
     def test_staggered_failures_byte_identical_across_seeds(self):
         period = run_scenario(
             staggered_spec(0, "kernel")
         ).jobs[0].iteration_avg_s
-        failures = [
-            FailureInjection(
-                time_s=1.5 * period, job_index=0, repair_s=3.5 * period
-            ),
+        cuts = (
+            dict(time_s=1.5 * period, job_index=0, repair_s=3.5 * period),
             # Job 1 arrives at t=40; hit it mid-flight.
-            FailureInjection(time_s=40.0 + 1.5 * period, job_index=1),
-        ]
+            dict(time_s=40.0 + 1.5 * period, job_index=1),
+        )
         for seed in (0, 1, 2):
             kernel = run_scenario(
-                staggered_spec(seed, "kernel"), failures=failures
+                with_link_cuts(staggered_spec(seed, "kernel"), *cuts)
             )
             reference = run_scenario(
-                staggered_spec(seed, "reference"), failures=failures
+                with_link_cuts(staggered_spec(seed, "reference"), *cuts)
             )
             assert normalized_json(kernel) == normalized_json(reference)
             # The failures really happened (not skipped) in both runs.
@@ -101,10 +107,12 @@ class TestKernelMatchesReference:
         # not adopt the template's healthy flow set.
         healthy = run_scenario(staggered_spec(0, "kernel"))
         job = healthy.jobs[0]
-        failures = [FailureInjection(time_s=0.5 * job.compute_s, job_index=0)]
-        kernel = run_scenario(staggered_spec(0, "kernel"), failures=failures)
+        cut = dict(time_s=0.5 * job.compute_s, job_index=0)
+        kernel = run_scenario(
+            with_link_cuts(staggered_spec(0, "kernel"), cut)
+        )
         reference = run_scenario(
-            staggered_spec(0, "reference"), failures=failures
+            with_link_cuts(staggered_spec(0, "reference"), cut)
         )
         assert kernel.failure_log[0]["kind"] == "mp_detour"
         assert normalized_json(kernel) == normalized_json(reference)
@@ -371,13 +379,13 @@ class TestRateMemo:
             0.5 * healthy.compute_s if first_phase
             else 3.5 * healthy.iteration_avg_s
         )
-        failures = [FailureInjection(time_s=cut_s, job_index=0)]
-        memoized = run_scenario(spec, failures=failures)
+        cut = dict(time_s=cut_s, job_index=0)
+        memoized = run_scenario(with_link_cuts(spec, cut))
         assert memoized.failure_log[0]["kind"] == "mp_detour"
         assert rerouted and solves, "no rerouted kernel solved"
         assert not any(template_reads)
         reference = run_scenario(
-            staggered_spec(0, "reference"), failures=failures
+            with_link_cuts(staggered_spec(0, "reference"), cut)
         )
         assert normalized_json(memoized) == normalized_json(reference)
 
@@ -453,15 +461,10 @@ class TestKernelPortSwapRoundTrip:
         # iterations match the healthy ones exactly.
         spec = staggered_spec(0, "kernel")
         period = run_scenario(spec).jobs[0].iteration_avg_s
-        result = run_scenario(
+        result = run_scenario(with_link_cuts(
             spec,
-            failures=[
-                FailureInjection(
-                    time_s=1.5 * period, job_index=0,
-                    repair_s=3.5 * period,
-                )
-            ],
-        )
+            dict(time_s=1.5 * period, job_index=0, repair_s=3.5 * period),
+        ))
         kinds = [entry["kind"] for entry in result.failure_log]
         assert kinds == ["mp_detour", "port_swap"]
         times = result.jobs[0].iteration_times
@@ -474,19 +477,11 @@ class TestKernelPortSwapRoundTrip:
         # finishes its quota and the log shows the full sequence.
         spec = staggered_spec(0, "kernel")
         period = run_scenario(spec).jobs[0].iteration_avg_s
-        result = run_scenario(
+        result = run_scenario(with_link_cuts(
             spec,
-            failures=[
-                FailureInjection(
-                    time_s=1.2 * period, job_index=0,
-                    repair_s=3.2 * period,
-                ),
-                FailureInjection(
-                    time_s=2.2 * period, job_index=0,
-                    repair_s=4.2 * period,
-                ),
-            ],
-        )
+            dict(time_s=1.2 * period, job_index=0, repair_s=3.2 * period),
+            dict(time_s=2.2 * period, job_index=0, repair_s=4.2 * period),
+        ))
         kinds = [entry["kind"] for entry in result.failure_log]
         assert kinds.count("mp_detour") + kinds.count("link_cut") >= 1
         assert result.jobs[0].iterations_completed == 5

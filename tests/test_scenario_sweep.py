@@ -1,11 +1,24 @@
-"""run_sweep over ScenarioSpec grids, including the process-pool story."""
+"""run_sweep over ScenarioSpec grids, including the process-pool story.
+
+The sweep is a client of :class:`repro.service.BatchExecutor`, so the
+crash/timeout seam these tests patch is the executor's per-request
+entry point, ``repro.service.executor._service_compute``.
+"""
 
 import json
+import multiprocessing
+import time
 
 import pytest
 
+import repro.service.executor as executor_mod
 from repro.api import SweepResult, point_seed, run_sweep
 from repro.cluster import ScenarioSpec
+
+
+def _hang(payload):
+    """A point that never finishes in time (module level: it pickles)."""
+    time.sleep(60.0)
 
 
 def base_spec():
@@ -97,18 +110,16 @@ class TestSweepRobustness:
     """Crashed or hung workers are retried, not sweep poison."""
 
     def test_worker_crash_retried_once(self, monkeypatch):
-        import repro.api.runner as runner_mod
-
-        real = runner_mod._run_point
+        real = executor_mod._service_compute
         calls = {"n": 0}
 
-        def flaky(job):
+        def flaky(payload):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("worker crashed")
-            return real(job)
+            return real(payload)
 
-        monkeypatch.setattr(runner_mod, "_run_point", flaky)
+        monkeypatch.setattr(executor_mod, "_service_compute", flaky)
         sweep = run_sweep(
             base_spec(), {"seed": [5]}, executor="thread",
             max_workers=1, retries=1,
@@ -120,12 +131,10 @@ class TestSweepRobustness:
         assert point.seed == 5
 
     def test_retries_exhausted_becomes_error_row(self, monkeypatch):
-        import repro.api.runner as runner_mod
-
-        def always(job):
+        def always(payload):
             raise RuntimeError("worker crashed")
 
-        monkeypatch.setattr(runner_mod, "_run_point", always)
+        monkeypatch.setattr(executor_mod, "_service_compute", always)
         sweep = run_sweep(
             base_spec(), {"seed": [5]}, executor="thread",
             max_workers=1, retries=1,
@@ -138,21 +147,37 @@ class TestSweepRobustness:
         assert sweep.rows()[0]["jct_avg_s"] is None
 
     def test_point_timeout_reported(self, monkeypatch):
-        import time
-
-        import repro.api.runner as runner_mod
-
-        def hang(job):
+        def hang(payload):
             time.sleep(10.0)
 
-        monkeypatch.setattr(runner_mod, "_run_point", hang)
+        monkeypatch.setattr(executor_mod, "_service_compute", hang)
+        started = time.perf_counter()
         sweep = run_sweep(
             base_spec(), {"seed": [5]}, executor="thread",
             max_workers=1, point_timeout_s=0.1, retries=0,
         )
+        # The hung thread is abandoned, not waited out.
+        assert time.perf_counter() - started < 5.0
         point = sweep.points[0]
         assert "point_timeout_s" in point.error
         assert point.attempts == 1
+
+    def test_process_timeout_leaves_no_live_worker(self, monkeypatch):
+        monkeypatch.setattr(executor_mod, "_service_compute", _hang)
+        before = {child.pid for child in multiprocessing.active_children()}
+        started = time.perf_counter()
+        sweep = run_sweep(
+            base_spec(), {"seed": [5]}, executor="process",
+            max_workers=1, point_timeout_s=0.5, retries=0,
+        )
+        assert time.perf_counter() - started < 30.0
+        assert "point_timeout_s" in sweep.points[0].error
+        # The hung worker was terminated, not left running.
+        alive = [
+            child for child in multiprocessing.active_children()
+            if child.pid not in before
+        ]
+        assert alive == []
 
     def test_in_point_exception_is_not_retried(self, monkeypatch):
         # An exception *inside* the point (bad spec) is deterministic:
@@ -166,18 +191,16 @@ class TestSweepRobustness:
         assert point.attempts == 1
 
     def test_attempts_round_trips_through_json(self, monkeypatch):
-        import repro.api.runner as runner_mod
-
-        real = runner_mod._run_point
+        real = executor_mod._service_compute
         calls = {"n": 0}
 
-        def flaky(job):
+        def flaky(payload):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("boom")
-            return real(job)
+            return real(payload)
 
-        monkeypatch.setattr(runner_mod, "_run_point", flaky)
+        monkeypatch.setattr(executor_mod, "_service_compute", flaky)
         sweep = run_sweep(
             base_spec(), {"seed": [5]}, executor="thread",
             max_workers=1, retries=1,
@@ -190,3 +213,27 @@ class TestSweepRobustness:
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(base_spec(), {"seed": [5]}, retries=-1)
+
+
+class TestSweepDedup:
+    def test_identical_points_compute_once(self, monkeypatch):
+        # An explicit seed axis with a repeated value: both grid points
+        # resolve to one spec, so the executor's in-flight dedup runs
+        # it once and both rows carry the same result.
+        real = executor_mod._service_compute
+        calls = []
+
+        def counted(payload):
+            calls.append(payload["seed"])
+            time.sleep(0.2)  # keep the first point in flight
+            return real(payload)
+
+        monkeypatch.setattr(executor_mod, "_service_compute", counted)
+        sweep = run_sweep(base_spec(), {"seed": [3, 3]}, executor="thread")
+        assert calls == [3]
+        first, second = sweep.points
+        assert first.ok and second.ok
+        assert not second.cache_hit
+        assert json.dumps(
+            first.result.to_dict(), sort_keys=True
+        ) == json.dumps(second.result.to_dict(), sort_keys=True)

@@ -135,18 +135,31 @@ class TestMemoizedScenario:
         assert stats["puts"] == 1  # the second run was served, not run
         assert stats["hits"] == 1
 
-    def test_legacy_failure_injections_bypass_the_store(self, tmp_path):
-        """FailureInjection schedules are not part of the spec hash, so
-        caching them would alias distinct runs -- they must bypass."""
-        from repro.cluster.engine import FailureInjection
-
+    def test_faulted_scenario_is_memoized(self, tmp_path):
+        """Link cuts are part of the spec, so a faulted run is stored
+        under its own hash (never aliasing the clean run) and a replay
+        is a store hit with byte-identical JSON."""
         store = ResultStore(tmp_path)
-        run_scenario(scenario_spec(), store=store)
-        failure = FailureInjection(time_s=5.0, job_index=0)
-        run_scenario(scenario_spec(), failures=(failure,), store=store)
+        clean = run_scenario(scenario_spec(), store=store)
+        faulted = scenario_spec().with_overrides({
+            "faults.events": [
+                {"kind": "link", "time_s": 0.05, "job_index": 0}
+            ],
+        })
+        first = run_scenario(faulted, store=store)
+        assert first.failure_log[0]["kind"] == "mp_detour"
+        assert (
+            canonical_json(first.to_dict())
+            != canonical_json(clean.to_dict())
+        )
+        second = run_scenario(faulted, store=store)
+        assert (
+            canonical_json(second.to_dict())
+            == canonical_json(first.to_dict())
+        )
         stats = store.stats()
-        assert stats["puts"] == 1   # only the clean run was stored
-        assert stats["hits"] == 0   # ...and the injected run never read
+        assert stats["puts"] == 2   # the clean and the faulted run
+        assert stats["hits"] == 1   # the replay was served, not run
 
     def test_scenario_sweep_uses_the_store(self, tmp_path):
         store = ResultStore(tmp_path)
