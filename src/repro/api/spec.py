@@ -392,7 +392,16 @@ class OptimizerSpec:
 
 @dataclass(frozen=True)
 class SimSpec:
-    """Flow-simulation knobs for the iteration-time measurement."""
+    """Flow-simulation knobs for the iteration-time measurement.
+
+    ``solver`` is the event engine's solve mode
+    (:class:`repro.sim.events.FlowEventEngine`): ``"incremental"``
+    (default) re-solves max-min rates per event batch and hands a phase
+    over to the incremental solver once its completions come one flow
+    at a time; ``"batch"`` re-solves per event batch throughout, the
+    equivalence oracle.  The OCS-reconfig and SiP-ML fabrics simulate
+    themselves and ignore it.
+    """
 
     solver: str = "incremental"
     collect_link_bytes: bool = False

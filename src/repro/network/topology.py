@@ -397,6 +397,24 @@ class DirectConnectTopology:
                 queue.append(nbr)
         return None
 
+    def shortest_paths_from(self, src: int) -> Dict[int, Tuple[int, ...]]:
+        """The :meth:`shortest_path` of ``src`` to every reachable server.
+
+        One BFS tree instead of one search per destination.  Neighbours
+        are visited in :meth:`shortest_path`'s order, so each path is
+        the one that method returns for its pair.
+        """
+        self._check_node(src)
+        paths: Dict[int, Tuple[int, ...]] = {src: (src,)}
+        queue = deque([src])
+        while queue:
+            node = queue.popleft()
+            for nbr in self._out[node]:
+                if nbr not in paths:
+                    paths[nbr] = paths[node] + (nbr,)
+                    queue.append(nbr)
+        return paths
+
     def shortest_path_lengths_from(self, src: int) -> Dict[int, int]:
         """Hop counts from ``src`` to every reachable server."""
         dist = {src: 0}

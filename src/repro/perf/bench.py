@@ -15,7 +15,8 @@ against the vectorized kernel on identical inputs:
   assembly now used by :func:`repro.core.routing_lp.optimize_routing`.
 - ``staggered_phase``: chunked ring-AllReduce plus model-parallel
   flows, sizes jittered so every flow completes at a distinct time --
-  the per-event full recompute (``solver="batch"``) vs. the
+  the per-event full recompute (``solver="batch"``) vs. the default
+  ``solver="incremental"``, which hands such a phase over to the
   incremental frontier solver
   (:class:`repro.perf.fairshare.IncrementalFairShare`).
 - ``mcmc_steps``: the MCMC strategy search on a DLRM-class model over
@@ -137,9 +138,10 @@ def bench_staggered_phase(n: int, degree: int = 4, chunks: int = 16) -> Dict:
 
     Both sides run the exact same :class:`repro.sim.events.
     FlowEventEngine` event loop; the reference re-solves max-min rates
-    from scratch on every completion (``solver="batch"``, the PR-1
-    behavior) while the vectorized side repairs the allocation
-    incrementally (``solver="incremental"``).
+    from scratch on every completion (``solver="batch"``) while the
+    vectorized side (``solver="incremental"``) hands over to the
+    incremental solver after its second single-flow completion and
+    repairs the allocation from then on.
     """
     topo = ring_topology(n, degree)
     capacities = {

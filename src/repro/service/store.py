@@ -43,9 +43,12 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from repro.api.spec import canonical_json
 
-#: Stamped into every disk entry; bump on any layout change so old
-#: stores are cleanly treated as cold rather than misread.
-STORE_VERSION = 1
+#: Stamped into every disk entry; bump on a layout change or on any
+#: change to a stored result's bytes (a kernel that moves a float by one
+#: ULP under an unchanged content hash), so old stores are cleanly
+#: treated as cold rather than misread or served stale.  Until results
+#: carry their own version, this stamp is the only guard.
+STORE_VERSION = 2
 
 #: Unique suffix source for temp files (pid alone is not enough: two
 #: threads of one process may write the same key concurrently).

@@ -7,12 +7,15 @@ Two layers live here:
 * :class:`FlowEventEngine` -- the array-backed flow-completion engine.
   Instead of per-flow Python objects on a heap, it keeps remaining
   bits, start times, and completion times in NumPy arrays, batches
-  every event within a 1 ns quantum, and repairs the max-min
-  allocation after each arrival/departure through
-  :class:`repro.perf.fairshare.IncrementalFairShare` (or a per-event
-  full recompute when ``solver="batch"``, the equivalence baseline).
-  :func:`repro.sim.fluid.simulate_phase` and
-  :mod:`repro.sim.network_sim` are built on it.
+  every event within a 1 ns quantum, and re-solves the max-min
+  allocation after each arrival/departure batch with
+  :func:`repro.perf.fairshare.progressive_filling_rates`.  Under the
+  default ``solver="incremental"`` a phase whose completions start
+  arriving one flow at a time hands over to
+  :class:`repro.perf.fairshare.IncrementalFairShare`, which repairs the
+  allocation per event instead; ``solver="batch"`` never hands over
+  (the equivalence baseline).  :func:`repro.sim.fluid.simulate_phase`
+  and :mod:`repro.sim.network_sim` are built on it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import itertools
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.perf.fairshare import (
     IncrementalFairShare,
@@ -33,6 +35,10 @@ from repro.perf.fairshare import (
 _EPS = 1e-12
 #: Events closer in time than this are merged into one batch.
 TIME_QUANTUM = 1e-9
+#: Consecutive single-flow completion batches after which
+#: ``solver="incremental"`` hands the phase over to
+#: :class:`IncrementalFairShare` (see :class:`FlowEventEngine`).
+HANDOVER_RUN = 2
 
 
 class EventQueue:
@@ -91,14 +97,26 @@ class FlowEventEngine:
     event loop never touches a per-flow Python object.  Each step
     processes one *batch* of events -- either every arrival or every
     completion landing within ``time_quantum`` of the earliest -- and
-    repairs the max-min allocation:
+    re-solves the max-min allocation:
 
-    * ``solver="incremental"`` (default): delta updates through
-      :class:`repro.perf.fairshare.IncrementalFairShare`, amortized
-      O(nnz touched) per event.
-    * ``solver="batch"``: full progressive-filling recompute per event,
-      the PR-1 behavior, kept as the equivalence oracle and benchmark
-      baseline.
+    * ``solver="batch"``: one full progressive-filling solve per event
+      batch, the equivalence oracle and benchmark baseline.
+    * ``solver="incremental"`` (default): the same full solves while
+      completions come in groups, and a hand-over to
+      :class:`repro.perf.fairshare.IncrementalFairShare` (amortized
+      O(nnz touched) per event) once :data:`HANDOVER_RUN` consecutive
+      completion batches each finish a single flow.  The solver is
+      built from the active mask at that point and kept for the rest
+      of the phase.  Cancellations neither count toward nor reset the
+      run.
+
+    The rule is measured, not tuned (docs/architecture.md): on the
+    phases co-search produces -- all-to-all MP transfers and AllReduce
+    rings, which finish in a few large batches -- a full re-solve is
+    about 3x faster than delta repair, and none of them hands over, so
+    they match ``"batch"`` bit for bit.  Staggered phases, where every
+    flow finishes at a distinct time, hand over after their second
+    completion and keep the incremental solver's win.
 
     Both modes share this exact event loop, so their makespans and
     completion orders agree to floating-point tolerance by
@@ -140,9 +158,7 @@ class FlowEventEngine:
             [flow.path for flow in self.flows], capacities
         )
         self._incidence = incidence
-        # Built on first use by _recompute_batch; the incremental
-        # solver keeps its own transpose, so batch mode alone pays it.
-        self._incidence_t: Optional[sparse.csr_matrix] = None
+        self._incidence_t = incidence.T.tocsr()
         self._cap_vec = cap_vec
         self.remaining = np.fromiter(
             (flow.size_bits for flow in self.flows), dtype=float, count=count
@@ -167,11 +183,10 @@ class FlowEventEngine:
         self.now = 0.0
         self._rates = np.zeros(count)
         self._last_completion_rates = np.zeros(count)
+        #: Set on hand-over; until then every batch is a full re-solve.
         self._solver: Optional[IncrementalFairShare] = None
-        if solver == "incremental" and count:
-            self._solver = IncrementalFairShare(
-                cap_vec, incidence, active=self._active
-            )
+        #: Consecutive completion batches that finished a single flow.
+        self._single_run = 0
 
     # -- views ---------------------------------------------------------
     @property
@@ -297,7 +312,20 @@ class FlowEventEngine:
         np.maximum(self.remaining, 0.0, out=self.remaining)
         self.now += dt
         self._last_completion_rates = self._rates.copy()
-        self._deactivate(finished)
+        self._single_run = self._single_run + 1 if finished.size == 1 else 0
+        if (
+            self._solver is None
+            and self.solver_kind == "incremental"
+            and self._single_run >= HANDOVER_RUN
+            and active_idx.size > finished.size
+        ):
+            self._active[finished] = False
+            self._solver = IncrementalFairShare(
+                self._cap_vec, self._incidence, active=self._active
+            )
+            self._rates = self._solver.rates_view()
+        else:
+            self._deactivate(finished)
         self.completion_times[finished] = self.now
         return self.now, finished
 
@@ -322,8 +350,6 @@ class FlowEventEngine:
             self._recompute_batch()
 
     def _recompute_batch(self) -> None:
-        if self._incidence_t is None:
-            self._incidence_t = self._incidence.T.tocsr()
         self._rates = progressive_filling_rates(
             self._cap_vec,
             self._incidence,

@@ -6,18 +6,22 @@ saturates, every flow crossing it freezes at its fair share and the
 remaining flows keep growing.  The result is the unique max-min fair
 allocation, recomputed whenever the active flow set changes.
 
-Since the kernel-layer refactor the hot paths are array-based:
-:meth:`FluidNetwork.recompute_rates` assembles a sparse flow--link
-incidence matrix and calls
-:func:`repro.perf.fairshare.progressive_filling_rates`, which retires
-every tied bottleneck link per round with sparse mat-vecs, and
-:func:`simulate_phase` drives the array-backed
-:class:`repro.sim.events.FlowEventEngine`, which repairs the allocation
-incrementally (:class:`repro.perf.fairshare.IncrementalFairShare`)
-after each completion batch instead of re-solving from scratch --
-the fast path for staggered workloads where every flow finishes at a
-distinct time.  ``solver="batch"`` restores the per-event full
-recompute.  The seed's pure-Python implementations survive as
+The hot paths are array-based.  :func:`simulate_phase` drives the
+array-backed :class:`repro.sim.events.FlowEventEngine`, which lowers
+the flow set once to a sparse flow--link incidence matrix and re-solves
+it with :func:`repro.perf.fairshare.progressive_filling_rates` per
+event batch; a phase whose completions come one flow at a time (a
+staggered workload, every flow finishing at a distinct time) hands
+over to the incremental solver
+(:class:`repro.perf.fairshare.IncrementalFairShare`) instead.
+``solver="batch"`` keeps the full re-solve throughout.  The OCS-reconfig
+simulator (:mod:`repro.sim.reconfig`) runs on the same kernel.
+
+No simulator constructs a :class:`FluidNetwork`, the dict-of-flows
+allocator, any more; it stays public as a readable model of the
+semantics, and ``tests/test_reconfig.py`` keeps the epoch loop the
+OCS-reconfig simulator used to run on it as that port's oracle.  The
+seed's pure-Python implementations survive as
 :class:`ReferenceFluidNetwork` and :func:`simulate_phase_reference` --
 the ground truth for the equivalence tests in
 ``tests/test_perf_kernels.py`` and ``tests/test_incremental_fairshare.py``
@@ -215,13 +219,16 @@ def simulate_phase(
         (flows are long; the paper's 1 us/hop only matters for the
         reconfiguration studies).
     solver:
-        ``"incremental"`` (default) repairs the max-min allocation per
-        completion batch through
-        :class:`repro.perf.fairshare.IncrementalFairShare` -- amortized
-        O(nnz touched) per event, the fast path when every flow
-        completes at a distinct time.  ``"batch"`` re-runs progressive
-        filling from scratch per batch (the PR-1 behavior, kept as the
-        equivalence baseline).
+        ``"incremental"`` (default) re-runs progressive filling per
+        completion batch while completions come in groups -- a phase
+        that finishes in a few large batches, such as a symmetric
+        all-to-all, never leaves this mode and matches ``"batch"`` bit
+        for bit -- and hands over to
+        :class:`repro.perf.fairshare.IncrementalFairShare` (amortized
+        O(nnz touched) per event) once completions arrive one flow at a
+        time.  ``"batch"`` re-runs progressive filling from scratch per
+        batch throughout, the equivalence baseline.  See
+        :class:`repro.sim.events.FlowEventEngine` for the rule.
 
     Returns
     -------

@@ -7,9 +7,10 @@ Follows the paper's no-overlap iteration model (section 5.4, Eq. 1):
 with both communication phases simulated by the max-min fluid network,
 so host-based forwarding, path length, and load imbalance all show up
 as they do in the paper's packet simulations.  Each phase is driven by
-the array-backed :class:`repro.sim.events.FlowEventEngine` (and through
-it the incremental max-min solver), which also yields per-flow
-completion times for tail-latency analysis.
+the array-backed :class:`repro.sim.events.FlowEventEngine` (full
+max-min re-solves per event batch, handing over to the incremental
+solver only when completions come one flow at a time), which also
+yields per-flow completion times for tail-latency analysis.
 
 Also defines :class:`TopoOptFabric`, the fabric adapter exposing a
 TopologyFinder result (topology + routing + ring plans) to the
@@ -140,9 +141,13 @@ def simulate_iteration(
 ) -> IterationBreakdown:
     """Simulate one training iteration on ``fabric`` (Eq. 1 model).
 
-    ``solver`` selects the max-min repair strategy of the underlying
-    event engine (``"incremental"`` or ``"batch"``; see
-    :class:`repro.sim.events.FlowEventEngine`).
+    ``solver`` selects the solve mode of the underlying event engine
+    (see :class:`repro.sim.events.FlowEventEngine`): ``"incremental"``
+    re-solves per event batch and hands a phase over to the
+    incremental solver once its completions come one flow at a time;
+    ``"batch"`` re-solves per event batch throughout.  The MP and
+    AllReduce phases co-search produces finish in large batches, so
+    both modes give identical times on them.
     """
     capacities = fabric.capacities()
     mp_flows = _mp_flows(fabric, traffic)

@@ -29,11 +29,13 @@ import numpy as np
 
 from repro.core.ocs_reconfig import exponential_discount, ocs_reconfig, unit_discount
 from repro.network.topology import DirectConnectTopology
-from repro.sim.flows import Flow
-from repro.sim.fluid import FluidNetwork
+from repro.perf.fairshare import build_incidence_from_paths, progressive_filling_rates
 
 Link = Tuple[int, int]
 _EPS_BYTES = 1.0
+#: Rate floor (bits/s) and relative completion slack, as in the fluid
+#: simulator.
+_EPS = 1e-12
 
 
 @dataclass
@@ -99,7 +101,7 @@ class ReconfigurableFabricSimulator:
         np.fill_diagonal(demand, 0.0)
         now = 0.0
         self.epochs = []
-        while demand.sum() > _EPS_BYTES:
+        while (demand > _EPS_BYTES).any():
             if now > max_time_s:
                 raise RuntimeError(
                     f"demand did not drain within {max_time_s}s; "
@@ -117,19 +119,6 @@ class ReconfigurableFabricSimulator:
                 )
             )
             now += elapsed
-            if served <= _EPS_BYTES and elapsed >= self.demand_epoch_s:
-                # Nothing routable this epoch and nothing will change:
-                # without forwarding some pairs may never get a circuit
-                # if the heuristic keeps starving them -- spread demand
-                # by zeroing the already-satisfied hot pairs is handled
-                # inside the heuristic's halving; here we simply continue
-                # and let the next epoch's snapshot (with hot pairs now
-                # partially drained) produce different circuits.
-                if not self._progress_possible(demand):
-                    raise RuntimeError(
-                        "reconfigurable fabric cannot make progress on "
-                        "the remaining demand"
-                    )
         return now
 
     def iteration_time(
@@ -170,68 +159,94 @@ class ReconfigurableFabricSimulator:
         """Serve demand over fixed circuits for at most one epoch.
 
         Returns (bytes served, elapsed seconds).  Mutates ``demand``.
+
+        The epoch's flows share one incidence matrix and an active
+        mask; max-min rates are re-solved only after a completion.
+        Each step advances to the earliest completion plus a 1 ns pad
+        (capped at the epoch's end), and every served byte is taken off
+        its pair's demand.
         """
-        flows = self._build_flows(topology, demand)
-        if not flows:
+        paths, srcs, dsts = self._build_flows(topology, demand)
+        if not paths:
             return 0.0, self.demand_epoch_s
-        network = FluidNetwork(
+        incidence, cap_vec, _ = build_incidence_from_paths(
+            paths,
             {
                 (src, dst): count * self.link_bandwidth_bps
                 for src, dst, count in topology.edges()
-            }
+            },
         )
-        for flow in flows:
-            network.add_flow(flow)
+        incidence_t = incidence.T.tocsr()
+        remaining = demand[srcs, dsts] * 8.0
+        done_at = _EPS * np.maximum(1.0, remaining)
+        active = np.ones(len(paths), dtype=bool)
+        rates: Optional[np.ndarray] = None  # None: stale after a completion
         elapsed = 0.0
         served = 0.0
-        while network.active and elapsed < self.demand_epoch_s:
-            dt = network.time_to_next_completion()
-            if dt is None:
+        while elapsed < self.demand_epoch_s:
+            live = np.flatnonzero(active)
+            if live.size == 0:
                 break
+            if rates is None:
+                rates = progressive_filling_rates(
+                    cap_vec, incidence, active, incidence_t=incidence_t
+                )
+            rate = rates[live]
+            before = remaining[live]
+            moving = rate > _EPS
+            if not moving.any():
+                break
+            dt = float((before[moving] / rate[moving]).min())
             dt = min(dt + 1e-9, self.demand_epoch_s - elapsed)
-            before = {
-                f.flow_id: f.remaining_bits for f in network.active.values()
-            }
-            network.advance(dt)
+            after = before - rate * dt
+            finished = after <= done_at[live]
+            after[finished] = 0.0
+            remaining[live] = after
+            if finished.any():
+                active[live[finished]] = False
+                rates = None
             elapsed += dt
-            for flow in flows:
-                if flow.flow_id in before:
-                    moved_bits = before[flow.flow_id] - flow.remaining_bits
-                    if moved_bits > 0:
-                        served += moved_bits / 8.0
-                        demand[flow.tag] = max(
-                            0.0, demand[flow.tag] - moved_bits / 8.0
-                        )
+            moved = before - after
+            step = moved > 0
+            if step.any():
+                moved_bytes = moved[step] / 8.0
+                # Add in flow order, one term at a time (np.sum would
+                # add pairwise), so the total matches a scalar loop.
+                served = float(
+                    np.add.accumulate(np.append(served, moved_bytes))[-1]
+                )
+                rows, cols = srcs[live[step]], dsts[live[step]]
+                left = demand[rows, cols] - moved_bytes
+                demand[rows, cols] = np.where(left > 0.0, left, 0.0)
         return served, elapsed
 
     def _build_flows(
         self, topology: DirectConnectTopology, demand: np.ndarray
-    ) -> List[Flow]:
-        flows: List[Flow] = []
-        n = self.num_servers
-        for src in range(n):
-            for dst in range(n):
-                byte_count = demand[src, dst]
-                if src == dst or byte_count <= _EPS_BYTES:
-                    continue
-                if topology.has_link(src, dst):
-                    path: Optional[List[int]] = [src, dst]
-                elif self.host_forwarding:
-                    path = topology.shortest_path(src, dst)
-                else:
-                    path = None  # blocked until a future circuit appears
+    ) -> Tuple[List[Tuple[int, ...]], np.ndarray, np.ndarray]:
+        """Paths of every servable pair, with their sources and sinks.
+
+        Off-diagonal pairs (``drain_demand`` zeroes the diagonal)
+        holding more than ``_EPS_BYTES`` are taken in row-major order.
+        A pair rides its direct circuit; without one it takes
+        the shortest multi-hop path under host forwarding and is
+        skipped otherwise (blocked until a future circuit appears).
+        """
+        srcs, dsts = np.nonzero(demand > _EPS_BYTES)
+        trees: Dict[int, Dict[int, Tuple[int, ...]]] = {}
+        paths: List[Tuple[int, ...]] = []
+        keep: List[int] = []
+        for index, (src, dst) in enumerate(zip(srcs.tolist(), dsts.tolist())):
+            if topology.has_link(src, dst):
+                path = (src, dst)
+            elif self.host_forwarding:
+                tree = trees.get(src)
+                if tree is None:
+                    tree = trees[src] = topology.shortest_paths_from(src)
+                path = tree.get(dst)
                 if path is None:
                     continue
-                flows.append(
-                    Flow(
-                        path=tuple(path),
-                        size_bits=byte_count * 8.0,
-                        kind="mp",
-                        tag=(src, dst),
-                    )
-                )
-        return flows
-
-    def _progress_possible(self, demand: np.ndarray) -> bool:
-        """Whether the heuristic could ever serve the remaining demand."""
-        return bool((demand > _EPS_BYTES).any())
+            else:
+                continue
+            paths.append(path)
+            keep.append(index)
+        return paths, srcs[keep], dsts[keep]

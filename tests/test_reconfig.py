@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.sipml import SipMLFabric
+from repro.sim.flows import Flow
+from repro.sim.fluid import FluidNetwork
 from repro.sim.reconfig import ReconfigurableFabricSimulator
 
 GBPS = 1e9
@@ -133,3 +137,173 @@ class TestSipML:
             times.append(fabric.drain_demand(demand.copy()))
         speedup = times[0] / times[1]
         assert speedup < 3.0  # nowhere near the 10x bandwidth increase
+
+
+class TestDrainThreshold:
+    def test_sub_byte_leftovers_do_not_stall(self):
+        # Pairs at or below one byte never get a flow, so they must not
+        # keep the drain loop alive either.
+        demand = np.zeros((8, 8))
+        demand[0, 1] = 1e6
+        demand[1, 2] = demand[2, 3] = 0.6
+        sim = ReconfigurableFabricSimulator(8, 2, 100 * GBPS)
+        assert sim.drain_demand(demand) == 0.010040001
+        assert len(sim.epochs) == 1
+
+
+# ----------------------------------------------------------------------
+# Oracle: the pre-array epoch loop over the dict-based FluidNetwork and
+# one shortest_path BFS per pair.  Kept here only to pin the array port.
+# ----------------------------------------------------------------------
+
+class _FluidNetworkEpochs:
+    def _serve_epoch(self, topology, demand):
+        flows = self._build_flows(topology, demand)
+        if not flows:
+            return 0.0, self.demand_epoch_s
+        network = FluidNetwork(
+            {
+                (src, dst): count * self.link_bandwidth_bps
+                for src, dst, count in topology.edges()
+            }
+        )
+        for flow in flows:
+            network.add_flow(flow)
+        elapsed = 0.0
+        served = 0.0
+        while network.active and elapsed < self.demand_epoch_s:
+            dt = network.time_to_next_completion()
+            if dt is None:
+                break
+            dt = min(dt + 1e-9, self.demand_epoch_s - elapsed)
+            before = {
+                f.flow_id: f.remaining_bits for f in network.active.values()
+            }
+            network.advance(dt)
+            elapsed += dt
+            for flow in flows:
+                if flow.flow_id in before:
+                    moved_bits = before[flow.flow_id] - flow.remaining_bits
+                    if moved_bits > 0:
+                        served += moved_bits / 8.0
+                        demand[flow.tag] = max(
+                            0.0, demand[flow.tag] - moved_bits / 8.0
+                        )
+        return served, elapsed
+
+    def _build_flows(self, topology, demand):
+        flows = []
+        n = self.num_servers
+        for src in range(n):
+            for dst in range(n):
+                byte_count = demand[src, dst]
+                if src == dst or byte_count <= 1.0:
+                    continue
+                if topology.has_link(src, dst):
+                    path = [src, dst]
+                elif self.host_forwarding:
+                    path = topology.shortest_path(src, dst)
+                else:
+                    path = None
+                if path is None:
+                    continue
+                flows.append(
+                    Flow(
+                        path=tuple(path),
+                        size_bits=byte_count * 8.0,
+                        kind="mp",
+                        tag=(src, dst),
+                    )
+                )
+        return flows
+
+
+class _OracleReconfig(_FluidNetworkEpochs, ReconfigurableFabricSimulator):
+    pass
+
+
+class _OracleSipML(_FluidNetworkEpochs, SipMLFabric):
+    pass
+
+
+def _fabric_pair(kind, n, degree, bandwidth):
+    if kind == "sipml":
+        return (
+            SipMLFabric(n, degree, bandwidth),
+            _OracleSipML(n, degree, bandwidth),
+        )
+    forwarding = kind == "fw"
+    return (
+        ReconfigurableFabricSimulator(
+            n, degree, bandwidth, host_forwarding=forwarding
+        ),
+        _OracleReconfig(n, degree, bandwidth, host_forwarding=forwarding),
+    )
+
+
+def _drain_exact(sim, demand):
+    """Bit patterns of the drain time and every epoch field (or the error)."""
+    try:
+        total = sim.drain_demand(demand)
+    except RuntimeError as error:
+        return ("raised", str(error))
+    epochs = [
+        (
+            float(epoch.start_s).hex(),
+            float(epoch.reconfig_latency_s).hex(),
+            float(epoch.served_bytes).hex(),
+            epoch.active_links,
+        )
+        for epoch in sim.epochs
+    ]
+    return float(total).hex(), epochs
+
+
+_byte_counts = st.one_of(
+    st.floats(0.01, 1.0),  # sub-byte: never served, never blocking
+    st.floats(1.0, 64.0),
+    st.floats(1e3, 2e7),
+)
+
+
+@st.composite
+def _sparse_demand(draw):
+    n = draw(st.integers(4, 16))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = draw(
+        st.lists(st.sampled_from(pairs), min_size=1, max_size=12,
+                 unique=True)
+    )
+    demand = np.zeros((n, n))
+    for pair in chosen:
+        demand[pair] = draw(_byte_counts)
+    return demand
+
+
+class TestArrayPortMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        demand=_sparse_demand(),
+        degree=st.integers(2, 4),
+        kind=st.sampled_from(["fw", "nofw", "sipml"]),
+        bandwidth=st.sampled_from([10 * GBPS, 100 * GBPS]),
+    )
+    def test_drain_is_bitwise_equal(self, demand, degree, kind, bandwidth):
+        fabric, oracle = _fabric_pair(kind, len(demand), degree, bandwidth)
+        assert _drain_exact(fabric, demand.copy()) == _drain_exact(
+            oracle, demand.copy()
+        )
+
+    @pytest.mark.parametrize("kind", ["fw", "nofw", "sipml"])
+    def test_caller_demand_left_as_the_oracle_leaves_it(self, kind):
+        rng = np.random.default_rng(5)
+        demand = np.where(
+            rng.random((12, 12)) < 0.3, rng.uniform(0.2, 4e6, (12, 12)), 0.0
+        )
+        demand[0, 5] = 0.5
+        original = demand.copy()
+        fabric, oracle = _fabric_pair(kind, 12, 3, 100 * GBPS)
+        ours, theirs = demand.copy(), demand.copy()
+        fabric.drain_demand(ours)
+        oracle.drain_demand(theirs)
+        assert ours.tobytes() == theirs.tobytes() == original.tobytes()

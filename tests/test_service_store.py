@@ -159,6 +159,20 @@ class TestResultStore:
         path.write_text(json.dumps(entry))
         assert ResultStore(tmp_path).get(spec) is None
 
+    def test_entry_stamped_version_one_is_a_miss(self, tmp_path):
+        # Version-1 stores hold results from before a change that moved
+        # some co-search floats by an ULP under unchanged content hashes.
+        spec = cheap_spec()
+        store = ResultStore(tmp_path)
+        key = store.put(spec, run_experiment(spec))
+        path = store.path_for(key)
+        entry = json.loads(path.read_text())
+        entry["version"] = 1
+        path.write_text(json.dumps(entry))
+        fresh = ResultStore(tmp_path)
+        assert fresh.get(spec) is None
+        assert fresh.stats()["misses"] == 1
+
     def test_concurrent_writers_same_key_no_torn_files(self, tmp_path):
         """Last-write-wins: N threads racing one key leave exactly one
         readable entry and no temp-file debris."""

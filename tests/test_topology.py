@@ -1,5 +1,7 @@
 """Unit tests for the direct-connect topology abstraction."""
 
+import random
+
 import pytest
 
 from repro.network.topology import (
@@ -123,6 +125,25 @@ class TestPaths:
     def test_lengths_from_source(self):
         topo = ring_topology(4)
         assert topo.shortest_path_lengths_from(0) == {0: 0, 1: 1, 2: 2, 3: 3}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_paths_from_source_match_shortest_path(self, seed):
+        # Random links in random order give many tied shortest paths;
+        # the BFS tree must pick the one shortest_path picks for each.
+        rng = random.Random(seed)
+        topo = DirectConnectTopology(12, 3)
+        for _ in range(60):
+            src, dst = rng.sample(range(12), 2)
+            if topo.free_tx(src) and topo.free_rx(dst):
+                topo.add_link(src, dst)
+        for src in range(12):
+            tree = topo.shortest_paths_from(src)
+            for dst in range(12):
+                path = topo.shortest_path(src, dst)
+                if path is None:
+                    assert dst not in tree
+                else:
+                    assert tree[dst] == tuple(path)
 
     def test_all_shortest_paths_count(self):
         topo = DirectConnectTopology(4, 3)
