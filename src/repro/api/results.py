@@ -15,41 +15,15 @@ flattens into row-per-run dicts (:meth:`SweepResult.rows`) that the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.spec import ExperimentSpec
-
-
-def _opt(value: Optional[float]) -> Optional[float]:
-    return None if value is None else float(value)
-
-
-def _result_from_dict(data: Mapping[str, Any]):
-    """Rebuild a point result, dispatching on the serialized type.
-
-    Scenario results mark themselves with ``"type": "scenario"``
-    (:meth:`repro.cluster.results.ScenarioResult.to_dict`); everything
-    else is an :class:`ExperimentResult`.
-    """
-    if data.get("type") == "scenario":
-        from repro.cluster.results import ScenarioResult
-
-        return ScenarioResult.from_dict(data)
-    return ExperimentResult.from_dict(data)
-
-
-def _spec_from_dict(data: Mapping[str, Any]):
-    """Rebuild a sweep base spec (experiment or scenario)."""
-    if "arrivals" in data:  # only ScenarioSpec has an arrival process
-        from repro.cluster.spec import ScenarioSpec
-
-        return ScenarioSpec.from_dict(data)
-    return ExperimentSpec.from_dict(data)
+from repro.codec import Record, field, result_from_dict, spec_from_dict
 
 
 @dataclass(frozen=True)
-class WorkloadSummary:
+class WorkloadSummary(Record):
     """The built model, as numbers: size, layer mix, batch."""
 
     model: str
@@ -59,29 +33,16 @@ class WorkloadSummary:
     batch_per_gpu: int
     compute_s: float
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "model": self.model,
-            "scale": self.scale,
-            "params_bytes": self.params_bytes,
-            "embedding_tables": self.embedding_tables,
-            "batch_per_gpu": self.batch_per_gpu,
-            "compute_s": self.compute_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSummary":
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class StrategySummary:
+class StrategySummary(Record):
     """Per-kind placement counts plus the full placement map."""
 
     num_layers: int
     data_parallel: int
     model_parallel: int
     sharded: int
+    #: Layer name -> ``{"kind", "servers"}``, held read-only.
     placements: Dict[str, Dict[str, Any]]
 
     @classmethod
@@ -108,22 +69,9 @@ class StrategySummary:
             placements=placements,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "num_layers": self.num_layers,
-            "data_parallel": self.data_parallel,
-            "model_parallel": self.model_parallel,
-            "sharded": self.sharded,
-            "placements": self.placements,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StrategySummary":
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class TrafficStats:
+class TrafficStats(Record):
     """Per-iteration communication volumes of the chosen strategy."""
 
     allreduce_bytes: float
@@ -138,20 +86,9 @@ class TrafficStats:
             max_transfer_bytes=traffic.max_transfer_bytes(),
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "allreduce_bytes": self.allreduce_bytes,
-            "mp_bytes": self.mp_bytes,
-            "max_transfer_bytes": self.max_transfer_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TrafficStats":
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class TopologySummary:
+class TopologySummary(Record):
     """TopologyFinder output, as numbers (TopoOpt-family fabrics only)."""
 
     num_links: int
@@ -173,24 +110,9 @@ class TopologySummary:
             ),
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "num_links": self.num_links,
-            "diameter": self.diameter,
-            "allreduce_degree": self.allreduce_degree,
-            "mp_degree": self.mp_degree,
-            "groups": [dict(g) for g in self.groups],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TopologySummary":
-        kwargs = dict(data)
-        kwargs["groups"] = tuple(dict(g) for g in kwargs.get("groups", ()))
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class FabricTiming:
+class FabricTiming(Record):
     """One fabric's simulated iteration, plus its interconnect cost.
 
     ``mp_s``/``allreduce_s`` are ``None`` for fabrics that simulate
@@ -218,35 +140,9 @@ class FabricTiming:
     def network_overhead_fraction(self) -> float:
         return self.network_s / self.total_s if self.total_s > 0 else 0.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "compute_s": self.compute_s,
-            "mp_s": _opt(self.mp_s),
-            "allreduce_s": _opt(self.allreduce_s),
-            "total_s": self.total_s,
-            "cost_usd": _opt(self.cost_usd),
-            "link_bytes": (
-                [list(entry) for entry in self.link_bytes]
-                if self.link_bytes is not None
-                else None
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FabricTiming":
-        kwargs = dict(data)
-        if kwargs.get("link_bytes") is not None:
-            kwargs["link_bytes"] = tuple(
-                (int(src), int(dst), float(volume))
-                for src, dst, volume in kwargs["link_bytes"]
-            )
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class SearchSummary:
+class SearchSummary(Record):
     """What the MCMC / alternating search did (when it ran)."""
 
     estimated_cost_s: float
@@ -255,24 +151,11 @@ class SearchSummary:
     proposed_moves: int = 0
     chains: int = 1
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "estimated_cost_s": self.estimated_cost_s,
-            "rounds": [dict(r) for r in self.rounds],
-            "accepted_moves": self.accepted_moves,
-            "proposed_moves": self.proposed_moves,
-            "chains": self.chains,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SearchSummary":
-        kwargs = dict(data)
-        kwargs["rounds"] = tuple(dict(r) for r in kwargs.get("rounds", ()))
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(
+    Record, derived={"provenance": lambda self: {"seed": self.spec.seed}}
+):
     """Everything one experiment produced, JSON-serializable.
 
     ``wall_time_s`` is measured, not derived from the spec, so
@@ -289,54 +172,16 @@ class ExperimentResult:
     baselines: Tuple[FabricTiming, ...] = ()
     topology: Optional[TopologySummary] = None
     search: Optional[SearchSummary] = None
-    wall_time_s: Optional[float] = field(default=None, compare=False)
+    wall_time_s: Optional[float] = field(default=None, off_json=True)
 
     @property
     def timings(self) -> Tuple[FabricTiming, ...]:
         """Primary fabric first, then the baselines."""
         return (self.fabric,) + self.baselines
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "spec": self.spec.to_dict(),
-            "workload": self.workload.to_dict(),
-            "strategy": self.strategy.to_dict(),
-            "traffic": self.traffic.to_dict(),
-            "fabric": self.fabric.to_dict(),
-            "baselines": [b.to_dict() for b in self.baselines],
-            "topology": (
-                self.topology.to_dict() if self.topology else None
-            ),
-            "search": self.search.to_dict() if self.search else None,
-            "provenance": {"seed": self.spec.seed},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentResult":
-        return cls(
-            spec=ExperimentSpec.from_dict(data["spec"]),
-            workload=WorkloadSummary.from_dict(data["workload"]),
-            strategy=StrategySummary.from_dict(data["strategy"]),
-            traffic=TrafficStats.from_dict(data["traffic"]),
-            fabric=FabricTiming.from_dict(data["fabric"]),
-            baselines=tuple(
-                FabricTiming.from_dict(b) for b in data.get("baselines", ())
-            ),
-            topology=(
-                TopologySummary.from_dict(data["topology"])
-                if data.get("topology")
-                else None
-            ),
-            search=(
-                SearchSummary.from_dict(data["search"])
-                if data.get("search")
-                else None
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(Record):
     """One grid point: its overrides, derived seed, and outcome.
 
     ``result`` is an :class:`ExperimentResult` or, for scenario sweeps,
@@ -345,48 +190,20 @@ class SweepPoint:
 
     overrides: Dict[str, Any]
     seed: int
-    result: Optional[object] = None
+    result: Optional[object] = field(default=None, decode=result_from_dict)
     error: Optional[str] = None
     #: How many pool submissions this point took.  1 (the default, and
     #: omitted from the JSON) means it ran clean; >1 means a crashed or
     #: hung worker was retried with the same derived seed.
-    attempts: int = 1
+    attempts: int = field(default=1, omit_default=True)
     #: True when the result came from a content-addressed
     #: :class:`repro.service.store.ResultStore` instead of a fresh
     #: pipeline run (omitted from the JSON when False).
-    cache_hit: bool = False
+    cache_hit: bool = field(default=False, omit_default=True)
 
     @property
     def ok(self) -> bool:
         return self.result is not None
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = {
-            "overrides": dict(self.overrides),
-            "seed": self.seed,
-            "result": self.result.to_dict() if self.result else None,
-            "error": self.error,
-        }
-        if self.attempts > 1:
-            data["attempts"] = int(self.attempts)
-        if self.cache_hit:
-            data["cache_hit"] = True
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepPoint":
-        return cls(
-            overrides=dict(data["overrides"]),
-            seed=data["seed"],
-            result=(
-                _result_from_dict(data["result"])
-                if data.get("result")
-                else None
-            ),
-            error=data.get("error"),
-            attempts=int(data.get("attempts", 1)),
-            cache_hit=bool(data.get("cache_hit", False)),
-        )
 
 
 #: Metric columns of an experiment row (kept stable across failures).
@@ -406,14 +223,14 @@ _SCENARIO_COLUMNS = (
 
 
 @dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     """All points of one sweep, in grid-expansion order.
 
     ``base_spec`` is the swept :class:`ExperimentSpec` or
     :class:`repro.cluster.spec.ScenarioSpec`; the row schema follows it.
     """
 
-    base_spec: object
+    base_spec: object = field(decode=spec_from_dict)
     grid: Dict[str, List[Any]]
     points: Tuple[SweepPoint, ...]
 
@@ -476,20 +293,3 @@ class SweepResult:
                 row["error"] = point.error
             rows.append(row)
         return rows
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "base_spec": self.base_spec.to_dict(),
-            "grid": {k: list(v) for k, v in self.grid.items()},
-            "points": [p.to_dict() for p in self.points],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepResult":
-        return cls(
-            base_spec=_spec_from_dict(data["base_spec"]),
-            grid={k: list(v) for k, v in data["grid"].items()},
-            points=tuple(
-                SweepPoint.from_dict(p) for p in data["points"]
-            ),
-        )

@@ -1108,6 +1108,7 @@ def cmd_cache(argv: Sequence[str] = ()) -> int:
 #: them all.
 DOCTEST_MODULES = (
     "repro.api.spec",
+    "repro.codec",
     "repro.cluster.faults",
     "repro.cluster.spec",
     "repro.network.topology",

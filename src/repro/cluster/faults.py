@@ -26,10 +26,11 @@ This module is the declarative half of that plane:
   scheduler's preempt path, losing only work since the last
   checkpoint interval).
 
-Both specs are first-class citizens of the declarative API: exact JSON
-round-trip, unknown-key rejection, and validation at *construction*
-time (negative times, repairs that precede their failure, duplicate
-link cuts are all rejected before a scenario ever runs).
+All three specs are first-class citizens of the declarative API
+(:mod:`repro.codec`): exact JSON round-trip, unknown-key rejection,
+and validation at *construction* time (negative times, repairs that
+precede their failure, duplicate link cuts, fields that belong to
+another fault kind are all rejected before a scenario ever runs).
 
 Doctest tour::
 
@@ -51,10 +52,11 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.api.spec import _check_keys, _require
+from repro.api.spec import _require
+from repro.codec import Spec, field
 from repro.core.ocs_reconfig import OCS_RECONFIG_LATENCY_S
 
 #: Fault kinds :class:`FaultEventSpec` understands.
@@ -63,9 +65,17 @@ FAULT_KINDS = ("link", "server", "storm")
 #: Recovery policies of :class:`RecoverySpec`.
 RECOVERY_POLICIES = ("detour", "reoptimize", "checkpoint-restart")
 
+#: The :class:`FaultEventSpec` fields each kind uses; the others must
+#: stay at their defaults (and so out of the JSON).
+KIND_FIELDS = {
+    "link": ("job_index", "link"),
+    "server": ("server",),
+    "storm": ("region_start", "region_size", "servers_hit", "links_hit"),
+}
+
 
 @dataclass(frozen=True)
-class FaultEventSpec:
+class FaultEventSpec(Spec, path="fault"):
     """One scheduled fault.
 
     ``kind="link"`` cuts one shard link of job ``job_index`` (its
@@ -83,34 +93,40 @@ class FaultEventSpec:
     hosts in the region die and up to ``links_hit`` shard links of
     jobs overlapping the region are cut, all at ``time_s``; every
     sub-fault heals at ``repair_s``.
+
+    Every field but ``kind`` and ``time_s`` is omitted from the JSON at
+    its default; fields of another kind (:data:`KIND_FIELDS`) must stay
+    there.
     """
 
     kind: str = "link"
-    time_s: float = 0.0
-    repair_s: Optional[float] = None
+    time_s: float = field(default=0.0, ge=0)
+    repair_s: Optional[float] = field(default=None, omit_default=True)
     # link faults
-    job_index: Optional[int] = None
-    link: Optional[Tuple[int, int]] = None
+    job_index: Optional[int] = field(default=None, omit_default=True)
+    link: Optional[Tuple[int, int]] = field(default=None, omit_default=True)
     # server faults
-    server: Optional[int] = None
+    server: Optional[int] = field(default=None, omit_default=True)
     # storms
-    region_start: int = 0
-    region_size: int = 0
-    servers_hit: int = 0
-    links_hit: int = 0
+    region_start: int = field(default=0, ge=0, omit_default=True)
+    region_size: int = field(default=0, omit_default=True)
+    servers_hit: int = field(default=0, omit_default=True)
+    links_hit: int = field(default=0, ge=0, omit_default=True)
 
-    def __post_init__(self):
-        if self.link is not None:
-            object.__setattr__(self, "link", tuple(self.link))
+    def _validate(self):
         _require(
             self.kind in FAULT_KINDS,
             f"fault.kind: unknown kind {self.kind!r}; "
             f"use one of {sorted(FAULT_KINDS)}",
         )
-        _require(
-            self.time_s >= 0,
-            f"fault.time_s must be >= 0, got {self.time_s}",
-        )
+        for kind, names in KIND_FIELDS.items():
+            for name in names:
+                _require(
+                    kind == self.kind
+                    or getattr(self, name) == getattr(FaultEventSpec, name),
+                    f"fault.{name} belongs to {kind!r} faults, not to "
+                    f"a {self.kind!r} fault",
+                )
         _require(
             self.repair_s is None or self.repair_s >= self.time_s,
             f"fault repair at {self.repair_s}s precedes the failure "
@@ -120,10 +136,6 @@ class FaultEventSpec:
             _require(
                 self.job_index is not None and self.job_index >= 0,
                 "a 'link' fault needs a job_index >= 0",
-            )
-            _require(
-                self.link is None or len(self.link) == 2,
-                f"fault.link must be a (src, dst) pair, got {self.link!r}",
             )
         elif self.kind == "server":
             _require(
@@ -137,51 +149,18 @@ class FaultEventSpec:
                 f"got {self.region_size}",
             )
             _require(
-                self.region_start >= 0,
-                f"fault.region_start must be >= 0, got {self.region_start}",
-            )
-            _require(
                 0 <= self.servers_hit <= self.region_size,
                 f"fault.servers_hit must be in [0, region_size="
                 f"{self.region_size}], got {self.servers_hit}",
-            )
-            _require(
-                self.links_hit >= 0,
-                f"fault.links_hit must be >= 0, got {self.links_hit}",
             )
             _require(
                 self.servers_hit + self.links_hit >= 1,
                 "a 'storm' fault must hit at least one server or link",
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"kind": self.kind, "time_s": self.time_s}
-        if self.repair_s is not None:
-            data["repair_s"] = self.repair_s
-        if self.kind == "link":
-            data["job_index"] = self.job_index
-            if self.link is not None:
-                data["link"] = [int(v) for v in self.link]
-        elif self.kind == "server":
-            data["server"] = self.server
-        else:
-            data["region_start"] = self.region_start
-            data["region_size"] = self.region_size
-            data["servers_hit"] = self.servers_hit
-            data["links_hit"] = self.links_hit
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultEventSpec":
-        _check_keys("FaultEventSpec", data, (f.name for f in fields(cls)))
-        kwargs = dict(data)
-        if kwargs.get("link") is not None:
-            kwargs["link"] = tuple(int(v) for v in kwargs["link"])
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class FaultScheduleSpec:
+class FaultScheduleSpec(Spec, path="faults"):
     """A scenario's whole fault timeline: explicit events + seeded storms.
 
     ``events`` fire exactly as written.  ``storms > 0`` additionally
@@ -196,50 +175,22 @@ class FaultScheduleSpec:
     """
 
     events: Tuple[FaultEventSpec, ...] = ()
-    storms: int = 0
-    storm_window_s: float = 60.0
-    storm_region_size: int = 8
+    storms: int = field(default=0, ge=0)
+    storm_window_s: float = field(default=60.0, gt=0)
+    storm_region_size: int = field(default=8, ge=1)
     storm_servers: int = 1
-    storm_links: int = 2
-    mean_repair_s: float = 30.0
+    storm_links: int = field(default=2, ge=0)
+    mean_repair_s: float = field(default=30.0, gt=0)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "events",
-            tuple(
-                event if isinstance(event, FaultEventSpec)
-                else FaultEventSpec.from_dict(event)
-                for event in self.events
-            ),
-        )
-        _require(self.storms >= 0,
-                 f"faults.storms must be >= 0, got {self.storms}")
-        _require(
-            self.storm_window_s > 0,
-            f"faults.storm_window_s must be > 0, got {self.storm_window_s}",
-        )
-        _require(
-            self.storm_region_size >= 1,
-            f"faults.storm_region_size must be >= 1, "
-            f"got {self.storm_region_size}",
-        )
+    def _validate(self):
         _require(
             0 <= self.storm_servers <= self.storm_region_size,
             f"faults.storm_servers must be in [0, storm_region_size="
             f"{self.storm_region_size}], got {self.storm_servers}",
         )
         _require(
-            self.storm_links >= 0,
-            f"faults.storm_links must be >= 0, got {self.storm_links}",
-        )
-        _require(
             self.storms == 0 or self.storm_servers + self.storm_links >= 1,
             "faults.storms > 0 needs storm_servers + storm_links >= 1",
-        )
-        _require(
-            self.mean_repair_s > 0,
-            f"faults.mean_repair_s must be > 0, got {self.mean_repair_s}",
         )
         seen = set()
         for event in self.events:
@@ -291,34 +242,9 @@ class FaultScheduleSpec:
         timeline.sort(key=lambda event: (event.time_s, event.kind))
         return tuple(timeline)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "events": [event.to_dict() for event in self.events],
-            "storms": self.storms,
-            "storm_window_s": self.storm_window_s,
-            "storm_region_size": self.storm_region_size,
-            "storm_servers": self.storm_servers,
-            "storm_links": self.storm_links,
-            "mean_repair_s": self.mean_repair_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultScheduleSpec":
-        _check_keys(
-            "FaultScheduleSpec", data, (f.name for f in fields(cls))
-        )
-        kwargs = dict(data)
-        if "events" in kwargs:
-            kwargs["events"] = tuple(
-                event if isinstance(event, FaultEventSpec)
-                else FaultEventSpec.from_dict(event)
-                for event in (kwargs["events"] or ())
-            )
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class RecoverySpec:
+class RecoverySpec(Spec, path="recovery"):
     """How the scenario engine reacts to faults.
 
     ``policy="detour"`` is the paper's section 7 behavior: a cut link
@@ -343,50 +269,17 @@ class RecoverySpec:
     """
 
     policy: str = "detour"
-    degradation_threshold: float = 2.0
-    reoptimize_latency_s: float = OCS_RECONFIG_LATENCY_S
-    checkpoint_interval_s: float = 60.0
-    restart_s: float = 0.0
+    degradation_threshold: float = field(default=2.0, ge=1)
+    reoptimize_latency_s: float = field(default=OCS_RECONFIG_LATENCY_S, ge=0)
+    checkpoint_interval_s: float = field(default=60.0, gt=0)
+    restart_s: float = field(default=0.0, ge=0)
 
-    def __post_init__(self):
+    def _validate(self):
         _require(
             self.policy in RECOVERY_POLICIES,
             f"recovery.policy: unknown policy {self.policy!r}; "
             f"use one of {sorted(RECOVERY_POLICIES)}",
         )
-        _require(
-            self.degradation_threshold >= 1.0,
-            f"recovery.degradation_threshold must be >= 1, "
-            f"got {self.degradation_threshold}",
-        )
-        _require(
-            self.reoptimize_latency_s >= 0,
-            f"recovery.reoptimize_latency_s must be >= 0, "
-            f"got {self.reoptimize_latency_s}",
-        )
-        _require(
-            self.checkpoint_interval_s > 0,
-            f"recovery.checkpoint_interval_s must be > 0, "
-            f"got {self.checkpoint_interval_s}",
-        )
-        _require(
-            self.restart_s >= 0,
-            f"recovery.restart_s must be >= 0, got {self.restart_s}",
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "policy": self.policy,
-            "degradation_threshold": self.degradation_threshold,
-            "reoptimize_latency_s": self.reoptimize_latency_s,
-            "checkpoint_interval_s": self.checkpoint_interval_s,
-            "restart_s": self.restart_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RecoverySpec":
-        _check_keys("RecoverySpec", data, (f.name for f in fields(cls)))
-        return cls(**dict(data))
 
 
 class FaultPlane:

@@ -12,12 +12,13 @@ recomputed on load, never stored state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.spec import ScenarioSpec
+from repro.codec import Record, field
 
 
 def _weighted_percentile(
@@ -42,7 +43,7 @@ def _weighted_percentile(
 
 
 @dataclass(frozen=True)
-class JobResult:
+class JobResult(Record):
     """One job's life: arrival -> queue -> shard -> iterations -> done.
 
     ``iteration_times`` is exact and per-iteration for step-by-step
@@ -66,28 +67,30 @@ class JobResult:
     completed_s: float
     compute_s: float
     iteration_times: Tuple[float, ...]
-    iteration_counts: Optional[Tuple[int, ...]] = None
-    duration_s: Optional[float] = None
+    iteration_counts: Optional[Tuple[int, ...]] = field(
+        default=None, omit_default=True
+    )
+    duration_s: Optional[float] = field(default=None, omit_default=True)
     #: Scheduler-lifecycle accounting: how many times the job was
     #: checkpoint-evicted, how many elastic resizes it went through,
     #: and how long it sat requeued after evictions.  All zero under
     #: plain FCFS and omitted from the JSON then, so pre-scheduler
     #: results stay byte-identical.
-    preemptions: int = 0
-    resizes: int = 0
-    preempted_wait_s: float = 0.0
+    preemptions: int = field(default=0, omit_default=True)
+    resizes: int = field(default=0, omit_default=True)
+    preempted_wait_s: float = field(default=0.0, omit_default=True)
     #: Fault-plane accounting (all zero -- and absent from the JSON --
     #: when the scenario injects no faults): crash-suspensions suffered,
     #: iterations of progress lost to them, the work-seconds those
     #: iterations represent, time spent requeued after a fault, and how
     #: many times the recovery plane re-optimized the job's fabric.
-    fault_suspensions: int = 0
-    lost_iterations: int = 0
-    lost_work_s: float = 0.0
-    fault_wait_s: float = 0.0
-    reoptimizations: int = 0
+    fault_suspensions: int = field(default=0, omit_default=True)
+    lost_iterations: int = field(default=0, omit_default=True)
+    lost_work_s: float = field(default=0.0, omit_default=True)
+    fault_wait_s: float = field(default=0.0, omit_default=True)
+    reoptimizations: int = field(default=0, omit_default=True)
 
-    def __post_init__(self):
+    def _validate(self):
         if self.iteration_counts is not None and len(
             self.iteration_counts
         ) != len(self.iteration_times):
@@ -126,67 +129,26 @@ class JobResult:
             )
         return float(np.mean(self.iteration_times))
 
-    def to_dict(self) -> Dict[str, Any]:
-        data = {
-            "index": self.index,
-            "name": self.name,
-            "model": self.model,
-            "scale": self.scale,
-            "strategy": self.strategy,
-            "servers": [int(s) for s in self.servers],
-            "arrival_s": self.arrival_s,
-            "admitted_s": self.admitted_s,
-            "completed_s": self.completed_s,
-            "compute_s": self.compute_s,
-            "iteration_times": [float(t) for t in self.iteration_times],
-        }
-        if self.iteration_counts is not None:
-            data["iteration_counts"] = [
-                int(c) for c in self.iteration_counts
-            ]
-        if self.duration_s is not None:
-            data["duration_s"] = float(self.duration_s)
-        if self.preemptions:
-            data["preemptions"] = int(self.preemptions)
-        if self.resizes:
-            data["resizes"] = int(self.resizes)
-        if self.preempted_wait_s:
-            data["preempted_wait_s"] = float(self.preempted_wait_s)
-        if self.fault_suspensions:
-            data["fault_suspensions"] = int(self.fault_suspensions)
-        if self.lost_iterations:
-            data["lost_iterations"] = int(self.lost_iterations)
-        if self.lost_work_s:
-            data["lost_work_s"] = float(self.lost_work_s)
-        if self.fault_wait_s:
-            data["fault_wait_s"] = float(self.fault_wait_s)
-        if self.reoptimizations:
-            data["reoptimizations"] = int(self.reoptimizations)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "JobResult":
-        kwargs = dict(data)
-        kwargs["servers"] = tuple(int(s) for s in kwargs["servers"])
-        kwargs["iteration_times"] = tuple(
-            float(t) for t in kwargs["iteration_times"]
-        )
-        if kwargs.get("iteration_counts") is not None:
-            kwargs["iteration_counts"] = tuple(
-                int(c) for c in kwargs["iteration_counts"]
-            )
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(Record, derived={
+    "type": lambda self: "scenario",
+    "metrics": lambda self: self.metrics(),
+    "provenance": lambda self: {"seed": self.spec.seed},
+}):
     """Everything one scenario produced, JSON-serializable.
 
     ``utilization_timeline`` holds ``(time_s, busy_servers)`` steps (the
     busy count holds until the next entry); ``fragmentation_timeline``
     holds ``(time_s, fragmentation)`` samples taken at every admission
     and departure.  ``failure_log`` records the injected link failures
-    and their repair actions as plain dicts.
+    and their repair actions as read-only dicts.  The JSON carries a
+    ``"type": "scenario"`` tag and the derived ``metrics`` and
+    ``provenance`` blocks, recomputed on every ``to_dict``.
+
+    ``spec`` is held unobserved: ``observe`` is off-hash, so an
+    observed run's result is, byte for byte, the one the store keeps
+    for the spec unobserved.
     """
 
     spec: ScenarioSpec
@@ -202,13 +164,17 @@ class ScenarioResult:
     #: scenario unable to place them (e.g. too many hosts dead at the
     #: end of the schedule).  Empty -- and absent from the JSON -- for
     #: every scenario that drains.
-    unfinished_jobs: Tuple[int, ...] = ()
-    wall_time_s: Optional[float] = field(default=None, compare=False)
+    unfinished_jobs: Tuple[int, ...] = field(default=(), omit_default=True)
+    wall_time_s: Optional[float] = field(default=None, off_json=True)
     #: Merged observability report (``ObsReport.to_dict()``) attached by
     #: an *observed* ``run_scenario``.  Like ``wall_time_s`` it lives
     #: only on the in-memory object -- never in the JSON -- so observed
     #: and unobserved runs of one (spec, seed) serialize byte-identically.
-    obs: Optional[Dict[str, Any]] = field(default=None, compare=False)
+    obs: Optional[Dict[str, Any]] = field(default=None, off_json=True)
+
+    def _validate(self):
+        if self.spec.observe:
+            object.__setattr__(self, "spec", replace(self.spec, observe=False))
 
     # -- aggregate metrics ---------------------------------------------
     def iteration_samples(self, skip_first: int = 0) -> List[float]:
@@ -369,56 +335,3 @@ class ScenarioResult:
         if self.failure_log or self.unfinished_jobs:
             data.update(self.fault_metrics())
         return data
-
-    # -- serialization -------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        data = {
-            "type": "scenario",
-            "spec": self.spec.to_dict(),
-            "jobs": [job.to_dict() for job in self.jobs],
-            "makespan_s": self.makespan_s,
-            "utilization_timeline": [
-                [float(t), int(busy)]
-                for t, busy in self.utilization_timeline
-            ],
-            "fragmentation_timeline": [
-                [float(t), float(value)]
-                for t, value in self.fragmentation_timeline
-            ],
-            "failure_log": [dict(entry) for entry in self.failure_log],
-            "scheduler_log": [
-                dict(entry) for entry in self.scheduler_log
-            ],
-            "metrics": self.metrics(),
-            "provenance": {"seed": self.spec.seed},
-        }
-        if self.unfinished_jobs:
-            data["unfinished_jobs"] = [
-                int(index) for index in self.unfinished_jobs
-            ]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioResult":
-        return cls(
-            spec=ScenarioSpec.from_dict(data["spec"]),
-            jobs=tuple(JobResult.from_dict(j) for j in data["jobs"]),
-            makespan_s=data["makespan_s"],
-            utilization_timeline=tuple(
-                (float(t), int(busy))
-                for t, busy in data.get("utilization_timeline", ())
-            ),
-            fragmentation_timeline=tuple(
-                (float(t), float(value))
-                for t, value in data.get("fragmentation_timeline", ())
-            ),
-            failure_log=tuple(
-                dict(entry) for entry in data.get("failure_log", ())
-            ),
-            scheduler_log=tuple(
-                dict(entry) for entry in data.get("scheduler_log", ())
-            ),
-            unfinished_jobs=tuple(
-                int(index) for index in data.get("unfinished_jobs", ())
-            ),
-        )

@@ -27,24 +27,22 @@ Doctest tour::
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.api.spec import (
     ClusterSpec,
     FabricSpec,
     OptimizerSpec,
     SpecError,
-    _check_keys,
     _require,
-    apply_overrides,
 )
 from repro.cluster.faults import (
     RECOVERY_POLICIES,
     FaultScheduleSpec,
     RecoverySpec,
 )
+from repro.codec import Spec, field
 from repro.models.configs import CONFIG_FAMILIES, MODEL_BUILDERS
 from repro.sim.cluster import NETWORK_SOLVERS
 
@@ -134,7 +132,7 @@ SCENARIO_SHORTHANDS: Dict[str, str] = {
 
 
 @dataclass(frozen=True)
-class JobTemplateSpec:
+class JobTemplateSpec(Spec, path="job"):
     """One entry of the job mix: what an arriving job trains and needs.
 
     ``strategy`` names a strategy-registry entry (``"mcmc"`` runs the
@@ -157,16 +155,16 @@ class JobTemplateSpec:
 
     model: str = "DLRM"
     scale: str = "shared"
-    servers: int = 8
-    iterations: int = 4
-    weight: float = 1.0
+    servers: int = field(default=8, ge=2)
+    iterations: int = field(default=4, ge=1)
+    weight: float = field(default=1.0, gt=0)
     strategy: Optional[str] = None
-    batch_per_gpu: Optional[int] = None
+    batch_per_gpu: Optional[int] = field(default=None, ge=1)
     priority: int = 0
     min_servers: Optional[int] = None
     max_servers: Optional[int] = None
 
-    def __post_init__(self):
+    def _validate(self):
         families = sorted(CONFIG_FAMILIES) + ["custom"]
         _require(
             self.scale in families,
@@ -186,16 +184,6 @@ class JobTemplateSpec:
                 f"job.model: no {self.scale!r} preset for {self.model!r}; "
                 f"known: {sorted(table)}",
             )
-        _require(self.servers >= 2,
-                 f"job.servers must be >= 2, got {self.servers}")
-        _require(self.iterations >= 1,
-                 f"job.iterations must be >= 1, got {self.iterations}")
-        _require(self.weight > 0,
-                 f"job.weight must be > 0, got {self.weight}")
-        _require(
-            self.batch_per_gpu is None or self.batch_per_gpu >= 1,
-            f"job.batch_per_gpu must be >= 1, got {self.batch_per_gpu}",
-        )
         if self.min_servers is not None:
             _require(
                 2 <= self.min_servers <= self.servers,
@@ -217,34 +205,15 @@ class JobTemplateSpec:
                 f"registered: {sorted(STRATEGIES.names())}",
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "model": self.model,
-            "scale": self.scale,
-            "servers": self.servers,
-            "iterations": self.iterations,
-            "weight": self.weight,
-            "strategy": self.strategy,
-            "batch_per_gpu": self.batch_per_gpu,
-            "priority": self.priority,
-            "min_servers": self.min_servers,
-            "max_servers": self.max_servers,
-        }
-
     def elastic_range(self) -> Tuple[int, int]:
         """The (min, max) shard sizes this template may run at."""
         lo = self.servers if self.min_servers is None else self.min_servers
         hi = self.servers if self.max_servers is None else self.max_servers
         return lo, hi
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "JobTemplateSpec":
-        _check_keys("JobTemplateSpec", data, (f.name for f in fields(cls)))
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class ArrivalSpec:
+class ArrivalSpec(Spec, path="arrivals"):
     """When jobs show up.
 
     * ``"explicit"`` -- jobs arrive at exactly ``times`` (seconds),
@@ -269,14 +238,13 @@ class ArrivalSpec:
     """
 
     process: str = "poisson"
-    count: int = 8
-    mean_interarrival_s: float = 30.0
+    count: int = field(default=8, ge=1)
+    mean_interarrival_s: float = field(default=30.0, gt=0)
     times: Tuple[float, ...] = ()
-    max_servers: int = 0
+    max_servers: int = field(default=0, ge=0)
     durations: str = "iterations"
 
-    def __post_init__(self):
-        object.__setattr__(self, "times", tuple(self.times))
+    def _validate(self):
         _require(
             self.process in ARRIVAL_PROCESSES,
             f"arrivals.process: unknown process {self.process!r}; "
@@ -292,15 +260,6 @@ class ArrivalSpec:
             "arrivals.durations='wallclock' needs process='trace' "
             "(only the trace population carries duration_hours)",
         )
-        _require(self.count >= 1,
-                 f"arrivals.count must be >= 1, got {self.count}")
-        _require(
-            self.mean_interarrival_s > 0,
-            f"arrivals.mean_interarrival_s must be > 0, "
-            f"got {self.mean_interarrival_s}",
-        )
-        _require(self.max_servers >= 0,
-                 f"arrivals.max_servers must be >= 0, got {self.max_servers}")
         if self.process == "explicit":
             _require(
                 len(self.times) > 0,
@@ -311,24 +270,9 @@ class ArrivalSpec:
                 "arrivals.times must all be >= 0",
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "process": self.process,
-            "count": self.count,
-            "mean_interarrival_s": self.mean_interarrival_s,
-            "times": [float(t) for t in self.times],
-            "max_servers": self.max_servers,
-            "durations": self.durations,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ArrivalSpec":
-        _check_keys("ArrivalSpec", data, (f.name for f in fields(cls)))
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class SchedulerSpec:
+class SchedulerSpec(Spec, path="scheduler"):
     """How queued jobs are placed onto free servers.
 
     ``policy`` picks the contiguous-block allocation rule
@@ -355,16 +299,16 @@ class SchedulerSpec:
     """
 
     policy: str = "first-fit"
-    admission_latency_s: float = 0.0
+    admission_latency_s: float = field(default=0.0, ge=0)
     queue: str = "fcfs"
     preemption: str = "none"
-    checkpoint_s: float = 0.0
-    restart_s: float = 0.0
+    checkpoint_s: float = field(default=0.0, ge=0)
+    restart_s: float = field(default=0.0, ge=0)
     elastic: bool = False
-    resize_latency_s: float = 0.0
+    resize_latency_s: float = field(default=0.0, ge=0)
     provisioning: str = "flat"
 
-    def __post_init__(self):
+    def _validate(self):
         _require(
             self.policy in SCHEDULER_POLICIES,
             f"scheduler.policy: unknown policy {self.policy!r}; "
@@ -385,35 +329,10 @@ class SchedulerSpec:
             f"scheduler.provisioning: unknown mode {self.provisioning!r}; "
             f"registered: {sorted(PROVISIONING_MODES)}",
         )
-        for knob in ("admission_latency_s", "checkpoint_s", "restart_s",
-                     "resize_latency_s"):
-            value = getattr(self, knob)
-            _require(
-                value >= 0,
-                f"scheduler.{knob} must be >= 0, got {value}",
-            )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "policy": self.policy,
-            "admission_latency_s": self.admission_latency_s,
-            "queue": self.queue,
-            "preemption": self.preemption,
-            "checkpoint_s": self.checkpoint_s,
-            "restart_s": self.restart_s,
-            "elastic": self.elastic,
-            "resize_latency_s": self.resize_latency_s,
-            "provisioning": self.provisioning,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SchedulerSpec":
-        _check_keys("SchedulerSpec", data, (f.name for f in fields(cls)))
-        return cls(**dict(data))
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Spec, path="", shorthands=SCENARIO_SHORTHANDS):
     """One complete shared-cluster scenario: spec in, typed result out.
 
     ``fabric.kind == "topoopt"`` selects the shardable mode: every
@@ -423,10 +342,21 @@ class ScenarioSpec:
     jobs' flows contend on it.  Fabrics that simulate themselves
     (``sipml``, ``ocs-reconfig``) or that need per-job traffic at build
     time (``hierarchical``) cannot serve as the shared substrate.
+
+    Serialization, the content hash and overrides come from
+    :mod:`repro.codec`.  ``faults``, ``recovery`` and ``observe`` stay
+    out of the JSON at their defaults, and ``observe`` out of the hash:
+
+    >>> spec = ScenarioSpec.preset("shared")
+    >>> spec.content_hash() == spec.with_overrides(
+    ...     {"observe": True}).content_hash()
+    True
+    >>> spec.content_hash() == spec.with_overrides({"seed": 1}).content_hash()
+    False
     """
 
     name: str = ""
-    seed: int = 0
+    seed: int = field(default=0, ge=0)
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
     fabric: FabricSpec = field(default_factory=FabricSpec)
     arrivals: ArrivalSpec = field(default_factory=ArrivalSpec)
@@ -436,15 +366,19 @@ class ScenarioSpec:
         default_factory=lambda: OptimizerSpec(strategy="auto")
     )
     solver: str = "kernel"
-    max_sim_time_s: float = 3600.0
+    max_sim_time_s: float = field(default=3600.0, gt=0)
     #: Fault schedule (link cuts, host failures, correlated storms);
     #: ``None`` = no faults.  An empty schedule normalizes to ``None``
     #: and both serialize identically (the key is omitted), so
     #: pre-fault-plane results stay byte-identical.
-    faults: Optional[FaultScheduleSpec] = None
+    faults: Optional[FaultScheduleSpec] = field(
+        default=None, omit_default=True
+    )
     #: How the engine recovers from faults (detour / reoptimize /
     #: checkpoint-restart); the default serializes to nothing.
-    recovery: RecoverySpec = field(default_factory=RecoverySpec)
+    recovery: RecoverySpec = field(
+        default_factory=RecoverySpec, omit_default=True
+    )
     #: Skip steady-state iterations analytically: once a job on an
     #: isolated shard completes a simulated iteration, every following
     #: iteration is identical until its routing changes, so the engine
@@ -460,16 +394,14 @@ class ScenarioSpec:
     #: is already active) and attaches the merged
     #: :class:`repro.obs.report.ObsReport` dict to the result's
     #: off-JSON ``obs`` field.  Purely additive -- simulated results
-    #: are byte-identical either way, and the key is omitted from
-    #: ``to_dict`` at its default so golden snapshots and content
-    #: hashes predating the obs plane are untouched.
-    observe: bool = False
+    #: are byte-identical either way -- so the flag stays out of the
+    #: content hash: an observed spec shares its store entry with the
+    #: unobserved one.  Omitted from ``to_dict`` at its default.
+    observe: bool = field(default=False, omit_default=True, off_hash=True)
 
-    def __post_init__(self):
-        object.__setattr__(self, "jobs", tuple(self.jobs))
+    def _validate(self):
         if self.faults is not None and self.faults.is_empty:
             object.__setattr__(self, "faults", None)
-        _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         if self.faults is not None:
             for event in self.faults.events:
                 if event.kind == "server":
@@ -490,10 +422,6 @@ class ScenarioSpec:
             self.solver in SCENARIO_SOLVERS,
             f"solver: unknown solver {self.solver!r}; "
             f"use one of {sorted(SCENARIO_SOLVERS)}",
-        )
-        _require(
-            self.max_sim_time_s > 0,
-            f"max_sim_time_s must be > 0, got {self.max_sim_time_s}",
         )
         _require(
             not self.fast_forward or self.fabric.kind == "topoopt",
@@ -529,106 +457,6 @@ class ScenarioSpec:
                 f"exceeds the cluster's {self.cluster.servers}",
             )
 
-    # -- serialization -------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-native dict; exact inverse of :meth:`from_dict`.
-
-        The fault plane's keys (``faults``, ``recovery``) and the obs
-        plane's ``observe`` flag are omitted at their defaults so
-        no-fault, unobserved scenarios -- including every committed
-        golden snapshot -- serialize byte-identically to releases that
-        predate those planes.
-        """
-        data = {
-            "name": self.name,
-            "seed": self.seed,
-            "cluster": self.cluster.to_dict(),
-            "fabric": self.fabric.to_dict(),
-            "arrivals": self.arrivals.to_dict(),
-            "jobs": [t.to_dict() for t in self.jobs],
-            "scheduler": self.scheduler.to_dict(),
-            "optimizer": self.optimizer.to_dict(),
-            "solver": self.solver,
-            "max_sim_time_s": self.max_sim_time_s,
-            "fast_forward": self.fast_forward,
-        }
-        if self.faults is not None:
-            data["faults"] = self.faults.to_dict()
-        if self.recovery != RecoverySpec():
-            data["recovery"] = self.recovery.to_dict()
-        if self.observe:
-            data["observe"] = True
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        _check_keys("ScenarioSpec", data, (f.name for f in fields(cls)))
-        kwargs: Dict[str, Any] = dict(data)
-        for key, sub in (
-            ("cluster", ClusterSpec),
-            ("fabric", FabricSpec),
-            ("arrivals", ArrivalSpec),
-            ("scheduler", SchedulerSpec),
-            ("optimizer", OptimizerSpec),
-            ("recovery", RecoverySpec),
-        ):
-            if key in kwargs and not isinstance(kwargs[key], sub):
-                kwargs[key] = sub.from_dict(kwargs[key])
-        if kwargs.get("faults") is not None and not isinstance(
-            kwargs["faults"], FaultScheduleSpec
-        ):
-            kwargs["faults"] = FaultScheduleSpec.from_dict(kwargs["faults"])
-        if "jobs" in kwargs:
-            kwargs["jobs"] = tuple(
-                t if isinstance(t, JobTemplateSpec)
-                else JobTemplateSpec.from_dict(t)
-                for t in (kwargs["jobs"] or ())
-            )
-        return cls(**kwargs)
-
-    # -- content addressing --------------------------------------------
-    def content_hash(self) -> str:
-        """SHA-256 of the canonical (spec, seed) JSON -- the store key.
-
-        Same contract as :meth:`repro.api.spec.ExperimentSpec.
-        content_hash`: equal specs hash equal however they were built,
-        and any field change -- including ``seed`` -- changes the
-        hash.  Because ``to_dict`` omits the fault plane at its
-        defaults, a no-fault scenario keeps the same hash across
-        releases that predate faults.
-
-        >>> spec = ScenarioSpec.preset("shared")
-        >>> spec.content_hash() == ScenarioSpec.from_dict(
-        ...     spec.to_dict()).content_hash()
-        True
-        >>> spec.content_hash() == spec.with_overrides(
-        ...     {"seed": 1}).content_hash()
-        False
-        """
-        from repro.api.spec import spec_content_hash
-
-        return spec_content_hash(self)
-
-    # -- overrides -----------------------------------------------------
-    def with_overrides(self, overrides: Mapping[str, Any]) -> "ScenarioSpec":
-        """A copy with dotted-path (or shorthand) fields replaced.
-
-        Numeric path parts index into lists, so a sweep can vary one
-        template: ``{"jobs.0.model": "BERT"}``.  Shorthands come from
-        :data:`SCENARIO_SHORTHANDS`.  The result is re-validated.
-
-        ``faults.*`` / ``recovery.*`` paths work even though the
-        default spec omits both keys from its dict: defaults are
-        filled in before the overrides apply, and an untouched (or
-        still-empty) fault plane normalizes away again.
-        """
-        data = self.to_dict()
-        data.setdefault("faults", FaultScheduleSpec().to_dict())
-        data.setdefault("recovery", RecoverySpec().to_dict())
-        data.setdefault("observe", False)
-        data = apply_overrides(data, overrides, SCENARIO_SHORTHANDS)
-        return ScenarioSpec.from_dict(data)
-
     # -- presets -------------------------------------------------------
     @classmethod
     def preset(cls, family: str) -> "ScenarioSpec":
@@ -645,7 +473,7 @@ class ScenarioSpec:
                 f"unknown scenario preset {family!r}; "
                 f"use one of {sorted(SCENARIO_PRESETS)}"
             )
-        return copy.deepcopy(SCENARIO_PRESETS[family])
+        return SCENARIO_PRESETS[family]
 
 
 #: The canonical scenario setups behind :meth:`ScenarioSpec.preset` and

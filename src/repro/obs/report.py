@@ -13,17 +13,15 @@ observed -- the executor's counter snapshot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
+from repro.codec import Record, field
 from repro.obs.tracer import TraceRecorder
-
-_REPORT_KEYS = ("spans", "counters", "gauges", "warmcache", "timelines",
-                "service")
 
 
 @dataclass(frozen=True)
-class ObsReport:
+class ObsReport(Record):
     """One observed run, merged into a single JSON-native schema."""
 
     #: Per-span-name aggregates: ``{"count", "total_s", "max_s"}``.
@@ -37,7 +35,9 @@ class ObsReport:
     #: RLE timelines as ``[[t, value], ...]`` point lists.
     timelines: Dict[str, List[List[float]]] = field(default_factory=dict)
     #: ``ServiceCounters`` snapshot when a service run was observed.
-    service: Optional[Dict[str, Any]] = None
+    service: Optional[Dict[str, Any]] = field(
+        default=None, omit_default=True
+    )
 
     @classmethod
     def build(
@@ -59,47 +59,6 @@ class ObsReport:
                 for name, timeline in recorder.timelines.items()
             },
             service=dict(service) if service is not None else None,
-        )
-
-    # -- serialization -------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "spans": {
-                name: dict(entry) for name, entry in sorted(self.spans.items())
-            },
-            "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
-            "warmcache": {
-                name: dict(entry)
-                for name, entry in sorted(self.warmcache.items())
-            },
-            "timelines": {
-                name: [list(point) for point in points]
-                for name, points in sorted(self.timelines.items())
-            },
-        }
-        if self.service is not None:
-            data["service"] = dict(self.service)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ObsReport":
-        unknown = sorted(set(data) - set(_REPORT_KEYS))
-        if unknown:
-            raise ValueError(f"ObsReport: unknown keys {unknown}")
-        return cls(
-            spans={k: dict(v) for k, v in data.get("spans", {}).items()},
-            counters=dict(data.get("counters", {})),
-            gauges=dict(data.get("gauges", {})),
-            warmcache={
-                k: dict(v) for k, v in data.get("warmcache", {}).items()
-            },
-            timelines={
-                k: [list(p) for p in v]
-                for k, v in data.get("timelines", {}).items()
-            },
-            service=(dict(data["service"])
-                     if data.get("service") is not None else None),
         )
 
     # -- human-readable summary ---------------------------------------

@@ -53,13 +53,14 @@ from concurrent.futures import (
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.codec import spec_from_dict
 from repro.obs import TRACER, SpanEvent
 from repro.service.metrics import (
     LatencyRecorder,
     ServiceCounters,
     ServiceReport,
 )
-from repro.service.store import ResultStore
+from repro.service.store import ResultStore, unobserved
 
 #: Worker-pool kinds ``BatchExecutor`` accepts (mirrors ``run_sweep``).
 EXECUTOR_KINDS = ("process", "thread", "serial")
@@ -76,19 +77,9 @@ class ServiceError(RuntimeError):
 # Worker-side entry points (module level: they must pickle)
 # ----------------------------------------------------------------------
 
-def spec_from_request(data: Mapping[str, Any]):
-    """Build the right spec type from one raw request mapping.
-
-    Scenario specs are recognized structurally (only they have an
-    ``arrivals`` process), the same dispatch the sweep machinery uses.
-    """
-    if "arrivals" in data:
-        from repro.cluster.spec import ScenarioSpec
-
-        return ScenarioSpec.from_dict(data)
-    from repro.api.spec import ExperimentSpec
-
-    return ExperimentSpec.from_dict(data)
+#: Build the right spec type from one raw request mapping -- the
+#: codec's one spec dispatcher, shared with sweep deserialization.
+spec_from_request = spec_from_dict
 
 
 def _cache_snapshot() -> Dict[str, Any]:
@@ -403,8 +394,10 @@ class BatchExecutor:
         self._fail(comp, last_error)
 
     def _resolve(self, comp: _Computation, result) -> None:
+        # Duplicates ran nothing, so they get no trace (see unobserved).
+        served = unobserved(result)
         if self._store is not None:
-            self._store.put(comp.spec, result)
+            self._store.put(comp.spec, served)
         waiters = self._detach(comp)
         now = time.monotonic()
         for index, (request, started) in enumerate(waiters):
@@ -414,7 +407,7 @@ class BatchExecutor:
                 comp.key, "compute" if index == 0 else "dedup", elapsed
             )
             request.attempts = comp.attempts
-            request.future.set_result(result)
+            request.future.set_result(result if index == 0 else served)
 
     def _fail(self, comp: _Computation, message: str) -> None:
         self.counters.bump("errors")

@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Mapping, Optional, Sequence
+
+from repro.codec import Record
 
 #: Counter names a :class:`ServiceCounters` accumulates.  One place, so
 #: the executor, the report, and the tests agree on the vocabulary.
@@ -128,7 +130,7 @@ class LatencyRecorder:
 
 
 @dataclass(frozen=True)
-class ServiceReport:
+class ServiceReport(Record):
     """One serving run, as numbers -- JSON-serializable.
 
     ``requests`` splits exactly into ``store_hits + deduplicated +
@@ -183,20 +185,6 @@ class ServiceReport:
             warm_cache=dict(warm_cache or {}),
             **counts,
         )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            f.name: (
-                dict(getattr(self, f.name))
-                if f.name in ("store", "warm_cache")
-                else getattr(self, f.name)
-            )
-            for f in fields(self)
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ServiceReport":
-        return cls(**dict(data))
 
     def format_lines(self) -> List[str]:
         """A human-readable summary (used by ``repro serve-batch``)."""

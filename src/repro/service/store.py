@@ -33,6 +33,7 @@ Durability rules:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import os
@@ -41,13 +42,14 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.api.spec import canonical_json
+from repro.codec import canonical_json, result_from_dict
 
 #: Stamped into every disk entry; bump on a layout change or on any
 #: change to a stored result's bytes (a kernel that moves a float by one
 #: ULP under an unchanged content hash), so old stores are cleanly
-#: treated as cold rather than misread or served stale.  Until results
-#: carry their own version, this stamp is the only guard.
+#: treated as cold rather than misread or served stale.
+#: ``tests/test_service_store.py`` pins one digest of golden result
+#: bytes per version and fails, asking for a bump, when they move.
 STORE_VERSION = 2
 
 #: Unique suffix source for temp files (pid alone is not enough: two
@@ -55,16 +57,16 @@ STORE_VERSION = 2
 _TMP_COUNTER = itertools.count()
 
 
-def _rebuild_result(data: Dict[str, Any]):
-    """Deserialize a stored result dict into its typed result object.
+def unobserved(result):
+    """``result`` without the trace (``obs``) of an observed run.
 
-    Dispatches exactly like sweep-point deserialization: scenario
-    results are marked ``"type": "scenario"``, everything else is an
-    :class:`repro.api.results.ExperimentResult`.
+    ``obs`` is off-JSON and belongs to the run that recorded it: a store
+    hit or a coalesced duplicate runs nothing, so it gets what a fresh
+    unobserved computation returns.
     """
-    from repro.api.results import _result_from_dict
-
-    return _result_from_dict(data)
+    if getattr(result, "obs", None) is None:
+        return result
+    return dataclasses.replace(result, obs=None)
 
 
 class ResultStore:
@@ -155,7 +157,7 @@ class ResultStore:
                 or entry.get("key") != key
             ):
                 raise ValueError("entry stamp mismatch")
-            return _rebuild_result(entry["result"])
+            return result_from_dict(entry["result"])
         except Exception:
             # Torn, truncated, stale-version, or mislabeled entry: a
             # damaged cache is a cold cache, never a crash.
@@ -186,6 +188,7 @@ class ResultStore:
             )
             tmp.write_text(canonical_json(entry))
             os.replace(tmp, path)
+        result = unobserved(result)
         with self._lock:
             self._counts["puts"] += 1
             self._remember(key, result)

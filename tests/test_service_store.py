@@ -1,5 +1,6 @@
 """Tests for the content-addressed result store and spec hashing."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -18,8 +19,16 @@ from repro.api.spec import (
     WorkloadSpec,
     canonical_json,
 )
+from repro.cluster.engine import run_scenario
+from repro.cluster.invariants import GOLDEN_POLICIES, golden_scenario_spec
 from repro.cluster.spec import ScenarioSpec
 from repro.service import STORE_VERSION, ResultStore
+
+#: SHA-256 over the canonical JSON of the five golden scenario results
+#: and of :func:`pinned_experiment`'s result, per ``STORE_VERSION``.
+RESULT_DIGESTS = {
+    2: "b67205d6be85523476e64e905373866b5ab00bfc10d406685fa92545b92546eb",
+}
 
 
 def cheap_spec(seed: int = 0, servers: int = 8) -> ExperimentSpec:
@@ -32,6 +41,20 @@ def cheap_spec(seed: int = 0, servers: int = 8) -> ExperimentSpec:
         fabric=FabricSpec(kind="fattree"),
         optimizer=OptimizerSpec(strategy="auto"),
         baselines=(),
+    )
+
+
+def pinned_experiment() -> ExperimentSpec:
+    """A small searched experiment timed on all three co-search fabrics."""
+    return ExperimentSpec(
+        name="store-version-pin",
+        seed=1,
+        workload=WorkloadSpec(model="DLRM", scale="testbed"),
+        cluster=ClusterSpec(servers=8, degree=4, bandwidth_gbps=100.0),
+        fabric=FabricSpec(kind="topoopt"),
+        optimizer=OptimizerSpec(rounds=1, mcmc_iterations=20),
+        baselines=(FabricSpec(kind="fattree"),
+                   FabricSpec(kind="ocs-reconfig")),
     )
 
 
@@ -238,3 +261,22 @@ class TestResultStore:
     def test_rejects_bad_memory_bound(self):
         with pytest.raises(ValueError):
             ResultStore(memory_entries=0)
+
+    def test_store_version_pins_result_bytes(self):
+        """Stored bytes may only move together with ``STORE_VERSION``.
+
+        A store keys results by spec hash alone, so a change that moves
+        a result's bytes under an unchanged spec must bump the version,
+        or an old disk store keeps serving the old bytes.
+        """
+        digest = hashlib.sha256()
+        for key in sorted(GOLDEN_POLICIES):
+            result = run_scenario(golden_scenario_spec(key))
+            digest.update(canonical_json(result.to_dict()).encode())
+        result = run_experiment(pinned_experiment())
+        digest.update(canonical_json(result.to_dict()).encode())
+        assert RESULT_DIGESTS.get(STORE_VERSION) == digest.hexdigest(), (
+            "stored result bytes changed: bump STORE_VERSION in "
+            "repro/service/store.py and pin the new digest "
+            f"{digest.hexdigest()} under it in RESULT_DIGESTS"
+        )
