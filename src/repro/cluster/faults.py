@@ -294,7 +294,9 @@ class FaultPlane:
 
     ``failed_servers`` tracks hosts currently out of the allocator's
     pool; ``fail_started`` remembers when each fault began so repairs
-    can report their downtime (the MTTR numerator).
+    can report their downtime (the MTTR numerator); ``resolved_links``
+    maps a link event to the edge it actually cut (``link=None`` means
+    the job's first ring edge), so its repair heals that edge.
     """
 
     def __init__(
@@ -308,13 +310,14 @@ class FaultPlane:
         self.cluster_servers = cluster_servers
         self.failed_servers: set = set()
         self.fail_started: Dict[Any, float] = {}
+        self.resolved_links: Dict[FaultEventSpec, Tuple[int, int]] = {}
         for event in schedule.resolve(seed, cluster_servers):
             if event.kind == "link":
                 self.push(event.time_s, "link_fail", event)
                 if event.repair_s is not None:
                     self.push(event.repair_s, "link_repair", event)
             elif event.kind == "server":
-                self.push(event.time_s, "server_fail", event)
+                self.push(event.time_s, "server_fail", event.server)
                 if event.repair_s is not None:
                     self.push(event.repair_s, "server_repair", event.server)
             else:

@@ -688,7 +688,14 @@ class SharedClusterSimulator:
         return state
 
     def remove_job(self, state: _JobState) -> None:
-        """Withdraw a job: cancel its timer and drop its in-flight flows."""
+        """Withdraw a job: cancel its timer and drop its in-flight flows.
+
+        Their bandwidth returns to the survivors at once.  Work in a
+        partial iteration is discarded, so a job that comes back (after
+        preemption, an elastic resize or a fault) is a fresh
+        :meth:`add_job` that resumes from its last iteration boundary;
+        the caller carries its iteration count across.
+        """
         # Remove by identity: distinct jobs with identical specs and
         # fresh stats compare equal, and list.remove would detach the
         # wrong one.
@@ -713,49 +720,6 @@ class SharedClusterSimulator:
             if flow is not None:
                 self.network.remove_flow(flow)
             del self._flow_owner[flow_id]
-
-    def suspend_job(self, state: _JobState) -> int:
-        """Checkpoint-evict a job; returns its completed iteration count.
-
-        Preemption's simulator half: the job's compute timer is
-        cancelled and its in-flight flows (kernel columns or reference
-        flows) are torn down mid-phase, immediately returning their
-        bandwidth to the survivors.  Work in the *partial* iteration is
-        discarded -- training resumes from the last iteration boundary,
-        exactly what restoring the last checkpoint means -- which is
-        why the scheduler charges the checkpoint/restart cost to the
-        evicted job rather than replaying flow remainders.
-        """
-        self.remove_job(state)
-        return len(state.stats.iteration_times)
-
-    def resume_job(
-        self, spec: JobSpec, start: Optional[float] = None
-    ) -> _JobState:
-        """Re-admit a suspended job as a fresh state starting at ``start``.
-
-        The caller re-prepares ``spec`` (the shard block -- and with
-        elastic resize even the shard *size* -- may differ from the
-        evicted segment, so traffic and fabric must be re-expressed in
-        the new global ids) and carries the iteration count returned by
-        :meth:`suspend_job` across segments itself.
-        """
-        return self.add_job(spec, start=start)
-
-    def resize_job(
-        self,
-        state: _JobState,
-        spec: JobSpec,
-        start: Optional[float] = None,
-    ) -> _JobState:
-        """Atomic suspend + resume at a new shard size.
-
-        Elastic grow/shrink: tear down the old segment's flows and
-        start ``spec`` (the pipeline re-run at the new size) at
-        ``start``.  Returns the new state; the old one is dead.
-        """
-        self.suspend_job(state)
-        return self.add_job(spec, start=start)
 
     def defer_job(self, state: _JobState, until: float) -> None:
         """Skip a job ahead to the iteration boundary at ``until``.

@@ -21,6 +21,8 @@ trace both backfill flavors strictly beat FCFS on mean queueing delay
 while the blocked head job starts no later.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster.engine import ScenarioEngine, run_scenario
@@ -103,3 +105,35 @@ class TestBackfillBeatsFcfs:
             first_admissions(backfilled)[head]
             <= first_admissions(fcfs)[head] + _EPS
         )
+
+
+class TestIterationEstimate:
+    """The reservation currency falls back only when a shard cannot be
+    built: an expander needs an even ``servers x degree``."""
+
+    def prepared(self, servers):
+        spec = golden_scenario_spec("easy").with_overrides(
+            {"fabric": "expander", "cluster.degree": 3}
+        )
+        engine = ScenarioEngine(spec)
+        plan = replace(engine._draw_jobs()[0], servers=servers)
+        # A private copy: the warm pipeline cache shares the estimate.
+        return engine, replace(engine._prepare(plan), est_iteration_s=None)
+
+    def test_unbuildable_expander_shard_falls_back(self):
+        engine, prepared = self.prepared(5)
+        assert engine._est_iteration(prepared, 5) == 2.0 * prepared.compute_s
+
+    def test_buildable_shard_is_simulated(self):
+        engine, prepared = self.prepared(4)
+        assert engine._est_iteration(prepared, 4) != 2.0 * prepared.compute_s
+
+    def test_other_build_errors_propagate(self, monkeypatch):
+        engine, prepared = self.prepared(4)
+
+        def broken(spec, ctx):
+            raise TypeError("broken fabric builder")
+
+        monkeypatch.setattr("repro.cluster.engine.build_fabric", broken)
+        with pytest.raises(TypeError, match="broken fabric builder"):
+            engine._est_iteration(prepared, 4)

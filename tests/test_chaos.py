@@ -18,6 +18,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api.spec import ClusterSpec, FabricSpec
 from repro.cluster import (
@@ -33,6 +35,7 @@ from repro.cluster.invariants import (
     check_scenario_invariants,
     verify_scenario,
 )
+from repro.cluster.engine import _TIME_EPS, checkpoint_rollback
 from repro.cluster.spec import SchedulerSpec
 
 CHAOS_SEEDS = 25
@@ -176,6 +179,74 @@ class TestCheckpointRestartBounds:
         assert 0.0 < fault["goodput_degradation"] < 1.0
         assert 0.0 < fault["availability"] <= 1.0
         assert math.isfinite(fault["mttr_s"])
+
+
+DAY_S = 86400.0
+
+
+@st.composite
+def crashed_segments(draw):
+    """A crashed segment: its RLE iteration log, its service time (up
+    to 100 days, never less than the logged work) and its checkpoint
+    interval (``None``: no checkpoints)."""
+    interval = draw(st.one_of(st.none(), st.floats(1e-3, 100 * DAY_S)))
+    if interval is not None and draw(st.booleans()):
+        # Within a hair of a checkpoint boundary, on either side: the
+        # edge the roll-back's rounding tolerance exists for.
+        k = draw(st.integers(1, max(1, int(100 * DAY_S // interval))))
+        elapsed = k * interval * (1.0 + draw(st.floats(-1e-8, 1e-8)))
+        elapsed = min(max(elapsed, 0.0), 100 * DAY_S)
+    else:
+        elapsed = draw(st.floats(0.0, 100 * DAY_S))
+    log, work = [], 0.0
+    durations = st.one_of(st.just(0.0), st.floats(1e-6, 1e4))
+    for t in draw(st.lists(durations, max_size=8)):
+        room = (elapsed - work) // t if t > 0 else 10**6
+        if room >= 1:
+            count = draw(st.integers(1, int(min(room, 10**9))))
+            log.append((t, count))
+            work += t * count
+    return log, elapsed, interval
+
+
+class TestCheckpointRollback:
+    """What survives a crash, over arbitrary segments up to 100 days.
+
+    The engine's chaos seeds check the lost-work bound on the logs they
+    happen to produce; this checks it on any log.
+    """
+
+    @settings(max_examples=400, deadline=None)
+    @given(crashed_segments())
+    # Service a hair short of a boundary: the checkpoint must not land
+    # after elapsed_s.  An iteration ending within _TIME_EPS past the
+    # checkpoint counts as saved.
+    @example(([], 0.9999999991838773, 1.0))
+    @example(([(1.0000000005, 1)], 1.5, 1.0))
+    def test_keeps_a_checkpointed_prefix(self, segment):
+        log, elapsed, interval = segment
+        kept, kept_iters, kept_work, checkpoint = checkpoint_rollback(
+            log, elapsed, interval
+        )
+        slack = 1e-12 * max(elapsed, 1.0)
+        # A prefix of the log, its last run possibly shortened.
+        if kept:
+            assert kept[:-1] == log[: len(kept) - 1]
+            t, count = kept[-1]
+            assert t == log[len(kept) - 1][0]
+            assert 1 <= count <= log[len(kept) - 1][1]
+        assert kept_iters == sum(c for _, c in kept)
+        assert kept_work == pytest.approx(sum(t * c for t, c in kept))
+        # Nothing past the checkpoint survives ...
+        assert 0.0 <= checkpoint <= elapsed
+        assert kept_work <= checkpoint + _TIME_EPS + slack
+        # ... and nothing before it is lost but the iteration that
+        # straddles it.
+        lost = sum(t * c for t, c in log) - kept_work
+        step = max((t for t, _ in log), default=0.0)
+        assert lost <= (elapsed - checkpoint) + step + slack
+        if interval is not None:
+            assert elapsed - checkpoint <= interval + slack
 
 
 class TestHostDeathReleasesBlock:

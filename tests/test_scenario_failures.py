@@ -173,3 +173,47 @@ class TestFailuresMidScenario:
         )
         assert result.failure_log[0]["kind"] == "skipped"
         assert "shard" in result.failure_log[0]["reason"]
+
+
+class TestLinkCutsAfterElasticResize:
+    """A grow re-provisions the shard, so later cuts act on the new one.
+
+    Job 0 starts on 4 of 8 servers, is cut at 0.02 s, and grows to all
+    8 once job 1 departs (t ~ 0.036 s).  A second cut at 0.1 s must hit
+    the 8-server shard, not the 4-server one the first cut patched.
+    """
+
+    FIRST = dict(time_s=0.02, job_index=0)
+
+    def spec(self):
+        return ScenarioSpec.preset("shared").with_overrides({
+            "servers": 8, "elastic": True, "arrivals.times": [0.0, 0.0],
+            "jobs.0.servers": 4, "jobs.0.max_servers": 8,
+            "jobs.0.iterations": 30,
+            "jobs.1.servers": 4, "jobs.1.iterations": 2,
+        })
+
+    def run_job0(self, *cuts):
+        result = run_scenario(with_link_cuts(self.spec(), *cuts))
+        job = result.jobs[0]
+        assert job.resizes == 1 and len(job.servers) == 8
+        return job, result
+
+    def test_cut_on_a_link_only_the_grown_shard_has(self):
+        late = dict(time_s=0.1, job_index=0, link=(4, 5))
+        _, result = self.run_job0(self.FIRST, late)
+        assert [entry["kind"] for entry in result.failure_log] == [
+            "mp_detour", "mp_detour",
+        ]
+        assert result.failure_log[1]["link"] == [4, 5]
+
+    def test_late_cut_slows_the_grown_job(self):
+        late = dict(time_s=0.1, job_index=0, link=(1, 2))
+        first_only, _ = self.run_job0(self.FIRST)
+        both, result = self.run_job0(self.FIRST, late)
+        assert result.failure_log[1]["kind"] == "mp_detour"
+        assert both.completed_s > first_only.completed_s
+        # The first cut died with the 4-server shard: the late cut
+        # costs what it costs on its own.
+        late_only, _ = self.run_job0(late)
+        assert both.completed_s == late_only.completed_s

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -21,13 +23,21 @@ from repro.api.spec import (
 )
 from repro.cluster.engine import run_scenario
 from repro.cluster.invariants import GOLDEN_POLICIES, golden_scenario_spec
-from repro.cluster.spec import ScenarioSpec
+from repro.cluster.spec import (
+    ArrivalSpec,
+    JobTemplateSpec,
+    ScenarioSpec,
+    SchedulerSpec,
+)
 from repro.service import STORE_VERSION, ResultStore
 
-#: SHA-256 over the canonical JSON of the five golden scenario results
-#: and of :func:`pinned_experiment`'s result, per ``STORE_VERSION``.
+#: SHA-256 over the canonical JSON of the five golden scenario results,
+#: of :func:`pinned_scenarios`' results and of :func:`pinned_experiment`'s
+#: result, per ``STORE_VERSION``.  Version 3 moved only TopoOpt results
+#: with link cuts after an elastic resize, which no pinned scenario has,
+#: so it keeps version 2's digest.
 RESULT_DIGESTS = {
-    2: "b67205d6be85523476e64e905373866b5ab00bfc10d406685fa92545b92546eb",
+    3: "b81aae69df6ac3ebf8fcf9c06d8801bf15dfbb08a3d5d371aa336639d410016f",
 }
 
 
@@ -56,6 +66,72 @@ def pinned_experiment() -> ExperimentSpec:
         baselines=(FabricSpec(kind="fattree"),
                    FabricSpec(kind="ocs-reconfig")),
     )
+
+
+def pinned_fleet(policy: str) -> ScenarioSpec:
+    """A fleet-shaped scenario: 32 TopoOpt servers, fast-forward, storms.
+
+    32 jobs cycle through the four models at 2-8-server shards with
+    log-normal iteration quotas (median 200k) and 10-minute mean gaps,
+    so the four storms land on running jobs: they kill hosts, cut shard
+    links and heal later under recovery ``policy``.
+    """
+    rng = random.Random(3)
+    models = ("DLRM", "BERT", "CANDLE", "VGG16")
+    clock, times, jobs = 0.0, [], []
+    for index in range(32):
+        clock += rng.expovariate(1.0 / 600.0)
+        times.append(round(clock, 3))
+        jobs.append(JobTemplateSpec(
+            model=models[index % 4], servers=2 + 2 * (index // 4 % 4),
+            iterations=max(1, round(rng.lognormvariate(math.log(2e5), 1.0))),
+        ))
+    spec = ScenarioSpec(
+        name=f"pin-fleet-{policy}",
+        seed=3,
+        cluster=ClusterSpec(servers=32, degree=4, bandwidth_gbps=100.0),
+        fabric=FabricSpec(kind="topoopt"),
+        arrivals=ArrivalSpec(process="explicit", times=tuple(times)),
+        jobs=tuple(jobs),
+        scheduler=SchedulerSpec(policy="best-fit"),
+        max_sim_time_s=4e7,
+        fast_forward=True,
+    )
+    return spec.with_overrides({
+        "storms": 4, "storm_window_s": 0.8 * clock, "storm_region_size": 8,
+        "storm_servers": 1, "storm_links": 1, "mean_repair_s": 2e4,
+        "recovery_policy": policy,
+    })
+
+
+def pinned_scenarios():
+    """Scenarios whose bytes the goldens miss: every engine path.
+
+    Fault storms under each recovery policy, an explicit link cut and
+    its port-swap repair, a host death that leaves the queue
+    unplaceable, preemption and elastic resize on a shared substrate,
+    and wall-clock trace jobs under fast-forward.
+    """
+    shared = ScenarioSpec.preset("shared")
+    return [pinned_fleet(policy)
+            for policy in ("detour", "reoptimize", "checkpoint-restart")] + [
+        shared.with_overrides({
+            "name": "pin-link-cut",
+            "faults.events": [{"kind": "link", "time_s": 0.02,
+                               "job_index": 0, "repair_s": 0.05}],
+        }),
+        shared.with_overrides({
+            "name": "pin-unplaceable", "servers": 8,
+            "faults.events": [{"kind": "server", "time_s": 0.01,
+                               "server": 3}],
+        }),
+        golden_scenario_spec("preempt").with_overrides({"fabric": "fattree"}),
+        golden_scenario_spec("elastic").with_overrides({"fabric": "fattree"}),
+        ScenarioSpec.preset("lifetime").with_overrides({
+            "name": "pin-wallclock", "servers": 32, "durations": "wallclock",
+            "fast_forward": True, "max_sim_time_s": 4e7,
+        }),
+    ]
 
 
 class TestContentHash:
@@ -270,11 +346,30 @@ class TestResultStore:
         or an old disk store keeps serving the old bytes.
         """
         digest = hashlib.sha256()
-        for key in sorted(GOLDEN_POLICIES):
-            result = run_scenario(golden_scenario_spec(key))
+        events, kinds = set(), set()
+        fast_forwarded = wallclock = 0
+        specs = [golden_scenario_spec(key) for key in sorted(GOLDEN_POLICIES)]
+        for spec in specs + pinned_scenarios():
+            result = run_scenario(spec)
             digest.update(canonical_json(result.to_dict()).encode())
+            events.update(entry["event"] for entry in result.scheduler_log)
+            kinds.update(entry["kind"] for entry in result.failure_log)
+            fast_forwarded += sum(
+                job.iteration_counts is not None for job in result.jobs
+            )
+            wallclock += sum(job.duration_s is not None for job in result.jobs)
         result = run_experiment(pinned_experiment())
         digest.update(canonical_json(result.to_dict()).encode())
+        # The pin covers every engine path, not just fault-free runs.
+        assert events >= {
+            "admit", "preempt", "resize", "depart", "fault", "repair",
+            "suspend", "recover", "unfinished",
+        }
+        assert kinds >= {
+            "storm", "server_fail", "server_repair", "mp_detour",
+            "port_swap", "link_cut", "reoptimize", "skipped",
+        }
+        assert fast_forwarded and wallclock
         assert RESULT_DIGESTS.get(STORE_VERSION) == digest.hexdigest(), (
             "stored result bytes changed: bump STORE_VERSION in "
             "repro/service/store.py and pin the new digest "
