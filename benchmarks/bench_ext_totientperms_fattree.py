@@ -21,8 +21,8 @@ from repro.core.select_perms import select_permutations
 from repro.core.totient import coprime_strides, ring_permutation
 from repro.network.fattree import LeafSpineFabric
 from repro.parallel.collectives import allreduce_edge_bytes
+from repro.sim.events import FlowEventEngine
 from repro.sim.flows import Flow
-from repro.sim.fluid import FluidNetwork
 
 N = 32
 SERVERS_PER_RACK = 8
@@ -67,24 +67,14 @@ def _background_flows(fabric):
 
 def _collective_completion(fabric, ring_flows):
     """Time until every ring flow finishes, with background present."""
-    network = FluidNetwork(fabric.capacities())
-    pending = set()
-    for flow in ring_flows:
-        flow.remaining_bits = float(flow.size_bits)
-        network.add_flow(flow)
-        pending.add(flow.flow_id)
-    for flow in _background_flows(fabric):
-        network.add_flow(flow)
-    now = 0.0
-    while pending:
-        dt = network.time_to_next_completion()
-        if dt is None:
+    engine = FlowEventEngine(
+        fabric.capacities(), list(ring_flows) + _background_flows(fabric)
+    )
+    ring = engine.completion_times[: len(ring_flows)]  # a view
+    while np.isnan(ring).any():
+        if engine.step() is None:
             raise RuntimeError("collective stalled")
-        completed = network.advance(dt + 1e-9)
-        now += dt + 1e-9
-        for flow in completed:
-            pending.discard(flow.flow_id)
-    return now
+    return float(ring.max())
 
 
 def run_experiment():

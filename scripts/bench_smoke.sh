@@ -6,11 +6,12 @@
 # multi-job shared-cluster scenario engine, and a capped fleet-scale
 # trace scenario.  Exits non-zero if the docs are broken, an example
 # fails or times out, a vectorized kernel has regressed to slower than
-# the retained seed implementation, the incremental cost model drifts
-# from its full-rebuild oracle, the scenario engine loses (spec, seed)
-# determinism / reference-allocator equivalence, the scenario kernel
-# falls under its 1.5x speedup floor at n=64, the fleet scenario
-# fails to drain its trace, the scheduler policy sweep regresses
+# its seed reference (src/repro/oracles.py), a kernel's result drifts
+# from its oracle's (phase makespans, ECMP hop counts, LP matrices,
+# MCMC and alternating-optimization costs), the scenario engine loses
+# (spec, seed) determinism / reference-allocator equivalence, the
+# scenario kernel falls under its 1.5x speedup floor at n=64, the fleet
+# scenario fails to drain its trace, the scheduler policy sweep regresses
 # (every queue policy -- FCFS, EASY, conservative backfill -- must
 # drain a 100-job production trace deterministically under a 60 s
 # wall-time cap, and backfill must strictly beat FCFS mean queueing

@@ -73,7 +73,6 @@ from repro.parallel import (
 )
 from repro.sim import (
     Flow,
-    FluidNetwork,
     IterationBreakdown,
     ReconfigurableFabricSimulator,
     SharedClusterSimulator,
@@ -124,7 +123,6 @@ __all__ = [
     "extract_traffic",
     "hybrid_strategy",
     "Flow",
-    "FluidNetwork",
     "IterationBreakdown",
     "ReconfigurableFabricSimulator",
     "SharedClusterSimulator",

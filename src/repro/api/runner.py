@@ -111,7 +111,6 @@ def time_fabric(
     traffic,
     compute_s: float,
     kind: str,
-    solver: str = "incremental",
     bandwidth_gbps: Optional[float] = None,
     degree: Optional[int] = None,
     collect_link_bytes: bool = False,
@@ -141,7 +140,7 @@ def time_fabric(
     else:
         breakdown = simulate_iteration(
             fabric, traffic, compute_s,
-            collect_link_bytes=collect_link_bytes, solver=solver,
+            collect_link_bytes=collect_link_bytes,
         )
         total_s = breakdown.total_s
         mp_s = breakdown.mp_s
@@ -196,7 +195,6 @@ def _time_fabric_spec(
         prepared.traffic,
         prepared.compute_s,
         fabric_spec.kind,
-        solver=spec.sim.solver,
         bandwidth_gbps=gbps,
         degree=degree,
         collect_link_bytes=spec.sim.collect_link_bytes,
@@ -287,7 +285,6 @@ def prepare(spec: ExperimentSpec) -> PreparedExperiment:
                 optimizer.primes_only
                 or spec.fabric.options.get("primes_only", False)
             ),
-            incremental=optimizer.incremental,
         )
         best = alternating.run(seed=spec.seed)
         return PreparedExperiment(
@@ -337,7 +334,6 @@ def prepare(spec: ExperimentSpec) -> PreparedExperiment:
     result = search.search(
         fabric,
         iterations=optimizer.mcmc_iterations,
-        incremental=optimizer.incremental,
         restarts=optimizer.mcmc_restarts,
     )
     return PreparedExperiment(

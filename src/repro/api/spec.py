@@ -59,7 +59,6 @@ OVERRIDE_SHORTHANDS: Dict[str, str] = {
     "mcmc_iterations": "optimizer.mcmc_iterations",
     "mcmc_restarts": "optimizer.mcmc_restarts",
     "primes_only": "optimizer.primes_only",
-    "solver": "sim.solver",
 }
 
 
@@ -184,7 +183,6 @@ class OptimizerSpec(Spec, path="optimizer"):
     mcmc_iterations: int = field(default=150, ge=1)
     mcmc_restarts: int = field(default=1, ge=1)
     primes_only: bool = False
-    incremental: bool = True
 
     def _validate(self):
         from repro.api import registry as _registry_mod  # lazy, cycle-free
@@ -199,26 +197,14 @@ class OptimizerSpec(Spec, path="optimizer"):
 
 @dataclass(frozen=True)
 class SimSpec(Spec, path="sim"):
-    """Flow-simulation knobs for the iteration-time measurement.
+    """Flow-simulation options for the iteration-time measurement.
 
-    ``solver`` is the event engine's solve mode
-    (:class:`repro.sim.events.FlowEventEngine`): ``"incremental"``
-    (default) re-solves max-min rates per event batch and hands a phase
-    over to the incremental solver once its completions come one flow
-    at a time; ``"batch"`` re-solves per event batch throughout, the
-    equivalence oracle.  The OCS-reconfig and SiP-ML fabrics simulate
-    themselves and ignore it.
+    ``collect_link_bytes`` records the bytes each link carries over the
+    iteration (Figure 15's CDF).  The OCS-reconfig and SiP-ML fabrics
+    simulate themselves and ignore it.
     """
 
-    solver: str = "incremental"
     collect_link_bytes: bool = False
-
-    def _validate(self):
-        _require(
-            self.solver in ("incremental", "batch"),
-            f"sim.solver: unknown solver {self.solver!r}; "
-            f"use 'incremental' or 'batch'",
-        )
 
 
 @dataclass(frozen=True)

@@ -700,15 +700,17 @@ def bench_smoke(argv: Sequence[str] = ()) -> int:
     the staggered-flow event engine, the search plane (MCMC steps/sec
     and end-to-end alternating optimization), and the multi-job
     scenario engine, and fails (exit 1) if a vectorized kernel has
-    regressed to slower than the retained seed implementation at n=64,
-    the incremental MCMC costs drift from the full-rebuild oracle, the
-    scenario engine loses (spec, seed) determinism / allocator
-    equivalence, the scenario kernel falls under its 1.5x speedup
-    floor at n=64, the capped fleet-scale scenario fails to drain its
-    trace, the scheduler policy sweep fails its gate (every queue
-    policy drains a 100-job trace deterministically under a 60 s
-    wall-time cap, with backfill strictly beating FCFS queueing delay
-    on the head-of-line-blocking trace), the failure-storm
+    regressed to slower than the seed implementation at n=64 (the
+    oracles in :mod:`repro.oracles`), a kernel's result drifts from its
+    oracle's (phase makespans, ECMP hop counts, LP matrices, MCMC and
+    alternating-optimization costs), the scenario engine loses (spec,
+    seed) determinism / allocator equivalence, the scenario kernel
+    falls under its 1.5x speedup floor at n=64, the capped fleet-scale
+    scenario fails to drain its trace, the scheduler policy sweep fails
+    its gate (every queue policy drains a 100-job trace
+    deterministically under a 60 s wall-time cap, with backfill
+    strictly beating FCFS queueing delay on the head-of-line-blocking
+    trace), the failure-storm
     scenario fails its gate (every recovery policy drains the trace
     through a correlated fault storm, deterministically, with zero
     scheduler-invariant violations and >= 20 applied fault events), or
@@ -782,6 +784,23 @@ def smoke_gate_failures(results: Dict[str, Any], gate_key: str) -> List[str]:
         (at_gate("mcmc_steps")["cost_rel_err"] >= 1e-12,
          "EQUIVALENCE REGRESSION: incremental MCMC costs drifted from "
          "the full-rebuild oracle"),
+        # The other kernel-vs-oracle checks; ``not x < bound`` also
+        # fails a NaN.
+        (not at_gate("phase_sim")["makespan_rel_err"] < 1e-6,
+         "EQUIVALENCE REGRESSION: phase_sim makespan drifted from the "
+         "seed event loop"),
+        (not at_gate("staggered_phase")["makespan_rel_err"] < 1e-6,
+         "EQUIVALENCE REGRESSION: staggered_phase makespan drifted from "
+         "the engine that never hands over"),
+        (not at_gate("routing")["hop_counts_match"],
+         "EQUIVALENCE REGRESSION: batched ECMP hop counts differ from "
+         "the seed per-pair BFS"),
+        (not at_gate("lp_assembly")["matrices_match"],
+         "EQUIVALENCE REGRESSION: sparse routing-LP matrices differ from "
+         "the seed dense assembly"),
+        (not at_gate("alternating")["cost_rel_err"] < 1e-9,
+         "EQUIVALENCE REGRESSION: alternating optimization cost drifted "
+         "from the full-rebuild search plane"),
         (not scenario["deterministic"],
          "DETERMINISM REGRESSION: same (scenario spec, seed) produced "
          "different result JSON"),

@@ -129,9 +129,12 @@ class _Prepared:
     compute_s: float
     strategy_name: str
     fabric: Optional[object] = None  # local-id TopoOptFabric (shard mode)
-    #: Lazily measured uncontended iteration wall time (the backfill
-    #: disciplines' reservation currency); exact on isolated shards.
-    est_iteration_s: Optional[float] = None
+    #: Lazily measured uncontended iteration wall times (the backfill
+    #: disciplines' reservation currency), keyed by what the measurement
+    #: reads beyond this pipeline: ``None`` on an isolated shard (the
+    #: template's own fabric), ``(fabric spec hash, seed)`` on a shared
+    #: substrate, whose shard-size fabric is built from both.
+    estimates: Dict[Any, float] = field(default_factory=dict)
     #: Lazily compiled shard flow set, shared by every admission of
     #: this template (shard mode only; see :meth:`ScenarioEngine._place`).
     flows: Optional[FlowSet] = None
@@ -297,9 +300,18 @@ def checkpoint_rollback(
 class ScenarioEngine:
     """Drives one scenario; most callers want :func:`run_scenario`."""
 
+    #: The fluid simulation every shard and shared fabric runs on.
+    substrate_class = SharedClusterSimulator
+
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
         self.shardable = spec.fabric.kind == "topoopt"
+        #: The key of this scenario's iteration estimates on a pipeline
+        #: output (see :attr:`_Prepared.estimates`).
+        self._estimate_key = (
+            None if self.shardable
+            else (spec.fabric.content_hash(), spec.seed)
+        )
         self._allocator = ShardAllocator(
             spec.cluster.servers,
             spec.scheduler.policy,
@@ -332,11 +344,8 @@ class ScenarioEngine:
             )
             self._shared_fabric = build_fabric(spec.fabric, ctx)
             self._substrates.append(
-                SharedClusterSimulator(
-                    self._shared_fabric.capacities(),
-                    seed=0,
-                    stagger=False,
-                    solver=spec.solver,
+                self.substrate_class(
+                    self._shared_fabric.capacities(), seed=0, stagger=False
                 )
             )
         self.failure_log: List[Dict[str, Any]] = []
@@ -585,10 +594,14 @@ class ScenarioEngine:
         shared substrate the local build ignores contention, making the
         estimate a lower bound, as user-supplied runtime estimates are
         in real clusters.  Cached on the (warm-cache-shared) pipeline
-        output, so each template pays for one estimate per shard size.
+        output under :attr:`_estimate_key`, so each template pays for
+        one estimate per shard size -- and, on a shared substrate, per
+        fabric spec and seed, which its shard-size fabric is built from.
         """
-        if prepared.est_iteration_s is not None:
-            return prepared.est_iteration_s
+        key = self._estimate_key
+        cached = prepared.estimates.get(key)
+        if cached is not None:
+            return cached
         fabric = prepared.fabric
         flows = None
         if fabric is None:
@@ -611,11 +624,8 @@ class ScenarioEngine:
             flows = self._shard_flows(prepared)
         estimate = 2.0 * prepared.compute_s
         if fabric is not None:
-            sim = SharedClusterSimulator(
-                fabric.capacities(),
-                seed=0,
-                stagger=False,
-                solver=self.spec.solver,
+            sim = self.substrate_class(
+                fabric.capacities(), seed=0, stagger=False
             )
             state = sim.add_job(
                 JobSpec(
@@ -636,8 +646,8 @@ class ScenarioEngine:
                 sim.advance_to(target)
             if state.stats.iteration_times:
                 estimate = float(state.stats.iteration_times[0])
-        prepared.est_iteration_s = max(estimate, _TIME_EPS)
-        return prepared.est_iteration_s
+        estimate = prepared.estimates[key] = max(estimate, _TIME_EPS)
+        return estimate
 
     # -- placement -----------------------------------------------------
     @staticmethod
@@ -677,11 +687,8 @@ class ScenarioEngine:
                 server_map=servers,
             )
         fabric = prepared.fabric.relabel(servers)
-        substrate = SharedClusterSimulator(
-            fabric.capacities(),
-            seed=0,
-            stagger=False,
-            solver=self.spec.solver,
+        substrate = self.substrate_class(
+            fabric.capacities(), seed=0, stagger=False
         )
         self._substrates.append(substrate)
         return substrate, JobSpec(

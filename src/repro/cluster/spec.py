@@ -44,7 +44,6 @@ from repro.cluster.faults import (
 )
 from repro.codec import Spec, field
 from repro.models.configs import CONFIG_FAMILIES, MODEL_BUILDERS
-from repro.sim.cluster import NETWORK_SOLVERS
 
 #: Arrival processes the engine understands.
 ARRIVAL_PROCESSES = ("explicit", "poisson", "trace")
@@ -76,11 +75,6 @@ PREEMPTION_MODES = ("none", "priority")
 #: look-ahead provisioning).
 PROVISIONING_MODES = ("flat", "lookahead")
 
-#: Allocator backends of the underlying fluid simulation -- derived
-#: from the registry :class:`repro.sim.cluster.SharedClusterSimulator`
-#: actually dispatches on, so the two can never drift apart.
-SCENARIO_SOLVERS = tuple(sorted(NETWORK_SOLVERS))
-
 #: Trace job families (``traces.generator.WORKLOAD_MIX``) mapped onto
 #: the workload registry's model names.
 FAMILY_MODELS: Dict[str, str] = {
@@ -107,7 +101,6 @@ SCENARIO_SHORTHANDS: Dict[str, str] = {
     "strategy": "optimizer.strategy",
     "rounds": "optimizer.rounds",
     "mcmc_iterations": "optimizer.mcmc_iterations",
-    "solver": "solver",
     "durations": "arrivals.durations",
     "fast_forward": "fast_forward",
     "queue": "scheduler.queue",
@@ -365,7 +358,6 @@ class ScenarioSpec(Spec, path="", shorthands=SCENARIO_SHORTHANDS):
     optimizer: OptimizerSpec = field(
         default_factory=lambda: OptimizerSpec(strategy="auto")
     )
-    solver: str = "kernel"
     max_sim_time_s: float = field(default=3600.0, gt=0)
     #: Fault schedule (link cuts, host failures, correlated storms);
     #: ``None`` = no faults.  An empty schedule normalizes to ``None``
@@ -418,11 +410,6 @@ class ScenarioSpec(Spec, path="", shorthands=SCENARIO_SHORTHANDS):
                         f"{self.cluster.servers}",
                     )
         _require(len(self.jobs) >= 1, "jobs needs at least one template")
-        _require(
-            self.solver in SCENARIO_SOLVERS,
-            f"solver: unknown solver {self.solver!r}; "
-            f"use one of {sorted(SCENARIO_SOLVERS)}",
-        )
         _require(
             not self.fast_forward or self.fabric.kind == "topoopt",
             "fast_forward requires the shardable 'topoopt' fabric: jobs "

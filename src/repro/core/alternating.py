@@ -63,7 +63,6 @@ class AlternatingOptimizer:
         mcmc_iterations: int = 200,
         primes_only: bool = False,
         tolerance: float = 1e-3,
-        incremental: bool = True,
         mcmc_restarts: int = 1,
     ):
         if max_rounds < 1:
@@ -76,10 +75,6 @@ class AlternatingOptimizer:
         self.mcmc_iterations = mcmc_iterations
         self.primes_only = primes_only
         self.tolerance = tolerance
-        #: Score through the sparse incremental cost-model kernel (the
-        #: default); False selects the retained seed full-rebuild path
-        #: (benchmark baseline / equivalence oracle).
-        self.incremental = incremental
         #: Independent MCMC chains per round (best-of); cheap with the
         #: incremental kernel since chains share the routing matrices.
         self.mcmc_restarts = mcmc_restarts
@@ -103,6 +98,16 @@ class AlternatingOptimizer:
 
         return TopoOptFabric(topology_result, self.link_bandwidth_bps)
 
+    def _cost_model(self, fabric):
+        """The cost model that scores a round's strategy on ``fabric``.
+
+        Its routing kernel (``kernel``) carries over to the next
+        round's search on the same fabric.
+        """
+        from repro.parallel.mcmc import IterationCostModel
+
+        return IterationCostModel(fabric, self.search.compute_s)
+
     def run(self, seed: int = 0) -> AlternatingResult:
         """Run the alternating loop and return the best configuration.
 
@@ -111,14 +116,8 @@ class AlternatingOptimizer:
         MCMC search on the same fabric, so the search plane never
         re-routes a fabric it has already seen.
         """
-        from repro.parallel.mcmc import (
-            IterationCostModel,
-            ReferenceIterationCostModel,
-        )
-        from repro.perf.warmcache import kernel_for
-
         fabric = self._initial_fabric()
-        kernel = kernel_for(fabric) if self.incremental else None
+        kernel = None  # the first search assembles its own
         best: Optional[AlternatingResult] = None
         rounds: List[AlternatingRound] = []
         previous_cost = float("inf")
@@ -131,7 +130,6 @@ class AlternatingOptimizer:
                     mcmc = self.search.search(
                         fabric,
                         iterations=self.mcmc_iterations,
-                        incremental=self.incremental,
                         restarts=self.mcmc_restarts,
                         kernel=kernel,
                     )
@@ -150,15 +148,8 @@ class AlternatingOptimizer:
                 # kernel carries over to the next round's search.
                 with TRACER.span("pipeline.lp_assembly", cat="pipeline",
                                  round=round_index):
-                    if self.incremental:
-                        kernel = kernel_for(fabric)
-                        cost_model = IterationCostModel(
-                            fabric, self.search.compute_s, kernel=kernel
-                        )
-                    else:
-                        cost_model = ReferenceIterationCostModel(
-                            fabric, self.search.compute_s
-                        )
+                    cost_model = self._cost_model(fabric)
+                kernel = cost_model.kernel
                 cost = cost_model.cost(traffic)
             TRACER.count("pipeline.rounds")
             rounds.append(

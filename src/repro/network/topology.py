@@ -23,8 +23,8 @@ O(1) instead of re-summing a Counter.  The pure-Python per-source BFS
 implementation for equivalence tests.  Yen's ``k_shortest_paths`` runs
 its spur searches on out-neighbor lists sliced from the cached CSR
 adjacency, excluding root edges via a set instead of mutating the
-graph; the seed mutate-and-restore version is retained as
-:meth:`DirectConnectTopology._k_shortest_paths_reference`.
+graph; the seed mutate-and-restore version and the seed per-pair ECMP
+BFS are oracles in :mod:`repro.oracles`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -442,30 +442,6 @@ class DirectConnectTopology:
             self._hops_int_rows()[src], self._pred_lists(), src, dst, cap
         )
 
-    def _all_shortest_paths_bfs(
-        self, src: int, dst: int, cap: int = 6
-    ) -> List[List[int]]:
-        """Seed per-pair BFS implementation (reference/benchmark only)."""
-        self._check_node(src)
-        self._check_node(dst)
-        if src == dst:
-            return [[src]]
-        dist = self.shortest_path_lengths_from(src)
-        if dst not in dist:
-            return []
-        paths: List[List[int]] = []
-        stack: List[List[int]] = [[dst]]
-        while stack and len(paths) < cap:
-            partial = stack.pop()
-            head = partial[-1]
-            if head == src:
-                paths.append(list(reversed(partial)))
-                continue
-            for pred in self._in[head]:
-                if dist.get(pred, -1) == dist[head] - 1:
-                    stack.append(partial + [pred])
-        return paths
-
     def k_shortest_paths(self, src: int, dst: int, k: int) -> List[List[int]]:
         """Yen's algorithm for up to ``k`` loopless shortest paths.
 
@@ -473,8 +449,8 @@ class DirectConnectTopology:
         cached CSR adjacency (:meth:`_succ_lists`): root-path edges are
         excluded through a ``removed`` edge set instead of mutating and
         restoring the graph, so the loop never invalidates the caches.
-        The seed implementation survives as
-        :meth:`_k_shortest_paths_reference` for the equivalence tests.
+        The seed implementation is the oracle
+        :func:`repro.oracles.k_shortest_paths_reference`.
         """
         self._check_node(src)
         self._check_node(dst)
@@ -510,74 +486,6 @@ class DirectConnectTopology:
             _, best = heapq.heappop(candidates)
             paths.append(best)
         return paths
-
-    def _k_shortest_paths_reference(
-        self, src: int, dst: int, k: int
-    ) -> List[List[int]]:
-        """Seed Yen's implementation (mutate-and-restore spur searches).
-
-        Reference for the equivalence tests only: path *lengths* are
-        uniquely determined by Yen's algorithm, so the CSR-backed
-        :meth:`k_shortest_paths` must match it hop-for-hop even when
-        equal-length ties resolve to different concrete paths.
-        """
-        first = self.shortest_path(src, dst)
-        if first is None:
-            return []
-        paths = [first]
-        candidates: List[Tuple[int, List[int]]] = []
-        seen = {tuple(first)}
-        while len(paths) < k:
-            prev_path = paths[-1]
-            for i in range(len(prev_path) - 1):
-                spur_node = prev_path[i]
-                root = prev_path[: i + 1]
-                removed: List[Edge] = []
-                for path in paths:
-                    if len(path) > i and path[: i + 1] == root:
-                        edge = (path[i], path[i + 1])
-                        if self.multiplicity(*edge) > 0:
-                            removed.append((edge, self.multiplicity(*edge)))
-                            self._out[edge[0]].pop(edge[1])
-                            self._in[edge[1]].pop(edge[0])
-                banned = set(root[:-1])
-                spur = self._shortest_path_avoiding(spur_node, dst, banned)
-                for (edge, count) in removed:
-                    self._out[edge[0]][edge[1]] = count
-                    self._in[edge[1]][edge[0]] = count
-                if spur is None:
-                    continue
-                candidate = root[:-1] + spur
-                key = tuple(candidate)
-                if key not in seen:
-                    seen.add(key)
-                    heapq.heappush(candidates, (len(candidate), candidate))
-            if not candidates:
-                break
-            _, best = heapq.heappop(candidates)
-            paths.append(best)
-        return paths
-
-    def _shortest_path_avoiding(
-        self, src: int, dst: int, banned: Iterable[int]
-    ) -> Optional[List[int]]:
-        banned = set(banned)
-        if src in banned:
-            return None
-        if src == dst:
-            return [src]
-        prev = {src: src}
-        queue = deque([src])
-        while queue:
-            node = queue.popleft()
-            for nbr in self._out[node]:
-                if nbr in prev or nbr in banned:
-                    continue
-                prev[nbr] = node
-                if nbr == dst:
-                    return self._backtrack(prev, src, dst)
-                queue.append(nbr)
-        return None
 
     def is_strongly_connected(self) -> bool:
         return graph_kernels.is_strongly_connected(self.adjacency())

@@ -42,7 +42,6 @@ from repro.parallel.mcmc import (
     IterationCostModel,
     MCMCResult,
     MCMCSearch,
-    ReferenceIterationCostModel,
 )
 from repro.parallel.taskgraph import CommPhase, IterationPlan, build_iteration_plan
 
@@ -62,7 +61,6 @@ __all__ = [
     "MCMCSearch",
     "MCMCResult",
     "IterationCostModel",
-    "ReferenceIterationCostModel",
     "CommPhase",
     "IterationPlan",
     "build_iteration_plan",

@@ -24,9 +24,8 @@ only the moved layer through a delta update on the cached link-load
 vector, and a rejected proposal undoes in O(delta)
 (:class:`repro.perf.costmodel.IncrementalCostEvaluator`).  The seed
 full-rebuild discipline -- re-extract the whole traffic summary and
-re-route all n^2 pairs in Python per proposal -- is retained as
-:class:`ReferenceIterationCostModel` + ``search(incremental=False)``,
-the equivalence oracle and benchmark baseline.
+re-route all n^2 pairs in Python per proposal -- is the oracle
+:class:`repro.oracles.ReferenceMCMCSearch`.
 """
 
 from __future__ import annotations
@@ -54,8 +53,6 @@ from repro.parallel.traffic import (
 from repro.perf.costmodel import CostModelKernel, IncrementalCostEvaluator
 from repro.perf.warmcache import kernel_for as _warm_kernel
 
-Link = Tuple[int, int]
-
 #: Cost deltas below this relative threshold are accepted without
 #: consuming a random draw.  An analytically-neutral move (e.g. moving
 #: an MP owner on a symmetric fabric) produces delta == 0.0 exactly
@@ -67,111 +64,21 @@ Link = Tuple[int, int]
 ACCEPT_TOL = 1e-9
 
 
-class ReferenceIterationCostModel:
-    """Seed analytic iteration-time estimate (pure-Python routing loops).
+class IterationCostModel:
+    """Analytic iteration-time estimate on a fabric (FlexNet coarse).
 
     ``cost(traffic)`` = compute + busiest-link time of the MP phase +
     busiest-link time of the AllReduce phase.  The busiest-link bound is
     the fluid simulator's makespan when the bottleneck link is shared by
     flows of equal length, and a tight lower bound otherwise -- accurate
-    enough to rank strategies.  Retained verbatim as the equivalence
-    reference for the vectorized :class:`IterationCostModel`.
-    """
-
-    def __init__(self, fabric, compute_s: float):
-        self.fabric = fabric
-        self.compute_s = compute_s
-        self._capacities = fabric.capacities()
-        self._path_cache: Dict[Tuple[int, int, str], List[List[int]]] = {}
-
-    def _paths(self, src: int, dst: int, kind: str) -> List[List[int]]:
-        key = (src, dst, kind)
-        if key not in self._path_cache:
-            self._path_cache[key] = self.fabric.paths(src, dst, kind)
-        return self._path_cache[key]
-
-    def _phase_time(self, link_bytes: Dict[Link, float]) -> float:
-        worst = 0.0
-        for link, byte_count in link_bytes.items():
-            capacity = self._capacities.get(link)
-            if capacity is None or capacity <= 0:
-                raise KeyError(f"routed traffic uses unknown link {link}")
-            worst = max(worst, 8.0 * byte_count / capacity)
-        return worst
-
-    def mp_time(self, traffic: TrafficSummary) -> float:
-        link_bytes: Dict[Link, float] = {}
-        matrix = traffic.mp_matrix
-        n = traffic.n
-        for src in range(n):
-            row = matrix[src]
-            for dst in range(n):
-                byte_count = row[dst]
-                if src == dst or byte_count <= 0:
-                    continue
-                paths = self._paths(src, dst, "mp")
-                if not paths:
-                    return math.inf
-                share = byte_count / len(paths)
-                for path in paths:
-                    for i in range(len(path) - 1):
-                        link = (path[i], path[i + 1])
-                        link_bytes[link] = link_bytes.get(link, 0.0) + share
-        return self._phase_time(link_bytes)
-
-    def allreduce_time(self, traffic: TrafficSummary) -> float:
-        from repro.parallel.collectives import allreduce_edge_bytes
-
-        link_bytes: Dict[Link, float] = {}
-        for group in traffic.allreduce_groups:
-            if group.size < 2 or group.total_bytes <= 0:
-                continue
-            ring_paths = []
-            if hasattr(self.fabric, "ring_edge_paths"):
-                ring_paths = self.fabric.ring_edge_paths(group.members)
-            if ring_paths:
-                for path, num_rings in ring_paths:
-                    per_edge = allreduce_edge_bytes(
-                        group.total_bytes, group.size, num_rings
-                    )
-                    for i in range(len(path) - 1):
-                        link = (path[i], path[i + 1])
-                        link_bytes[link] = link_bytes.get(link, 0.0) + per_edge
-            else:
-                per_edge = allreduce_edge_bytes(group.total_bytes, group.size)
-                members = group.members
-                k = len(members)
-                for i in range(k):
-                    src, dst = members[i], members[(i + 1) % k]
-                    paths = self._paths(src, dst, "allreduce")
-                    if not paths:
-                        return math.inf
-                    share = per_edge / len(paths)
-                    for path in paths:
-                        for j in range(len(path) - 1):
-                            link = (path[j], path[j + 1])
-                            link_bytes[link] = (
-                                link_bytes.get(link, 0.0) + share
-                            )
-        return self._phase_time(link_bytes)
-
-    def cost(self, traffic: TrafficSummary) -> float:
-        return (
-            self.compute_s
-            + self.mp_time(traffic)
-            + self.allreduce_time(traffic)
-        )
-
-
-class IterationCostModel:
-    """Analytic iteration-time estimate on a fabric (FlexNet coarse).
-
-    Same estimate as :class:`ReferenceIterationCostModel`, evaluated
-    through the sparse routing-matrix kernel: link loads are one
-    ``R.T @ demand`` mat-vec and the busiest-link time a NumPy max,
-    instead of per-path Python loops.  Pass ``kernel`` to share one
-    assembled :class:`~repro.perf.costmodel.CostModelKernel` across
-    cost models of the same fabric (the alternating optimizer does).
+    enough to rank strategies.  Evaluated through the sparse
+    routing-matrix kernel: link loads are one ``R.T @ demand`` mat-vec
+    and the busiest-link time a NumPy max.  The seed's per-path Python
+    loops are the oracle
+    :class:`repro.oracles.ReferenceIterationCostModel`.  Pass
+    ``kernel`` to share one assembled
+    :class:`~repro.perf.costmodel.CostModelKernel` across cost models of
+    the same fabric (the alternating optimizer does).
     """
 
     def __init__(
@@ -206,42 +113,6 @@ class MCMCResult:
     cost_trace: List[float] = field(default_factory=list)
     chains: int = 1
     chain_best_costs: List[float] = field(default_factory=list)
-
-
-class _FullRebuildScorer:
-    """Seed scoring discipline: rebuild everything for every proposal."""
-
-    def __init__(self, search: "MCMCSearch", fabric):
-        self.search = search
-        self.cost_model = ReferenceIterationCostModel(
-            fabric, search.compute_s
-        )
-
-    def _extract(self, strategy: ParallelizationStrategy) -> TrafficSummary:
-        return extract_traffic(
-            self.search.model,
-            strategy,
-            self.search.batch_per_gpu,
-            self.search.gpus_per_server,
-        )
-
-    def begin(self, strategy: ParallelizationStrategy) -> float:
-        return self.cost_model.cost(self._extract(strategy))
-
-    def candidate(
-        self,
-        candidate: ParallelizationStrategy,
-        name: str,
-        old_placement: LayerPlacement,
-        new_placement: LayerPlacement,
-    ) -> float:
-        return self.cost_model.cost(self._extract(candidate))
-
-    def accept(self) -> None:
-        pass
-
-    def reject(self) -> None:
-        pass
 
 
 class _IncrementalScorer:
@@ -435,25 +306,25 @@ class MCMCSearch:
             return self.rng
         return random.Random(self.rng.getrandbits(64))
 
+    def _scorer(self, fabric, kernel: Optional[CostModelKernel]):
+        """The scoring discipline of one search: delta-update the kernel."""
+        return _IncrementalScorer(self, fabric, kernel)
+
     def search(
         self,
         fabric,
         iterations: int = 200,
         initial: Optional[ParallelizationStrategy] = None,
         *,
-        incremental: bool = True,
         restarts: int = 1,
         kernel: Optional[CostModelKernel] = None,
     ) -> MCMCResult:
         """Run the Metropolis chain(s) on ``fabric``; return the best state.
 
+        Proposals are scored by :meth:`_scorer`.
+
         Parameters
         ----------
-        incremental:
-            Score proposals through the sparse incremental kernel (the
-            default); ``False`` selects the retained seed full-rebuild
-            path (:class:`ReferenceIterationCostModel`), used by the
-            equivalence tests and benchmarks.
         restarts:
             Number of independent seeded chains (best-of).  Cheap now
             that a step no longer re-routes all n^2 pairs; chains share
@@ -464,10 +335,7 @@ class MCMCSearch:
         """
         if restarts < 1:
             raise ValueError("need at least one chain")
-        if incremental:
-            scorer = _IncrementalScorer(self, fabric, kernel)
-        else:
-            scorer = _FullRebuildScorer(self, fabric)
+        scorer = self._scorer(fabric, kernel)
         results = []
         for c in range(restarts):
             # Spans time the chain; counters come from the chain's own

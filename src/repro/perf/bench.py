@@ -1,11 +1,12 @@
 """Micro-benchmarks for the vectorized kernel layer.
 
-Three scenarios, each comparing the retained seed implementation
-against the vectorized kernel on identical inputs:
+The first seven scenarios compare a seed reference implementation
+(:mod:`repro.oracles`) against the vectorized kernel on identical
+inputs; the last two gate the service and observability planes:
 
 - ``phase_sim``: uniform all-to-all ECMP flow set over a TotientPerms-
   style ring topology, run to completion by
-  :func:`repro.sim.fluid.simulate_phase_reference` (pure Python) and
+  :func:`repro.oracles.simulate_phase_reference` (pure Python) and
   :func:`repro.sim.fluid.simulate_phase` (incidence-matrix kernel).
 - ``routing``: all-pairs minimum-hop ECMP path construction, seed
   per-pair BFS vs. the batched shortest-path-DAG sweep behind
@@ -15,9 +16,9 @@ against the vectorized kernel on identical inputs:
   assembly now used by :func:`repro.core.routing_lp.optimize_routing`.
 - ``staggered_phase``: chunked ring-AllReduce plus model-parallel
   flows, sizes jittered so every flow completes at a distinct time --
-  the per-event full recompute (``solver="batch"``) vs. the default
-  ``solver="incremental"``, which hands such a phase over to the
-  incremental frontier solver
+  the per-event full recompute
+  (:class:`repro.oracles.BatchFlowEventEngine`) vs. the runtime engine,
+  which hands such a phase over to the incremental frontier solver
   (:class:`repro.perf.fairshare.IncrementalFairShare`).
 - ``mcmc_steps``: the MCMC strategy search on a DLRM-class model over
   a TopoOpt fabric -- the seed full-rebuild scoring (re-extract the
@@ -29,8 +30,9 @@ against the vectorized kernel on identical inputs:
   path with per-fabric routing-matrix reuse.
 - ``scenario``: the multi-job shared-cluster scenario engine
   (:mod:`repro.cluster`) on a contended Fat-tree -- pure-Python
-  reference allocator vs. the sparse progressive-filling kernel --
-  doubling as the same-(spec, seed)-identical-JSON determinism gate.
+  reference allocator (:class:`repro.oracles.ReferenceScenarioEngine`)
+  vs. the sparse progressive-filling kernel -- doubling as the
+  same-(spec, seed)-identical-JSON determinism gate.
 - ``service_throughput``: the optimization-as-a-service loop
   (:mod:`repro.service`) draining a Zipf-distributed request mix cold
   (empty store) and warm (populated store) -- gates warm >= 5x cold
@@ -55,7 +57,7 @@ import numpy as np
 
 from repro.network.topology import DirectConnectTopology
 from repro.sim.flows import Flow
-from repro.sim.fluid import simulate_phase, simulate_phase_reference
+from repro.sim.fluid import simulate_phase
 
 GBPS = 1e9
 
@@ -137,19 +139,22 @@ def bench_staggered_phase(n: int, degree: int = 4, chunks: int = 16) -> Dict:
     """All-distinct-completion phase; n=64 is the acceptance target.
 
     Both sides run the exact same :class:`repro.sim.events.
-    FlowEventEngine` event loop; the reference re-solves max-min rates
-    from scratch on every completion (``solver="batch"``) while the
-    vectorized side (``solver="incremental"``) hands over to the
+    FlowEventEngine` event loop; the reference
+    (:class:`repro.oracles.BatchFlowEventEngine`) re-solves max-min
+    rates from scratch on every completion while the vectorized side
+    (:func:`repro.sim.fluid.simulate_phase`) hands over to the
     incremental solver after its second single-flow completion and
     repairs the allocation from then on.
     """
+    from repro.oracles import BatchFlowEventEngine
+
     topo = ring_topology(n, degree)
     capacities = {
         (s, d): count * 100 * GBPS for s, d, count in topo.edges()
     }
     flows_ref = staggered_phase_flows(topo, chunks=chunks)
     start = time.perf_counter()
-    makespan_ref = simulate_phase(capacities, flows_ref, False, solver="batch")
+    makespan_ref = BatchFlowEventEngine(capacities, flows_ref).run()
     reference_s = time.perf_counter() - start
     flows_inc = staggered_phase_flows(topo, chunks=chunks)
     start = time.perf_counter()
@@ -177,6 +182,8 @@ def _record(reference_s: float, vectorized_s: float, **extra) -> Dict:
 
 def bench_phase_sim(n: int, degree: int = 4) -> Dict:
     """64-server all-to-all phase simulation is the acceptance target."""
+    from repro.oracles import simulate_phase_reference
+
     topo = ring_topology(n, degree)
     capacities = {
         (s, d): count * 100 * GBPS for s, d, count in topo.edges()
@@ -201,14 +208,16 @@ def bench_phase_sim(n: int, degree: int = 4) -> Dict:
 
 def bench_routing(n: int, degree: int = 4, ecmp_cap: int = 6) -> Dict:
     """All-pairs ECMP construction; n=128 is the acceptance target."""
+    from repro.oracles import all_shortest_paths_bfs
+
     topo = ring_topology(n, degree)
     start = time.perf_counter()
     reference: Dict[Tuple[int, int], List[List[int]]] = {}
     for src in range(n):
         for dst in range(n):
             if src != dst:
-                reference[(src, dst)] = topo._all_shortest_paths_bfs(
-                    src, dst, ecmp_cap
+                reference[(src, dst)] = all_shortest_paths_bfs(
+                    topo, src, dst, ecmp_cap
                 )
     reference_s = time.perf_counter() - start
     # Invalidate caches so the batched side pays its full cost too.
@@ -235,36 +244,6 @@ def bench_routing(n: int, degree: int = 4, ecmp_cap: int = 6) -> Dict:
     )
 
 
-def _dense_lp_assembly(
-    demand: np.ndarray,
-    capacities: Dict[Tuple[int, int], float],
-    pair_paths: Dict[Tuple[int, int], List[List[int]]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Seed dense constraint assembly, kept inline for comparison."""
-    pairs = sorted(pair_paths)
-    link_index = {link: i for i, link in enumerate(capacities)}
-    var_offsets = []
-    total_vars = 0
-    for pair in pairs:
-        var_offsets.append(total_vars)
-        total_vars += len(pair_paths[pair])
-    t_index = total_vars
-    total_vars += 1
-    a_eq = np.zeros((len(pairs), total_vars))
-    for row, (pair, offset) in enumerate(zip(pairs, var_offsets)):
-        a_eq[row, offset: offset + len(pair_paths[pair])] = 1.0
-    a_ub = np.zeros((len(link_index), total_vars))
-    for pair, offset in zip(pairs, var_offsets):
-        volume = float(demand[pair])
-        for path_idx, path in enumerate(pair_paths[pair]):
-            for a, b in zip(path, path[1:]):
-                a_ub[link_index[(a, b)], offset + path_idx] += (
-                    volume / capacities[(a, b)]
-                )
-    a_ub[:, t_index] = -1.0
-    return a_eq, a_ub
-
-
 def bench_lp_assembly(
     n: int, degree: int = 4, ecmp_cap: int = 4, peers: int = 8
 ) -> Dict:
@@ -277,6 +256,7 @@ def bench_lp_assembly(
     exact wall the sparse assembly removes.
     """
     from repro.core.routing_lp import assemble_lp_constraints
+    from repro.oracles import dense_lp_assembly
 
     topo = ring_topology(n, degree)
     capacities = {
@@ -295,7 +275,9 @@ def bench_lp_assembly(
                 pair_paths[(src, dst)] = paths
 
     start = time.perf_counter()
-    a_eq_dense, a_ub_dense = _dense_lp_assembly(demand, capacities, pair_paths)
+    a_eq_dense, a_ub_dense = dense_lp_assembly(
+        demand, capacities, pair_paths
+    )
     reference_s = time.perf_counter() - start
 
     pairs = sorted(pair_paths)
@@ -354,27 +336,24 @@ def bench_mcmc_steps(n: int, iterations: int = 120) -> Dict:
     """MCMC steps/sec, full-rebuild vs incremental; n=64 is the gate.
 
     Both sides run the exact same Metropolis chain (same seed, same
-    proposal stream): the reference re-extracts the traffic summary and
-    re-routes every pair in pure Python per proposal
-    (``search(incremental=False)``), the vectorized side delta-updates
-    the cached link-load vector through the sparse cost-model kernel.
-    Per-step costs must agree, so the whole trace doubles as an
-    equivalence check.
+    proposal stream): the reference
+    (:class:`repro.oracles.ReferenceMCMCSearch`) re-extracts the traffic
+    summary and re-routes every pair in pure Python per proposal, the
+    vectorized side delta-updates the cached link-load vector through
+    the sparse cost-model kernel.  Per-step costs must agree, so the
+    whole trace doubles as an equivalence check.
     """
+    from repro.oracles import ReferenceMCMCSearch
     from repro.parallel.mcmc import MCMCSearch
 
     model = _search_model()
     fabric = _search_fabric(model, MCMCSearch(model, n, seed=5), n)
 
     start = time.perf_counter()
-    ref = MCMCSearch(model, n, seed=5).search(
-        fabric, iterations, incremental=False
-    )
+    ref = ReferenceMCMCSearch(model, n, seed=5).search(fabric, iterations)
     reference_s = time.perf_counter() - start
     start = time.perf_counter()
-    inc = MCMCSearch(model, n, seed=5).search(
-        fabric, iterations, incremental=True
-    )
+    inc = MCMCSearch(model, n, seed=5).search(fabric, iterations)
     vectorized_s = time.perf_counter() - start
     ref_trace = np.asarray(ref.cost_trace)
     inc_trace = np.asarray(inc.cost_trace)
@@ -396,30 +375,35 @@ def bench_alternating(n: int, rounds: int = 2, iterations: int = 60) -> Dict:
 
     Same seed and Metropolis trajectory on both sides, so the two runs
     visit the same strategies and topologies; the final co-optimized
-    costs must agree to float tolerance.
+    costs must agree to float tolerance.  The reference side is
+    :class:`repro.oracles.ReferenceAlternatingOptimizer` over a
+    :class:`repro.oracles.ReferenceMCMCSearch`.
     """
     from repro.core.alternating import AlternatingOptimizer
+    from repro.oracles import (
+        ReferenceAlternatingOptimizer,
+        ReferenceMCMCSearch,
+    )
     from repro.parallel.mcmc import MCMCSearch
 
     model = _search_model()
 
-    def run(incremental: bool):
-        search = MCMCSearch(model, num_servers=n, seed=3)
-        optimizer = AlternatingOptimizer(
+    def run(optimizer_class, search_class):
+        search = search_class(model, num_servers=n, seed=3)
+        optimizer = optimizer_class(
             num_servers=n,
             degree=4,
             link_bandwidth_bps=100 * GBPS,
             search=search,
             max_rounds=rounds,
             mcmc_iterations=iterations,
-            incremental=incremental,
         )
         start = time.perf_counter()
         result = optimizer.run()
         return time.perf_counter() - start, result
 
-    reference_s, ref = run(incremental=False)
-    vectorized_s, inc = run(incremental=True)
+    reference_s, ref = run(ReferenceAlternatingOptimizer, ReferenceMCMCSearch)
+    vectorized_s, inc = run(AlternatingOptimizer, MCMCSearch)
     cost_rel_err = abs(ref.cost_s - inc.cost_s) / max(abs(ref.cost_s), 1e-300)
     return _record(
         reference_s,
@@ -437,10 +421,10 @@ def bench_scenario(n: int, iterations: int = 2) -> Dict:
     jobs as fit ``n`` servers) through the scenario engine on a shared
     cost-equivalent Fat-tree -- the substrate where every completion
     event re-solves the max-min allocation over *all* jobs' flows.  The
-    reference side drives the retained pure-Python allocator
-    (``solver="reference"``), the vectorized side the sparse
-    progressive-filling kernel (``solver="kernel"``); iteration times
-    must agree to float tolerance.
+    reference side drives the seed pure-Python allocator
+    (:class:`repro.oracles.ReferenceScenarioEngine`), the vectorized
+    side the sparse progressive-filling kernel (:func:`run_scenario`);
+    iteration times must agree to float tolerance.
 
     The same entry doubles as the determinism gate: the kernel run is
     repeated with an identical (spec, seed) and the two result JSONs
@@ -450,6 +434,7 @@ def bench_scenario(n: int, iterations: int = 2) -> Dict:
     from repro.cluster import ArrivalSpec, JobTemplateSpec, ScenarioSpec
     from repro.cluster.engine import run_scenario
     from repro.api.spec import ClusterSpec, FabricSpec
+    from repro.oracles import ReferenceScenarioEngine
 
     models = ("DLRM", "BERT", "CANDLE", "VGG16")
     num_jobs = max(n // 8, 2)
@@ -474,7 +459,7 @@ def bench_scenario(n: int, iterations: int = 2) -> Dict:
     # cannot favour whichever side runs second.
     run_scenario(spec)
     start = time.perf_counter()
-    ref = run_scenario(spec.with_overrides({"solver": "reference"}))
+    ref = ReferenceScenarioEngine(spec).run()
     reference_s = time.perf_counter() - start
     start = time.perf_counter()
     vec = run_scenario(spec)

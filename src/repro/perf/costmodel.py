@@ -24,9 +24,9 @@ the kernels that make each step cheap:
   (:meth:`IncrementalCostEvaluator.rebuild`) is retained as the
   equivalence oracle -- exactness never rests on the delta path.
 
-The pure-Python seed cost model survives as
-:class:`repro.parallel.mcmc.ReferenceIterationCostModel`; equivalence
-tests pin the two together (``tests/test_costmodel.py``).
+The pure-Python seed cost model is the oracle
+:class:`repro.oracles.ReferenceIterationCostModel`; equivalence tests
+pin the two together (``tests/test_costmodel.py``).
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Batched progressive filling over a sparse flow--link incidence matrix.
 
 The max-min fair allocation is computed exactly as in the textbook
-algorithm (and in :class:`repro.sim.fluid.ReferenceFluidNetwork`): all
-unfrozen flows grow together until some link saturates, every flow
-crossing a saturated link freezes at the link's fair share, and the
-remaining flows keep growing.  The difference is purely operational --
+algorithm (and in the oracle
+:class:`repro.oracles.ReferenceFluidNetwork`): all unfrozen flows grow
+together until some link saturates, every flow crossing a saturated
+link freezes at the link's fair share, and the remaining flows keep
+growing.  The difference is purely operational --
 one round here processes *every* link that reaches the minimal fair
 share simultaneously (equal shares are fixed points of the update, so
 batching ties is equivalent to freezing them one at a time), and each

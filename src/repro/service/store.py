@@ -50,7 +50,7 @@ from repro.codec import canonical_json, result_from_dict
 #: treated as cold rather than misread or served stale.
 #: ``tests/test_service_store.py`` pins one digest of golden result
 #: bytes per version and fails, asking for a bump, when they move.
-STORE_VERSION = 3
+STORE_VERSION = 4
 
 #: Unique suffix source for temp files (pid alone is not enough: two
 #: threads of one process may write the same key concurrently).

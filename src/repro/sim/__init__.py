@@ -8,8 +8,8 @@ every arrival/departure, with exact completion times under
 piecewise-constant rates and 1 us per-hop propagation latency.
 
 * :mod:`repro.sim.flows` -- flow and link primitives.
-* :mod:`repro.sim.fluid` -- the max-min rate allocator and phase runner.
-* :mod:`repro.sim.events` -- the event queue for the full simulator.
+* :mod:`repro.sim.events` -- the array-backed flow event engine.
+* :mod:`repro.sim.fluid` -- the max-min phase runner built on it.
 * :mod:`repro.sim.network_sim` -- training-iteration simulation of a
   task graph (compute + MP + AllReduce phases) on a fabric.
 * :mod:`repro.sim.cluster` -- shared clusters: sharding, job mixes, and
@@ -21,13 +21,7 @@ piecewise-constant rates and 1 us per-hop propagation latency.
 """
 
 from repro.sim.flows import Flow, LinkState
-from repro.sim.fluid import (
-    FluidNetwork,
-    ReferenceFluidNetwork,
-    simulate_phase,
-    simulate_phase_reference,
-)
-from repro.sim.events import EventQueue
+from repro.sim.fluid import simulate_phase
 from repro.sim.network_sim import (
     IterationBreakdown,
     TrainingSimulator,
@@ -40,11 +34,7 @@ from repro.sim.rdma import RdmaForwardingModel, NparInterface
 __all__ = [
     "Flow",
     "LinkState",
-    "FluidNetwork",
-    "ReferenceFluidNetwork",
     "simulate_phase",
-    "simulate_phase_reference",
-    "EventQueue",
     "IterationBreakdown",
     "TrainingSimulator",
     "simulate_iteration",

@@ -46,7 +46,6 @@ import numpy as np
 from repro.obs import TRACER
 from repro.parallel.traffic import TrafficSummary
 from repro.perf.fairshare import progressive_filling_rates
-from repro.sim.fluid import FluidNetwork, ReferenceFluidNetwork
 from repro.sim.network_sim import _allreduce_flows, _mp_flows
 
 Link = Tuple[int, int]
@@ -59,19 +58,6 @@ _EPS = 1e-12
 #: peaks at 184 masks (a 275-flow DLRM shard).  The cap only bounds
 #: memory where masks never repeat.
 _RATE_MEMO_CAP = 512
-
-#: Max-min allocator backends selectable per simulation: the persistent
-#: array-backed kernel (default; see :class:`_SubstrateFlowKernel`) or
-#: the retained pure-Python reference allocator (the equivalence
-#: baseline the scenario benchmark compares against).  The ``kernel``
-#: entry keeps :class:`repro.sim.fluid.FluidNetwork` as its nominal
-#: value for API compatibility, but :class:`SharedClusterSimulator`
-#: routes it through the persistent kernel rather than constructing a
-#: per-event network.
-NETWORK_SOLVERS = {
-    "kernel": FluidNetwork,
-    "reference": ReferenceFluidNetwork,
-}
 
 
 def _incidence(rows, cols, num_links: int, num_flows: int):
@@ -231,20 +217,20 @@ class _JobState:
     outstanding: int = 0
     stats: JobStats = None  # type: ignore[assignment]
     started: bool = False
-    #: Kernel backend only: this job's registered flow columns in the
-    #: substrate's persistent incidence (None until the first
-    #: communication phase builds and registers them).
+    #: This job's registered flow columns in the substrate's persistent
+    #: incidence (None until the first communication phase builds and
+    #: registers them).
     flow_cols: Optional[np.ndarray] = None
     #: Monotonic sequence number of the job's latest communication
     #: phase; orders simultaneous phase completions exactly as the
     #: reference allocator's insertion-ordered flow dict does.
     phase_seq: int = 0
-    #: Kernel backend only: routing changed mid-phase, so the cached
-    #: columns must be dropped and rebuilt at the next phase start.
+    #: Routing changed mid-phase, so the cached columns must be dropped
+    #: and rebuilt at the next phase start.
     flows_stale: bool = False
-    #: Kernel backend only: routing changed since admission, so the
-    #: spec's precompiled flow set no longer applies and registration
-    #: compiles the flows from the patched fabric.
+    #: Routing changed since admission, so the spec's precompiled flow
+    #: set no longer applies and registration compiles the flows from
+    #: the patched fabric.
     rerouted: bool = False
 
 
@@ -280,13 +266,14 @@ def remap_traffic(
 class _SubstrateFlowKernel:
     """Persistent array-backed max-min allocator for one substrate.
 
-    The replacement for rebuilding a :class:`FluidNetwork` incidence
-    per event: every job's flows are registered **once** as columns of
-    a persistent (links x flows) incidence over the substrate's fixed
-    link set, and phase transitions merely flip an active mask.  Per
-    event the allocation is repaired by masked progressive filling over
-    the persistent matrix -- the same per-round arithmetic as the
-    per-event rebuild, so rates are bit-identical.
+    The replacement for rebuilding a flow incidence per event (the
+    seed's ``FluidNetwork``, kept in :mod:`repro.oracles`): every job's
+    flows are registered **once** as columns of a persistent (links x
+    flows) incidence over the substrate's fixed link set, and phase
+    transitions merely flip an active mask.  Per event the allocation
+    is repaired by masked progressive filling over the persistent
+    matrix -- the same per-round arithmetic as the per-event rebuild,
+    so rates are bit-identical.
 
     All per-flow state (size, remaining bits, rate, activity) lives in
     NumPy arrays indexed by column id; the owner bookkeeping stays in
@@ -590,7 +577,7 @@ class _SubstrateFlowKernel:
         rounds back to ``now`` and each event moved it only 1e-12 s.
 
         Uses the rates currently in force (matching the lazy-recompute
-        semantics of :class:`FluidNetwork`: callers query
+        semantics of the reference allocator: callers query
         :meth:`time_to_next_completion` between events, which refreshes
         them).
         """
@@ -629,10 +616,10 @@ class SharedClusterSimulator:
         its compute time (the batch mode's decorrelation device).  The
         scenario engine disables it: arrival processes supply their own
         randomness and admission times must be exact.
-    solver:
-        Max-min allocator backend (:data:`NETWORK_SOLVERS`):
-        ``"kernel"`` (sparse progressive filling, default) or
-        ``"reference"`` (retained pure-Python allocator).
+
+    Max-min rates come from one persistent :class:`_SubstrateFlowKernel`
+    per simulator.  The seed allocator it replaced is the oracle
+    :class:`repro.oracles.ReferenceSharedClusterSimulator`.
     """
 
     def __init__(
@@ -641,20 +628,8 @@ class SharedClusterSimulator:
         jobs: Sequence[JobSpec] = (),
         seed: int = 0,
         stagger: bool = True,
-        solver: str = "kernel",
     ):
-        if solver not in NETWORK_SOLVERS:
-            raise ValueError(
-                f"unknown solver {solver!r}; "
-                f"use one of {sorted(NETWORK_SOLVERS)}"
-            )
-        self.solver = solver
-        if solver == "reference":
-            self.network = ReferenceFluidNetwork(capacities)
-            self._kernel: Optional[_SubstrateFlowKernel] = None
-        else:
-            self.network = None
-            self._kernel = _SubstrateFlowKernel(capacities)
+        self._kernel = _SubstrateFlowKernel(capacities)
         self.rng = random.Random(seed)
         self.stagger = stagger
         self.now = 0.0
@@ -663,8 +638,7 @@ class SharedClusterSimulator:
             for job in jobs
         ]
         self._timers: List[Tuple[float, _JobState]] = []
-        #: In-flight flow -> owning job.  Keys are flow ids on the
-        #: reference backend and persistent column ids on the kernel.
+        #: In-flight flow (persistent column id) -> owning job.
         self._flow_owner: Dict[int, _JobState] = {}
         self._finished_buffer: List[_JobState] = []
         self._phase_counter = 0
@@ -706,20 +680,13 @@ class SharedClusterSimulator:
             for key, owner in self._flow_owner.items()
             if owner is state
         ]
-        if self._kernel is not None:
-            for key in dead:
-                del self._flow_owner[key]
-            if state.flow_cols is not None:
-                self._kernel.release(state.flow_cols)
-                state.flow_cols = None
-                if self._kernel.wants_compaction:
-                    self._compact_kernel()
-            return
-        for flow_id in dead:
-            flow = self.network.active.get(flow_id)
-            if flow is not None:
-                self.network.remove_flow(flow)
-            del self._flow_owner[flow_id]
+        for key in dead:
+            del self._flow_owner[key]
+        if state.flow_cols is not None:
+            self._kernel.release(state.flow_cols)
+            state.flow_cols = None
+            if self._kernel.wants_compaction:
+                self._compact_kernel()
 
     def defer_job(self, state: _JobState, until: float) -> None:
         """Skip a job ahead to the iteration boundary at ``until``.
@@ -728,7 +695,7 @@ class SharedClusterSimulator:
         identical steady-state iterations analytically and lands the
         job here: its pending compute timer is replaced so the next
         *simulated* iteration starts at ``until``, with cached flow
-        columns (kernel backend) left intact for reuse.
+        columns left intact for reuse.
         """
         self._timers = [(t, s) for t, s in self._timers if s is not state]
         state.iteration_start = until
@@ -738,20 +705,17 @@ class SharedClusterSimulator:
     def invalidate_flows(self, state: _JobState) -> None:
         """Drop a job's cached flow columns (after routing changed).
 
-        The kernel backend registers each job's flow set once and
-        reuses it every phase; failure injections patch routing in
-        place, so the engine calls this to force a rebuild from the
-        patched fabric at the next phase (never again from the spec's
-        precompiled template).  No-op on the reference backend, which
-        rebuilds per phase.
+        The kernel registers each job's flow set once and reuses it
+        every phase; failure injections patch routing in place, so the
+        engine calls this to force a rebuild from the patched fabric at
+        the next phase (never again from the spec's precompiled
+        template).
 
         A job caught mid-communication keeps its in-flight flows on the
         old paths until the phase completes -- exactly the reference
         semantics, where flows already in the network are untouched by
         a routing patch -- and rebuilds at the next phase start.
         """
-        if self._kernel is None:
-            return
         state.rerouted = True
         if state.flow_cols is None:
             return
@@ -777,10 +741,7 @@ class SharedClusterSimulator:
     def next_event_time(self) -> Optional[float]:
         """Absolute time of the next compute timer or flow completion."""
         next_timer = min((t for t, _ in self._timers), default=None)
-        if self._kernel is not None:
-            dt_flow = self._kernel.time_to_next_completion()
-        else:
-            dt_flow = self.network.time_to_next_completion()
+        dt_flow = self._kernel.time_to_next_completion()
         next_flow = self.now + dt_flow if dt_flow is not None else None
         candidates = [t for t in (next_timer, next_flow) if t is not None]
         return min(candidates) if candidates else None
@@ -793,34 +754,29 @@ class SharedClusterSimulator:
         """
         self._finished_buffer = []
         now, self.now = self.now, target
-        if self._kernel is not None:
-            # Keep the kernel's simulated clock current: its lazy
-            # solves stamp utilization-timeline samples with it.
-            self._kernel.sim_now = target
-            done_cols = self._kernel.advance(now, target)
-            finishers: List[_JobState] = []
-            for col in done_cols:
-                owner = self._flow_owner.pop(int(col), None)
-                if owner is None:
-                    continue
-                owner.outstanding -= 1
-                if owner.outstanding == 0:
-                    finishers.append(owner)
-            # The reference allocator completes flows in phase-start
-            # (dict insertion) order; column ids are registration
-            # order, so re-sort simultaneous finishers to match.
-            finishers.sort(key=lambda s: s.phase_seq)
-            for owner in finishers:
-                self._finish_communication(owner, self.now)
-        else:
-            completed = self.network.advance(max(target - now, 0.0) + 1e-12)
-            for flow in completed:
-                owner = self._flow_owner.pop(flow.flow_id, None)
-                if owner is None:
-                    continue
-                owner.outstanding -= 1
-                if owner.outstanding == 0:
-                    self._finish_communication(owner, self.now)
+        # Keep the kernel's simulated clock current: its lazy solves
+        # stamp utilization-timeline samples with it.
+        self._kernel.sim_now = target
+        done_cols = self._kernel.advance(now, target)
+        finishers: List[_JobState] = []
+        for col in done_cols:
+            owner = self._flow_owner.pop(int(col), None)
+            if owner is None:
+                continue
+            owner.outstanding -= 1
+            if owner.outstanding == 0:
+                finishers.append(owner)
+        # The reference allocator completes flows in phase-start (dict
+        # insertion) order; column ids are registration order, so
+        # re-sort simultaneous finishers to match.
+        finishers.sort(key=lambda s: s.phase_seq)
+        for owner in finishers:
+            self._finish_communication(owner, self.now)
+        self._start_due_phases()
+        return self._finished_buffer
+
+    def _start_due_phases(self) -> None:
+        """Start communicating for every job whose compute timer is due."""
         still_pending = []
         for timer, state in self._timers:
             if timer <= self.now + 1e-12:
@@ -828,7 +784,6 @@ class SharedClusterSimulator:
             else:
                 still_pending.append((timer, state))
         self._timers = still_pending
-        return self._finished_buffer
 
     # ------------------------------------------------------------------
     def run(
@@ -875,53 +830,38 @@ class SharedClusterSimulator:
     # ------------------------------------------------------------------
     def _start_communication(self, state: _JobState, now: float) -> None:
         spec = state.spec
-        if self._kernel is not None:
-            cols = state.flow_cols
-            if cols is not None and state.flows_stale:
-                # Routing changed while the previous phase was in
-                # flight; its columns are inactive now, so drop and
-                # rebuild from the patched fabric.
-                self._kernel.release(cols)
-                state.flow_cols = None
-                state.flows_stale = False
-                cols = None
-            if cols is None:
-                # Registered once per job (and after routing
-                # invalidation), not once per phase: paths and sizes
-                # are pure functions of (fabric, traffic).
-                flows = None if state.rerouted else spec.flows
-                if flows is None:
-                    flows = FlowSet.compile(
-                        self._kernel._link_index,
-                        spec.fabric,
-                        spec.global_traffic(),
-                    )
-                cols = self._kernel.register(flows)
-                state.flow_cols = cols
-            if cols.size == 0:
-                self._finish_communication(state, now)
-                return
-            state.phase = "comm"
-            state.outstanding = int(cols.size)
-            self._phase_counter += 1
-            state.phase_seq = self._phase_counter
-            for col in cols:
-                self._flow_owner[int(col)] = state
-            self._kernel.activate(cols)
-            return
-        traffic = spec.global_traffic()
-        flows = _mp_flows(spec.fabric, traffic)
-        flows.extend(_allreduce_flows(spec.fabric, traffic))
-        if not flows:
+        cols = state.flow_cols
+        if cols is not None and state.flows_stale:
+            # Routing changed while the previous phase was in flight;
+            # its columns are inactive now, so drop and rebuild from the
+            # patched fabric.
+            self._kernel.release(cols)
+            state.flow_cols = None
+            state.flows_stale = False
+            cols = None
+        if cols is None:
+            # Registered once per job (and after routing invalidation),
+            # not once per phase: paths and sizes are pure functions of
+            # (fabric, traffic).
+            flows = None if state.rerouted else spec.flows
+            if flows is None:
+                flows = FlowSet.compile(
+                    self._kernel._link_index,
+                    spec.fabric,
+                    spec.global_traffic(),
+                )
+            cols = self._kernel.register(flows)
+            state.flow_cols = cols
+        if cols.size == 0:
             self._finish_communication(state, now)
             return
         state.phase = "comm"
-        state.outstanding = len(flows)
+        state.outstanding = int(cols.size)
         self._phase_counter += 1
         state.phase_seq = self._phase_counter
-        for flow in flows:
-            self._flow_owner[flow.flow_id] = state
-            self.network.add_flow(flow)
+        for col in cols:
+            self._flow_owner[int(col)] = state
+        self._kernel.activate(cols)
 
     def _finish_communication(self, state: _JobState, now: float) -> None:
         state.stats.iteration_times.append(now - state.iteration_start)

@@ -1,28 +1,19 @@
-"""Event engines for the fluid simulator.
+"""The array-backed flow event engine of the fluid simulator.
 
-Two layers live here:
-
-* :class:`EventQueue` -- the minimal callback heap used by the full
-  (multi-job, reconfigurable) simulator.
-* :class:`FlowEventEngine` -- the array-backed flow-completion engine.
-  Instead of per-flow Python objects on a heap, it keeps remaining
-  bits, start times, and completion times in NumPy arrays, batches
-  every event within a 1 ns quantum, and re-solves the max-min
-  allocation after each arrival/departure batch with
-  :func:`repro.perf.fairshare.progressive_filling_rates`.  Under the
-  default ``solver="incremental"`` a phase whose completions start
-  arriving one flow at a time hands over to
-  :class:`repro.perf.fairshare.IncrementalFairShare`, which repairs the
-  allocation per event instead; ``solver="batch"`` never hands over
-  (the equivalence baseline).  :func:`repro.sim.fluid.simulate_phase`
-  and :mod:`repro.sim.network_sim` are built on it.
+:class:`FlowEventEngine` keeps remaining bits, start times, and
+completion times in NumPy arrays instead of per-flow Python objects on
+a heap, batches every event within a 1 ns quantum, and re-solves the
+max-min allocation after each arrival/departure batch with
+:func:`repro.perf.fairshare.progressive_filling_rates`.  A phase whose
+completions start arriving one flow at a time hands over to
+:class:`repro.perf.fairshare.IncrementalFairShare`, which repairs the
+allocation per event instead.  :func:`repro.sim.fluid.simulate_phase`
+and :mod:`repro.sim.network_sim` are built on it.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,58 +26,10 @@ from repro.perf.fairshare import (
 _EPS = 1e-12
 #: Events closer in time than this are merged into one batch.
 TIME_QUANTUM = 1e-9
-#: Consecutive single-flow completion batches after which
-#: ``solver="incremental"`` hands the phase over to
-#: :class:`IncrementalFairShare` (see :class:`FlowEventEngine`).
+#: Consecutive single-flow completion batches after which a phase is
+#: handed over to :class:`IncrementalFairShare` (see
+#: :class:`FlowEventEngine`).
 HANDOVER_RUN = 2
-
-
-class EventQueue:
-    """Time-ordered callback queue with stable FIFO tie-breaking."""
-
-    def __init__(self):
-        self._heap: List[Tuple[float, int, Callable[[], Any]]] = []
-        self._counter = itertools.count()
-        self.now = 0.0
-
-    def schedule(self, time: float, callback: Callable[[], Any]) -> None:
-        if time < self.now - 1e-15:
-            raise ValueError(
-                f"cannot schedule event at {time} before current time "
-                f"{self.now}"
-            )
-        heapq.heappush(self._heap, (time, next(self._counter), callback))
-
-    def schedule_in(self, delay: float, callback: Callable[[], Any]) -> None:
-        self.schedule(self.now + delay, callback)
-
-    def next_event_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
-
-    def pop_due(self, until: float) -> List[Callable[[], Any]]:
-        """Pop every event scheduled at or before ``until`` (time-ordered)."""
-        due = []
-        while self._heap and self._heap[0][0] <= until + 1e-15:
-            time, _, callback = heapq.heappop(self._heap)
-            self.now = max(self.now, time)
-            due.append(callback)
-        self.now = max(self.now, until)
-        return due
-
-    def run_next(self) -> bool:
-        """Advance to and run the earliest event; False if queue is empty."""
-        if not self._heap:
-            return False
-        time, _, callback = heapq.heappop(self._heap)
-        self.now = time
-        callback()
-        return True
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
 
 class FlowEventEngine:
@@ -97,30 +40,26 @@ class FlowEventEngine:
     event loop never touches a per-flow Python object.  Each step
     processes one *batch* of events -- either every arrival or every
     completion landing within ``time_quantum`` of the earliest -- and
-    re-solves the max-min allocation:
-
-    * ``solver="batch"``: one full progressive-filling solve per event
-      batch, the equivalence oracle and benchmark baseline.
-    * ``solver="incremental"`` (default): the same full solves while
-      completions come in groups, and a hand-over to
-      :class:`repro.perf.fairshare.IncrementalFairShare` (amortized
-      O(nnz touched) per event) once :data:`HANDOVER_RUN` consecutive
-      completion batches each finish a single flow.  The solver is
-      built from the active mask at that point and kept for the rest
-      of the phase.  Cancellations neither count toward nor reset the
-      run.
+    re-solves the max-min allocation: one full progressive-filling
+    solve per event batch while completions come in groups, and a
+    hand-over to :class:`repro.perf.fairshare.IncrementalFairShare`
+    (amortized O(nnz touched) per event) once :attr:`handover_run`
+    consecutive completion batches each finish a single flow.  The
+    solver is built from the active mask at that point and kept for
+    the rest of the phase.  Cancellations neither count toward nor
+    reset the run.
 
     The rule is measured, not tuned (docs/architecture.md): on the
     phases co-search produces -- all-to-all MP transfers and AllReduce
     rings, which finish in a few large batches -- a full re-solve is
-    about 3x faster than delta repair, and none of them hands over, so
-    they match ``"batch"`` bit for bit.  Staggered phases, where every
-    flow finishes at a distinct time, hand over after their second
-    completion and keep the incremental solver's win.
-
-    Both modes share this exact event loop, so their makespans and
-    completion orders agree to floating-point tolerance by
-    construction of the solver (see ``tests/test_incremental_fairshare``).
+    about 3x faster than delta repair, and none of them hands over.
+    Staggered phases, where every flow finishes at a distinct time,
+    hand over after their second completion and keep the incremental
+    solver's win.  The equivalence oracle is an engine that never
+    hands over (:class:`repro.oracles.BatchFlowEventEngine`); both run
+    this exact event loop, so their makespans and completion orders
+    agree to floating-point tolerance by construction of the solver
+    (see ``tests/test_incremental_fairshare``).
 
     Parameters
     ----------
@@ -132,27 +71,22 @@ class FlowEventEngine:
     start_times:
         Optional per-flow arrival times (seconds, >= 0); defaults to
         everything starting at t=0 (a phase).
-    solver:
-        ``"incremental"`` or ``"batch"`` (see above).
     time_quantum:
         Events closer than this merge into one batch (default 1 ns).
     """
+
+    #: Consecutive single-flow completion batches that hand a phase over.
+    handover_run = HANDOVER_RUN
 
     def __init__(
         self,
         capacities: Dict[Hashable, float],
         flows: Sequence,
         start_times: Optional[Sequence[float]] = None,
-        solver: str = "incremental",
         time_quantum: float = TIME_QUANTUM,
     ):
-        if solver not in ("incremental", "batch"):
-            raise ValueError(
-                f"unknown solver {solver!r} (want 'incremental' or 'batch')"
-            )
         self.flows = list(flows)
         count = len(self.flows)
-        self.solver_kind = solver
         self.time_quantum = float(time_quantum)
         incidence, cap_vec, _ = build_incidence_from_paths(
             [flow.path for flow in self.flows], capacities
@@ -315,8 +249,7 @@ class FlowEventEngine:
         self._single_run = self._single_run + 1 if finished.size == 1 else 0
         if (
             self._solver is None
-            and self.solver_kind == "incremental"
-            and self._single_run >= HANDOVER_RUN
+            and self._single_run >= self.handover_run
             and active_idx.size > finished.size
         ):
             self._active[finished] = False

@@ -137,29 +137,17 @@ def simulate_iteration(
     traffic: TrafficSummary,
     compute_s: float,
     collect_link_bytes: bool = False,
-    solver: str = "incremental",
 ) -> IterationBreakdown:
-    """Simulate one training iteration on ``fabric`` (Eq. 1 model).
-
-    ``solver`` selects the solve mode of the underlying event engine
-    (see :class:`repro.sim.events.FlowEventEngine`): ``"incremental"``
-    re-solves per event batch and hands a phase over to the
-    incremental solver once its completions come one flow at a time;
-    ``"batch"`` re-solves per event batch throughout.  The MP and
-    AllReduce phases co-search produces finish in large batches, so
-    both modes give identical times on them.
-    """
+    """Simulate one training iteration on ``fabric`` (Eq. 1 model)."""
     capacities = fabric.capacities()
     mp_flows = _mp_flows(fabric, traffic)
     allreduce_flows = _allreduce_flows(fabric, traffic)
     link_bytes: Dict[Link, float] = {}
     if collect_link_bytes:
         link_bytes = phase_link_bytes(mp_flows + allreduce_flows)
-    mp_s, mp_completions = simulate_phase_completions(
-        capacities, mp_flows, solver=solver
-    )
+    mp_s, mp_completions = simulate_phase_completions(capacities, mp_flows)
     allreduce_s, ar_completions = simulate_phase_completions(
-        capacities, allreduce_flows, solver=solver
+        capacities, allreduce_flows
     )
     return IterationBreakdown(
         compute_s=compute_s,
@@ -187,12 +175,9 @@ class TrainingSimulator:
     fabric: object
     traffic: TrafficSummary
     compute_s: float
-    solver: str = "incremental"
 
     def run_iteration(self) -> IterationBreakdown:
-        return simulate_iteration(
-            self.fabric, self.traffic, self.compute_s, solver=self.solver
-        )
+        return simulate_iteration(self.fabric, self.traffic, self.compute_s)
 
     def run(self, iterations: int = 1) -> List[IterationBreakdown]:
         if iterations < 1:

@@ -44,7 +44,7 @@ def all_preset_specs():
                 options={"servers_per_rack": 8, "num_spines": 2},
             ),
             optimizer=OptimizerSpec(strategy="auto"),
-            sim=SimSpec(solver="batch"),
+            sim=SimSpec(collect_link_bytes=True),
             baselines=(
                 FabricSpec(kind="sipml"),
                 FabricSpec(kind="expander", degree=6),
@@ -126,9 +126,17 @@ class TestValidation:
         with pytest.raises(SpecError, match="bandwidth"):
             ClusterSpec(bandwidth_gbps=0)
 
-    def test_bad_solver(self):
-        with pytest.raises(SpecError, match="solver"):
-            SimSpec(solver="magic")
+    @pytest.mark.parametrize("path", ["sim.solver", "optimizer.incremental"])
+    def test_retired_solver_keys_rejected(self, path):
+        # The seed references are test oracles (repro.oracles), not
+        # spec knobs: spec JSON that still selects one fails loudly.
+        block, key = path.split(".")
+        data = ExperimentSpec.preset("testbed").to_dict()
+        data[block][key] = {"sim": "incremental", "optimizer": True}[block]
+        with pytest.raises(SpecError, match=f"unknown keys \\['{key}'\\]"):
+            ExperimentSpec.from_dict(data)
+        with pytest.raises(SpecError, match=key):
+            ExperimentSpec.preset("testbed").with_overrides({key: "batch"})
 
 
 class TestOverrides:

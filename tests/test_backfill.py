@@ -30,6 +30,7 @@ from repro.cluster.invariants import (
     golden_scenario_spec,
     random_scenario_spec,
 )
+from repro.perf import warmcache
 
 _EPS = 1e-9
 
@@ -118,7 +119,7 @@ class TestIterationEstimate:
         engine = ScenarioEngine(spec)
         plan = replace(engine._draw_jobs()[0], servers=servers)
         # A private copy: the warm pipeline cache shares the estimate.
-        return engine, replace(engine._prepare(plan), est_iteration_s=None)
+        return engine, replace(engine._prepare(plan), estimates={})
 
     def test_unbuildable_expander_shard_falls_back(self):
         engine, prepared = self.prepared(5)
@@ -137,3 +138,43 @@ class TestIterationEstimate:
         monkeypatch.setattr("repro.cluster.engine.build_fabric", broken)
         with pytest.raises(TypeError, match="broken fabric builder"):
             engine._est_iteration(prepared, 4)
+
+
+class TestEstimateKey:
+    """On a shared substrate the estimate is built from the scenario's
+    fabric spec and seed, so the warm pipeline cache keys it by both:
+    no scenario reads another's estimate."""
+
+    @staticmethod
+    def estimates(spec):
+        engine = ScenarioEngine(spec)
+        return [
+            engine._est_iteration(engine._prepare(plan), plan.servers)
+            for plan in engine._draw_jobs()
+        ]
+
+    def fresh_estimates(self, spec, monkeypatch):
+        """The estimates of an engine in a cold process."""
+        with monkeypatch.context() as patch:
+            patch.setattr(warmcache, "PIPELINE_CACHE", warmcache.WarmCache())
+            return self.estimates(spec)
+
+    @pytest.mark.parametrize("kind", ["leaf-spine", "expander"])
+    def test_fabric_after_fattree_gets_its_own(self, kind, monkeypatch):
+        golden = golden_scenario_spec("conservative")
+        fattree = self.estimates(golden.with_overrides({"fabric": "fattree"}))
+        spec = golden.with_overrides({"fabric": kind})
+        warm = self.estimates(spec)
+        assert warm == self.fresh_estimates(spec, monkeypatch)
+        assert warm != fattree
+
+    def test_seed_after_other_seed_gets_its_own(self, monkeypatch):
+        # An expander's wiring is drawn from the scenario seed.
+        golden = golden_scenario_spec("conservative").with_overrides(
+            {"fabric": "expander"}
+        )
+        first = self.estimates(golden)
+        spec = golden.with_overrides({"seed": 1})
+        warm = self.estimates(spec)
+        assert warm == self.fresh_estimates(spec, monkeypatch)
+        assert warm != first

@@ -220,11 +220,14 @@ class TestDeclarativeCommands:
 def passing_smoke_results():
     """A ``bench-smoke`` results tree that passes every gate at n=64."""
     return {
-        "phase_sim": {"n=64": {"speedup": 2.0}},
-        "routing": {"n=64": {"speedup": 2.0}},
-        "staggered_phase": {"n=64": {"speedup": 2.0}},
+        "phase_sim": {"n=64": {"speedup": 2.0, "makespan_rel_err": 0.0}},
+        "routing": {"n=64": {"speedup": 2.0, "hop_counts_match": True}},
+        "lp_assembly": {"n=64": {"matrices_match": True}},
+        "staggered_phase": {"n=64": {
+            "speedup": 2.0, "makespan_rel_err": 0.0,
+        }},
         "mcmc_steps": {"n=64": {"speedup": 2.0, "cost_rel_err": 0.0}},
-        "alternating": {"n=64": {"speedup": 2.0}},
+        "alternating": {"n=64": {"speedup": 2.0, "cost_rel_err": 0.0}},
         "scenario": {"n=64": {
             "deterministic": True, "iteration_rel_err": 0.0,
             "speedup": 2.0,
@@ -271,6 +274,23 @@ class TestBenchSmokeGates:
         )
         assert "tracing overhead 12.0% on the scenario engine" in err
         assert len(err.strip().splitlines()) == 2
+
+    @pytest.mark.parametrize("entry, field, value, message", [
+        ("phase_sim", "makespan_rel_err", 1e-6, "phase_sim makespan"),
+        ("phase_sim", "makespan_rel_err", float("nan"), "phase_sim makespan"),
+        ("staggered_phase", "makespan_rel_err", 2e-6,
+         "staggered_phase makespan"),
+        ("routing", "hop_counts_match", False, "ECMP hop counts"),
+        ("lp_assembly", "matrices_match", False, "routing-LP matrices"),
+        ("alternating", "cost_rel_err", 1e-9, "alternating optimization"),
+    ])
+    def test_kernel_oracle_drift_fails(self, entry, field, value, message):
+        results = passing_smoke_results()
+        results[entry]["n=64"][field] = value
+        failures = smoke_gate_failures(results, "n=64")
+        assert len(failures) == 1
+        assert failures[0].startswith("EQUIVALENCE REGRESSION")
+        assert message in failures[0]
 
 
 def _cheap_spec_dict():

@@ -6,6 +6,7 @@ import pytest
 from repro.core.topology_finder import AllReduceGroup, topology_finder
 from repro.network.fattree import IdealSwitchFabric
 from repro.network.topoopt import TopoOptFabric
+from repro.oracles import ReferenceSharedClusterSimulator
 from repro.parallel.traffic import TrafficSummary
 from repro.sim.cluster import (
     JobSpec,
@@ -121,22 +122,17 @@ class TestStats:
         with pytest.raises(ValueError):
             SharedClusterSimulator({(0, 1): GBPS}, []).run()
 
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(ValueError):
-            SharedClusterSimulator({(0, 1): GBPS}, [], solver="quantum")
-
 
 class TestDeterminism:
-    def _run(self, seed, stagger=True, solver="kernel"):
+    def _run(self, seed, stagger=True, simulator=SharedClusterSimulator):
         n = 8
         fabric = IdealSwitchFabric(n, 2, 25 * GBPS)
         jobs = [
             JobSpec("a", dp_traffic(n, 1e9), 0.001, fabric),
             JobSpec("b", dp_traffic(n, 1.5e9), 0.002, fabric),
         ]
-        sim = SharedClusterSimulator(
-            fabric.capacities(), jobs, seed=seed,
-            stagger=stagger, solver=solver,
+        sim = simulator(
+            fabric.capacities(), jobs, seed=seed, stagger=stagger
         )
         return [tuple(s.iteration_times) for s in sim.run(3)]
 
@@ -154,7 +150,9 @@ class TestDeterminism:
 
     def test_reference_solver_matches_kernel(self):
         kernel = self._run(5, stagger=False)
-        reference = self._run(5, stagger=False, solver="reference")
+        reference = self._run(
+            5, stagger=False, simulator=ReferenceSharedClusterSimulator
+        )
         for k_job, r_job in zip(kernel, reference):
             for k_t, r_t in zip(k_job, r_job):
                 assert k_t == pytest.approx(r_t, rel=1e-9)

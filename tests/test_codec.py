@@ -104,7 +104,7 @@ def spec_samples():
             kind="leaf-spine", options={"servers_per_rack": 8, "x": [1, 2]},
         ),
         optimizer=OptimizerSpec(strategy="auto"),
-        sim=SimSpec(solver="batch", collect_link_bytes=True),
+        sim=SimSpec(collect_link_bytes=True),
         baselines=(FabricSpec(kind="expander", degree=6),),
     )
     return [

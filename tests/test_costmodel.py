@@ -1,8 +1,8 @@
 """Equivalence tests: the sparse cost-model kernel vs. the seed loops.
 
 The kernel layer (repro.perf.costmodel) must produce the same phase
-times and iteration costs as the retained pure-Python reference
-(ReferenceIterationCostModel), and the delta-updated incremental
+times and iteration costs as the seed pure-Python oracle
+(repro.oracles.ReferenceIterationCostModel), and the delta-updated incremental
 evaluator must track the full rebuild exactly across randomized move
 sequences -- including past the re-synchronization interval.  The
 routing matrix and compiled layer loads must match their per-hop and
@@ -27,7 +27,8 @@ from repro.network.fattree import (
     OversubscribedFatTreeFabric,
 )
 from repro.network.topoopt import TopoOptFabric
-from repro.parallel.mcmc import MCMCSearch, ReferenceIterationCostModel
+from repro.oracles import ReferenceIterationCostModel
+from repro.parallel.mcmc import MCMCSearch
 from repro.parallel.strategy import (
     LayerPlacement,
     PlacementKind,

@@ -7,9 +7,10 @@ from repro.core.topology_finder import AllReduceGroup, topology_finder
 from repro.core.totient import coprime_strides, totient_perms
 from repro.network.fattree import IdealSwitchFabric
 from repro.network.topoopt import TopoOptFabric
+from repro.oracles import FluidNetwork
 from repro.parallel.traffic import TrafficSummary
 from repro.sim.flows import Flow
-from repro.sim.fluid import FluidNetwork, simulate_phase
+from repro.sim.fluid import simulate_phase
 from repro.sim.network_sim import simulate_iteration
 
 

@@ -1,66 +1,10 @@
-"""Unit tests for the event queue and flow primitives."""
+"""Unit tests for the flow primitives."""
 
 import pytest
 
-from repro.sim.events import EventQueue
 from repro.sim.flows import Flow, LinkState, flows_from_matrix
 
 import numpy as np
-
-
-class TestEventQueue:
-    def test_time_ordering(self):
-        queue = EventQueue()
-        fired = []
-        queue.schedule(2.0, lambda: fired.append("b"))
-        queue.schedule(1.0, lambda: fired.append("a"))
-        while queue.run_next():
-            pass
-        assert fired == ["a", "b"]
-
-    def test_fifo_tie_break(self):
-        queue = EventQueue()
-        fired = []
-        queue.schedule(1.0, lambda: fired.append(1))
-        queue.schedule(1.0, lambda: fired.append(2))
-        while queue.run_next():
-            pass
-        assert fired == [1, 2]
-
-    def test_now_advances(self):
-        queue = EventQueue()
-        queue.schedule(3.5, lambda: None)
-        queue.run_next()
-        assert queue.now == 3.5
-
-    def test_schedule_in_past_rejected(self):
-        queue = EventQueue()
-        queue.schedule(5.0, lambda: None)
-        queue.run_next()
-        with pytest.raises(ValueError):
-            queue.schedule(1.0, lambda: None)
-
-    def test_schedule_in_relative(self):
-        queue = EventQueue()
-        queue.schedule(1.0, lambda: None)
-        queue.run_next()
-        queue.schedule_in(2.0, lambda: None)
-        assert queue.next_event_time() == pytest.approx(3.0)
-
-    def test_pop_due_batches(self):
-        queue = EventQueue()
-        queue.schedule(1.0, lambda: "a")
-        queue.schedule(2.0, lambda: "b")
-        queue.schedule(3.0, lambda: "c")
-        due = queue.pop_due(2.0)
-        assert len(due) == 2
-        assert len(queue) == 1
-
-    def test_bool_and_len(self):
-        queue = EventQueue()
-        assert not queue
-        queue.schedule(1.0, lambda: None)
-        assert queue and len(queue) == 1
 
 
 class TestFlow:

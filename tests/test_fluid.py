@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.oracles import FluidNetwork
 from repro.sim.flows import Flow
-from repro.sim.fluid import FluidNetwork, phase_link_bytes, simulate_phase
+from repro.sim.fluid import phase_link_bytes, simulate_phase
 
 GBPS = 1e9
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.oracles import BatchFlowEventEngine
 from repro.perf.bench import ring_topology, staggered_phase_flows
 from repro.perf.fairshare import (
     IncrementalFairShare,
@@ -153,12 +154,10 @@ class TestStaggeredPhaseEquivalence:
             (s, d): c * 100 * GBPS for s, d, c in topo.edges()
         }
         flows = staggered_flows(topo, rng)
-        batch = FlowEventEngine(capacities, flows, solver="batch")
+        batch = BatchFlowEventEngine(capacities, flows)
         batch.run()
         flows2 = staggered_flows(topo, np.random.default_rng(seed))
-        incremental = FlowEventEngine(
-            capacities, flows2, solver="incremental"
-        )
+        incremental = FlowEventEngine(capacities, flows2)
         incremental.run()
         np.testing.assert_allclose(
             incremental.completion_times,
@@ -177,7 +176,7 @@ class TestStaggeredPhaseEquivalence:
         }
         rng = np.random.default_rng(3)
         flows = staggered_flows(topo, rng)
-        batch = simulate_phase(capacities, flows, False, solver="batch")
+        batch = BatchFlowEventEngine(capacities, flows).run()
         flows2 = staggered_flows(topo, np.random.default_rng(3))
         incremental = simulate_phase(capacities, flows2, False)
         assert incremental == pytest.approx(batch, rel=1e-9)
@@ -188,15 +187,10 @@ class TestStaggeredPhaseEquivalence:
             (s, d): c * 100 * GBPS for s, d, c in topo.edges()
         }
         flows = staggered_phase_flows(topo, chunks=4)
-        batch = simulate_phase(capacities, flows, False, solver="batch")
+        batch = BatchFlowEventEngine(capacities, flows).run()
         flows2 = staggered_phase_flows(topo, chunks=4)
         incremental = simulate_phase(capacities, flows2, False)
         assert incremental == pytest.approx(batch, rel=1e-9)
-
-    def test_unknown_solver_rejected(self):
-        flows = [Flow(path=(0, 1), size_bits=1e9)]
-        with pytest.raises(ValueError, match="unknown solver"):
-            FlowEventEngine({(0, 1): GBPS}, flows, solver="magic")
 
 
 class TestMidPhaseArrivalAndRemoval:
@@ -209,14 +203,11 @@ class TestMidPhaseArrivalAndRemoval:
         }
         flows = staggered_flows(topo, rng)
         starts = rng.uniform(0.0, 0.05, len(flows))
-        batch = FlowEventEngine(
-            capacities, flows, start_times=starts, solver="batch"
-        )
+        batch = BatchFlowEventEngine(capacities, flows, start_times=starts)
         batch.run()
         flows2 = staggered_flows(topo, np.random.default_rng(100 + seed))
         incremental = FlowEventEngine(
-            capacities, flows2, start_times=starts.copy(),
-            solver="incremental",
+            capacities, flows2, start_times=starts.copy()
         )
         incremental.run()
         np.testing.assert_allclose(
@@ -232,9 +223,9 @@ class TestMidPhaseArrivalAndRemoval:
             (s, d): c * 100 * GBPS for s, d, c in topo.edges()
         }
 
-        def run(solver):
+        def run(engine_class):
             flows = staggered_flows(topo, np.random.default_rng(42))
-            engine = FlowEventEngine(capacities, flows, solver=solver)
+            engine = engine_class(capacities, flows)
             cancel = rng.integers(0, len(flows), size=5)
             steps = 0
             while engine.step() is not None:
@@ -244,9 +235,9 @@ class TestMidPhaseArrivalAndRemoval:
             return engine
 
         rng = np.random.default_rng(7)
-        batch = run("batch")
+        batch = run(BatchFlowEventEngine)
         rng = np.random.default_rng(7)
-        incremental = run("incremental")
+        incremental = run(FlowEventEngine)
         np.testing.assert_allclose(
             incremental.completion_times,
             batch.completion_times,

@@ -9,11 +9,8 @@ from repro.core.topology_finder import topology_finder
 from repro.models import build_bert, build_dlrm, build_vgg
 from repro.network.fattree import IdealSwitchFabric
 from repro.network.topoopt import TopoOptFabric
-from repro.parallel.mcmc import (
-    IterationCostModel,
-    MCMCSearch,
-    ReferenceIterationCostModel,
-)
+from repro.oracles import ReferenceIterationCostModel, ReferenceMCMCSearch
+from repro.parallel.mcmc import IterationCostModel, MCMCSearch
 from repro.parallel.strategy import (
     data_parallel_strategy,
     hybrid_strategy,
@@ -166,12 +163,10 @@ class TestSearch:
                 topoopt_fabric(model),
                 IdealSwitchFabric(8, 4, 100 * GBPS),
             ):
-                ref = MCMCSearch(model, 8, seed=4).search(
-                    fabric, 120, incremental=False
+                ref = ReferenceMCMCSearch(model, 8, seed=4).search(
+                    fabric, 120
                 )
-                inc = MCMCSearch(model, 8, seed=4).search(
-                    fabric, 120, incremental=True
-                )
+                inc = MCMCSearch(model, 8, seed=4).search(fabric, 120)
                 a = np.asarray(ref.cost_trace)
                 b = np.asarray(inc.cost_trace)
                 assert ref.accepted_moves == inc.accepted_moves

@@ -10,6 +10,12 @@ import pytest
 
 from repro.core.routing_lp import _normalize_splits
 from repro.network.topology import DirectConnectTopology
+from repro.oracles import (
+    FluidNetwork,
+    ReferenceFluidNetwork,
+    all_shortest_paths_bfs,
+    simulate_phase_reference,
+)
 from repro.perf.bench import SMOKE_SIZES, run_benchmarks
 from repro.perf.fairshare import (
     build_incidence,
@@ -17,12 +23,7 @@ from repro.perf.fairshare import (
     progressive_filling_rates,
 )
 from repro.sim.flows import Flow
-from repro.sim.fluid import (
-    FluidNetwork,
-    ReferenceFluidNetwork,
-    simulate_phase,
-    simulate_phase_reference,
-)
+from repro.sim.fluid import simulate_phase
 
 GBPS = 1e9
 
@@ -232,7 +233,7 @@ class TestPathEnumerationEquivalence:
             for dst in range(n):
                 if dst == src:
                     continue
-                ref = topo._all_shortest_paths_bfs(src, dst, big_cap)
+                ref = all_shortest_paths_bfs(topo, src, dst, big_cap)
                 new = batched.get(dst, [])
                 assert sorted(map(tuple, ref)) == sorted(map(tuple, new))
 

@@ -16,8 +16,8 @@ from repro.core.totient import (
     euler_phi,
     ring_permutation,
 )
+from repro.oracles import FluidNetwork
 from repro.sim.flows import Flow
-from repro.sim.fluid import FluidNetwork
 
 group_sizes = st.integers(min_value=2, max_value=64)
 cluster_sizes = st.integers(min_value=4, max_value=32)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.sipml import SipMLFabric
+from repro.oracles import FluidNetwork
 from repro.sim.flows import Flow
-from repro.sim.fluid import FluidNetwork
 from repro.sim.reconfig import ReconfigurableFabricSimulator
 
 GBPS = 1e9

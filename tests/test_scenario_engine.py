@@ -9,6 +9,7 @@ from repro.cluster import (
     ScenarioSpec,
     run_scenario,
 )
+from repro.oracles import ReferenceScenarioEngine
 
 
 def shared_spec(**overrides):
@@ -224,7 +225,7 @@ class TestResultShape:
 
     def test_solver_reference_matches_kernel(self):
         kernel = run_scenario(shared_spec())
-        reference = run_scenario(shared_spec(solver="reference"))
+        reference = ReferenceScenarioEngine(shared_spec()).run()
         for k_job, r_job in zip(kernel.jobs, reference.jobs):
             for k_t, r_t in zip(
                 k_job.iteration_times, r_job.iteration_times

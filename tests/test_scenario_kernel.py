@@ -5,10 +5,9 @@ the fleet-scale scenario machinery (wall-clock durations, analytic
 fast-forward), the process-wide warm caches, the weighted iteration
 statistics, and the LP assembly dispatch:
 
-* kernel vs reference solver: byte-identical ``ScenarioResult`` JSON
-  (modulo the spec's own ``solver`` field) on staggered multi-job
-  scenarios with mid-scenario link cuts (spec fault events), across
-  seeds;
+* kernel vs the reference allocator (``repro.oracles``): byte-identical
+  ``ScenarioResult`` JSON on staggered multi-job scenarios with
+  mid-scenario link cuts (spec fault events), across seeds;
 * wall-clock trace durations produce run-length-encoded iteration logs
   that round-trip through JSON;
 * fast-forward on/off agree on iteration counts and makespan;
@@ -40,6 +39,7 @@ from repro.cluster.engine import ScenarioEngine
 from repro.cluster.results import _weighted_percentile
 from repro.models.configs import CONFIG_FAMILIES
 from repro.obs import TRACER, TraceRecorder
+from repro.oracles import ReferenceScenarioEngine
 from repro.perf.fairshare import progressive_filling_rates
 from repro.sim.cluster import (
     FlowSet,
@@ -49,22 +49,18 @@ from repro.sim.cluster import (
 )
 
 
-def normalized_json(result) -> str:
-    """Result JSON with the spec's solver field masked out.
-
-    The solver choice is recorded in the spec block, so kernel and
-    reference runs can only ever be compared after masking it; every
-    other byte must agree.
-    """
-    data = result.to_dict()
-    data["spec"]["solver"] = "<masked>"
-    return json.dumps(data, sort_keys=True)
+def result_json(result) -> str:
+    return json.dumps(result.to_dict(), sort_keys=True)
 
 
-def staggered_spec(seed: int, solver: str) -> ScenarioSpec:
+def run_reference(spec: ScenarioSpec):
+    """``spec`` run with every substrate on the seed allocator."""
+    return ReferenceScenarioEngine(spec).run()
+
+
+def staggered_spec(seed: int) -> ScenarioSpec:
     return ScenarioSpec.preset("shared").with_overrides({
         "seed": seed,
-        "solver": solver,
         "arrivals.times": [0.0, 40.0, 95.0],
         "jobs.0.iterations": 5,
         "jobs.1.iterations": 5,
@@ -81,7 +77,7 @@ def with_link_cuts(spec, *cuts):
 class TestKernelMatchesReference:
     def test_staggered_failures_byte_identical_across_seeds(self):
         period = run_scenario(
-            staggered_spec(0, "kernel")
+            staggered_spec(0)
         ).jobs[0].iteration_avg_s
         cuts = (
             dict(time_s=1.5 * period, job_index=0, repair_s=3.5 * period),
@@ -90,12 +86,12 @@ class TestKernelMatchesReference:
         )
         for seed in (0, 1, 2):
             kernel = run_scenario(
-                with_link_cuts(staggered_spec(seed, "kernel"), *cuts)
+                with_link_cuts(staggered_spec(seed), *cuts)
             )
-            reference = run_scenario(
-                with_link_cuts(staggered_spec(seed, "reference"), *cuts)
+            reference = run_reference(
+                with_link_cuts(staggered_spec(seed), *cuts)
             )
-            assert normalized_json(kernel) == normalized_json(reference)
+            assert result_json(kernel) == result_json(reference)
             # The failures really happened (not skipped) in both runs.
             kinds = [entry["kind"] for entry in kernel.failure_log]
             assert "skipped" not in kinds and len(kinds) == 3
@@ -105,17 +101,17 @@ class TestKernelMatchesReference:
         # phase patches routing before any flow is registered: the
         # first registration must compile from the patched fabric,
         # not adopt the template's healthy flow set.
-        healthy = run_scenario(staggered_spec(0, "kernel"))
+        healthy = run_scenario(staggered_spec(0))
         job = healthy.jobs[0]
         cut = dict(time_s=0.5 * job.compute_s, job_index=0)
         kernel = run_scenario(
-            with_link_cuts(staggered_spec(0, "kernel"), cut)
+            with_link_cuts(staggered_spec(0), cut)
         )
-        reference = run_scenario(
-            with_link_cuts(staggered_spec(0, "reference"), cut)
+        reference = run_reference(
+            with_link_cuts(staggered_spec(0), cut)
         )
         assert kernel.failure_log[0]["kind"] == "mp_detour"
-        assert normalized_json(kernel) == normalized_json(reference)
+        assert result_json(kernel) == result_json(reference)
         first = kernel.jobs[0].iteration_times[0]
         assert first > job.iteration_times[0] * 1.001
 
@@ -139,16 +135,13 @@ class TestKernelMatchesReference:
         )
         for seed in (0, 7):
             kernel = run_scenario(spec.with_overrides({"seed": seed}))
-            reference = run_scenario(
-                spec.with_overrides({"seed": seed, "solver": "reference"})
-            )
-            assert normalized_json(kernel) == normalized_json(reference)
+            reference = run_reference(spec.with_overrides({"seed": seed}))
+            assert result_json(kernel) == result_json(reference)
 
 
-def offset_spec(t0: float, solver: str = "kernel") -> ScenarioSpec:
+def offset_spec(t0: float) -> ScenarioSpec:
     """The staggered three-job scenario shifted to start at ``t0``."""
     return ScenarioSpec.preset("shared").with_overrides({
-        "solver": solver,
         "arrivals.times": [t0, t0 + 40.0, t0 + 95.0],
         "jobs.0.iterations": 5,
         "jobs.1.iterations": 5,
@@ -184,9 +177,9 @@ class TestLongHorizonStepping:
 
     @pytest.mark.parametrize("t0", [0.0, 1e5, 2e6])
     def test_kernel_matches_reference_at_offset(self, t0):
-        kernel = run_scenario(offset_spec(t0, "kernel"))
-        reference = run_scenario(offset_spec(t0, "reference"))
-        assert normalized_json(kernel) == normalized_json(reference)
+        kernel = run_scenario(offset_spec(t0))
+        reference = run_reference(offset_spec(t0))
+        assert result_json(kernel) == result_json(reference)
 
 
 def first_phase_kernel(substrate, job):
@@ -373,7 +366,7 @@ class TestRateMemo:
             _SubstrateFlowKernel, "_resolve_rates", tracked_resolve
         )
         monkeypatch.setattr(FlowSet, "memo_rates", tracked_memo)
-        spec = staggered_spec(0, "kernel")
+        spec = staggered_spec(0)
         healthy = run_scenario(spec).jobs[0]
         cut_s = (
             0.5 * healthy.compute_s if first_phase
@@ -384,10 +377,10 @@ class TestRateMemo:
         assert memoized.failure_log[0]["kind"] == "mp_detour"
         assert rerouted and solves, "no rerouted kernel solved"
         assert not any(template_reads)
-        reference = run_scenario(
-            with_link_cuts(staggered_spec(0, "reference"), cut)
+        reference = run_reference(
+            with_link_cuts(staggered_spec(0), cut)
         )
-        assert normalized_json(memoized) == normalized_json(reference)
+        assert result_json(memoized) == result_json(reference)
 
     def test_different_capacities_miss(self):
         prepared = shard_template()
@@ -459,7 +452,7 @@ class TestKernelPortSwapRoundTrip:
         # Satellite: the transient-detour -> permanent-port-swap cycle
         # must round-trip under the kernel solver: post-repair
         # iterations match the healthy ones exactly.
-        spec = staggered_spec(0, "kernel")
+        spec = staggered_spec(0)
         period = run_scenario(spec).jobs[0].iteration_avg_s
         result = run_scenario(with_link_cuts(
             spec,
@@ -475,7 +468,7 @@ class TestKernelPortSwapRoundTrip:
     def test_multi_failure_sequence_under_kernel(self):
         # Two cuts on the same job, repaired in order; the job still
         # finishes its quota and the log shows the full sequence.
-        spec = staggered_spec(0, "kernel")
+        spec = staggered_spec(0)
         period = run_scenario(spec).jobs[0].iteration_avg_s
         result = run_scenario(with_link_cuts(
             spec,

@@ -93,9 +93,18 @@ class TestValidation:
                 jobs=(JobTemplateSpec(servers=8),),
             )
 
-    def test_unknown_solver(self):
-        with pytest.raises(SpecError, match="quantum"):
-            ScenarioSpec(solver="quantum")
+    @pytest.mark.parametrize("path", ["solver", "optimizer.incremental"])
+    def test_retired_solver_keys_rejected(self, path):
+        # The seed references are test oracles (repro.oracles), not
+        # spec knobs: spec JSON that still selects one fails loudly.
+        data = ScenarioSpec.preset("shared").to_dict()
+        if path == "solver":
+            data["solver"] = "kernel"
+        else:
+            data["optimizer"]["incremental"] = True
+        key = path.split(".")[-1]
+        with pytest.raises(SpecError, match=f"unknown keys \\['{key}'\\]"):
+            ScenarioSpec.from_dict(data)
 
     def test_unknown_preset(self):
         with pytest.raises(SpecError, match="unknown scenario preset"):

@@ -35,9 +35,12 @@ from repro.service import STORE_VERSION, ResultStore
 #: of :func:`pinned_scenarios`' results and of :func:`pinned_experiment`'s
 #: result, per ``STORE_VERSION``.  Version 3 moved only TopoOpt results
 #: with link cuts after an elastic resize, which no pinned scenario has,
-#: so it keeps version 2's digest.
+#: so it kept version 2's digest.  Version 4 drops the retired
+#: ``solver``/``sim.solver``/``optimizer.incremental`` keys from every
+#: result's spec block; every other byte is version 3's.
 RESULT_DIGESTS = {
     3: "b81aae69df6ac3ebf8fcf9c06d8801bf15dfbb08a3d5d371aa336639d410016f",
+    4: "4a09b9a7d81730047864b0954faf23bcbef609f9f55b7fde83d2ce38660bd358",
 }
 
 

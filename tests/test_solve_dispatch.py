@@ -1,13 +1,15 @@
-"""The flow event engine's solve-mode rule under ``solver="incremental"``.
+"""The flow event engine's solve-mode rule.
 
 A phase starts with one full progressive-filling solve per event batch
 and hands over to ``IncrementalFairShare`` only once completion batches
-arrive one flow at a time; ``solver="batch"`` never hands over.
+arrive one flow at a time; the oracle ``BatchFlowEventEngine`` never
+hands over.
 """
 
 import numpy as np
 import pytest
 
+from repro.oracles import BatchFlowEventEngine
 from repro.perf.bench import alltoall_flows, ring_topology, staggered_phase_flows
 from repro.sim import events
 from repro.sim.events import HANDOVER_RUN, FlowEventEngine
@@ -35,8 +37,8 @@ def ring_capacities(topo):
     return {(s, d): c * 100 * GBPS for s, d, c in topo.edges()}
 
 
-def run_engine(capacities, flows, solver):
-    engine = FlowEventEngine(capacities, flows, solver=solver)
+def run_engine(capacities, flows, engine_class=FlowEventEngine):
+    engine = engine_class(capacities, flows)
     engine.run()
     return engine
 
@@ -56,11 +58,11 @@ class TestSymmetricPhase:
     def test_alltoall_never_hands_over_and_equals_batch(self, n, handovers):
         topo = ring_topology(n, 4)
         capacities = ring_capacities(topo)
-        incremental = run_engine(
-            capacities, alltoall_flows(topo), "incremental"
-        )
+        incremental = run_engine(capacities, alltoall_flows(topo))
         assert handovers == []
-        batch = run_engine(capacities, alltoall_flows(topo), "batch")
+        batch = run_engine(
+            capacities, alltoall_flows(topo), BatchFlowEventEngine
+        )
         assert (
             incremental.completion_times.tobytes()
             == batch.completion_times.tobytes()
@@ -72,11 +74,11 @@ class TestStaggeredPhase:
     def test_hands_over_and_tracks_batch(self, handovers):
         topo = ring_topology(16, 4)
         capacities = ring_capacities(topo)
-        incremental = run_engine(
-            capacities, staggered_phase_flows(topo), "incremental"
-        )
+        incremental = run_engine(capacities, staggered_phase_flows(topo))
         assert len(handovers) == 1
-        batch = run_engine(capacities, staggered_phase_flows(topo), "batch")
+        batch = run_engine(
+            capacities, staggered_phase_flows(topo), BatchFlowEventEngine
+        )
         assert len(handovers) == 1  # batch never hands over
         np.testing.assert_allclose(
             incremental.completion_times, batch.completion_times, rtol=1e-9
@@ -111,7 +113,7 @@ class TestHandOverTrigger:
 
     def test_last_completion_does_not_hand_over(self, handovers):
         capacities, flows = disjoint_flows([1, 2])
-        run_engine(capacities, flows, "incremental")
+        run_engine(capacities, flows)
         assert handovers == []
 
     def test_cancellations_do_not_count(self, handovers):

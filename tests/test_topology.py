@@ -8,6 +8,7 @@ from repro.network.topology import (
     DegreeExceededError,
     DirectConnectTopology,
 )
+from repro.oracles import k_shortest_paths_reference
 
 
 def ring_topology(n, degree=2):
@@ -197,7 +198,7 @@ class TestPaths:
                     continue
                 k = rng.randrange(1, 6)
                 fast = topo.k_shortest_paths(src, dst, k)
-                reference = topo._k_shortest_paths_reference(src, dst, k)
+                reference = k_shortest_paths_reference(topo, src, dst, k)
                 assert [len(p) for p in fast] == [len(p) for p in reference]
                 assert len({tuple(p) for p in fast}) == len(fast)
                 for path in fast:
@@ -210,7 +211,7 @@ class TestPaths:
         topo = DirectConnectTopology(3, 2)
         topo.add_link(0, 1)
         assert topo.k_shortest_paths(0, 2, 3) == []
-        assert topo._k_shortest_paths_reference(0, 2, 3) == []
+        assert k_shortest_paths_reference(topo, 0, 2, 3) == []
 
     def test_k_shortest_paths_cache_safe_across_mutation(self):
         # The spur loop must not poison the version-invalidated caches:
