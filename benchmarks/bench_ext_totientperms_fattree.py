@@ -23,6 +23,7 @@ from repro.network.fattree import LeafSpineFabric
 from repro.parallel.collectives import allreduce_edge_bytes
 from repro.sim.events import FlowEventEngine
 from repro.sim.flows import Flow
+from repro.sim.fluid import compile_phase
 
 N = 32
 SERVERS_PER_RACK = 8
@@ -67,8 +68,15 @@ def _background_flows(fabric):
 
 def _collective_completion(fabric, ring_flows):
     """Time until every ring flow finishes, with background present."""
+    capacities = fabric.capacities()
+    flows = list(ring_flows) + _background_flows(fabric)
     engine = FlowEventEngine(
-        fabric.capacities(), list(ring_flows) + _background_flows(fabric)
+        capacities,
+        compile_phase(
+            capacities,
+            [flow.path for flow in flows],
+            [flow.size_bits for flow in flows],
+        ),
     )
     ring = engine.completion_times[: len(ring_flows)]  # a view
     while np.isnan(ring).any():

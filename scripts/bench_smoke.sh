@@ -1,7 +1,10 @@
 #!/usr/bin/env sh
 # Pre-merge sanity check: documentation checks first (fast), then every
 # example at smoke scale, then the kernel micro-benchmarks at smoke
-# scale (<60 s) -- flow simulation, routing, LP assembly, the search
+# scale (46-56 s on a 2-vCPU VM, 32-39 s of it the staggered_phase
+# reference at n=64; bench-smoke prints each entry's wall time and the
+# total)
+# -- flow simulation, routing, LP assembly, the search
 # plane (MCMC steps/sec plus end-to-end alternating optimization), the
 # multi-job shared-cluster scenario engine, and a capped fleet-scale
 # trace scenario.  Exits non-zero if the docs are broken, an example

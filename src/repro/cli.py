@@ -27,7 +27,7 @@ as Chrome trace-event JSON plus an :class:`repro.obs.ObsReport`;
 ``scenario``, ``sweep``, and ``serve-batch`` accept ``--trace-out`` to
 record their own runs the same way.
 
-Tooling subcommands: ``bench-smoke`` (kernel micro-benchmarks, <60 s),
+Tooling subcommands: ``bench-smoke`` (kernel micro-benchmarks, ~1 min),
 ``bench`` (one benchmark entry at a chosen size, ``--profile N`` for a
 cProfile breakdown plus warm-cache counters), ``check-docs`` (doctests
 + doc reference validation), and ``check-examples`` (runs every
@@ -693,12 +693,15 @@ def cmd_trace(argv: Sequence[str] = ()) -> int:
 # ----------------------------------------------------------------------
 
 def bench_smoke(argv: Sequence[str] = ()) -> int:
-    """Run the kernel micro-benchmarks at smoke scale (<60 s).
+    """Run the kernel micro-benchmarks at smoke scale.
 
-    A pre-merge perf sanity check: prints reference-vs-vectorized
-    timings for phase simulation, routing construction, LP assembly,
-    the staggered-flow event engine, the search plane (MCMC steps/sec
-    and end-to-end alternating optimization), and the multi-job
+    Two runs took 46 and 56 s on a 2-vCPU VM, 32 and 39 s of it the
+    ``staggered_phase`` reference side at n=64; the run prints each
+    entry's wall time and the total.  A pre-merge perf sanity check:
+    prints reference-vs-vectorized timings for phase simulation,
+    routing construction, LP assembly, the staggered-flow event engine,
+    the search plane (MCMC steps/sec and end-to-end alternating
+    optimization), and the multi-job
     scenario engine, and fails (exit 1) if a vectorized kernel has
     regressed to slower than the seed implementation at n=64 (the
     oracles in :mod:`repro.oracles`), a kernel's result drifts from its
@@ -723,6 +726,9 @@ def bench_smoke(argv: Sequence[str] = ()) -> int:
     overhead under 10%).  Every failed gate is reported, not just the
     first (:func:`smoke_gate_failures`).
     """
+    import time
+
+    start = time.perf_counter()
     from repro.perf.bench import SMOKE_SIZES, format_results, run_benchmarks
 
     parser = argparse.ArgumentParser(prog="repro bench-smoke")
@@ -731,9 +737,14 @@ def bench_smoke(argv: Sequence[str] = ()) -> int:
         help="also write the results tree to PATH as JSON",
     )
     args = parser.parse_args(list(argv))
-    results = run_benchmarks(SMOKE_SIZES)
+    wall_s: Dict[str, float] = {}
+    results = run_benchmarks(SMOKE_SIZES, wall_s=wall_s)
     for line in format_results(results):
         print(line)
+    print("wall time per entry:")
+    for entry, seconds in wall_s.items():
+        print(f"  {entry:<28} {seconds:7.2f} s")
+    print(f"  {'total':<28} {time.perf_counter() - start:7.2f} s")
     if args.json:
         from repro.perf.bench import write_results
 
@@ -1135,6 +1146,7 @@ DOCTEST_MODULES = (
     "repro.perf.fairshare",
     "repro.perf.warmcache",
     "repro.service.metrics",
+    "repro.sim.flows",
     "repro.sim.fluid",
 )
 

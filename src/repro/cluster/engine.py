@@ -87,7 +87,9 @@ from repro.models.compute import compute_time_seconds
 from repro.models.configs import CONFIG_FAMILIES
 from repro.obs import TRACER, ObsReport, TraceRecorder
 from repro.parallel.traffic import extract_traffic
-from repro.sim.cluster import FlowSet, JobSpec, SharedClusterSimulator
+from repro.sim.cluster import JobSpec, SharedClusterSimulator
+from repro.sim.flows import FlowSet
+from repro.sim.network_sim import traffic_paths
 
 _TIME_EPS = 1e-9
 
@@ -660,8 +662,9 @@ class ScenarioEngine:
         """
         if prepared.flows is None:
             fabric = prepared.fabric
-            prepared.flows = FlowSet.compile(
-                fabric.capacities(), fabric, prepared.traffic
+            prepared.flows = FlowSet.from_paths(
+                *traffic_paths(fabric, prepared.traffic),
+                fabric.capacities(),
             )
         return prepared.flows
 

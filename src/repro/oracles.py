@@ -9,9 +9,12 @@ spec field, parameter or environment variable selects a reference.  A
 reference reaches the runtime only by subclassing a runtime class or by
 standing in for a class the runtime builds:
 
+* :func:`build_incidence` -- the per-hop dict incidence builder, the
+  oracle of :meth:`repro.sim.flows.FlowSet.from_paths`;
 * :class:`FluidNetwork` and :class:`ReferenceFluidNetwork` -- the
-  dict-of-flows allocators; :func:`simulate_phase_reference` -- the
-  seed event loop over the latter;
+  dict-of-flows allocators with their :class:`LinkState` bookkeeping;
+  :func:`simulate_phase_reference` -- the seed event loop over the
+  latter;
 * :class:`BatchFlowEventEngine` -- a
   :class:`~repro.sim.events.FlowEventEngine` that never hands a phase
   over to the incremental solver;
@@ -32,9 +35,11 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.cluster.engine import ScenarioEngine
 from repro.core.alternating import AlternatingOptimizer
@@ -42,11 +47,11 @@ from repro.network.topology import DirectConnectTopology
 from repro.parallel.mcmc import MCMCSearch
 from repro.parallel.strategy import LayerPlacement, ParallelizationStrategy
 from repro.parallel.traffic import TrafficSummary, extract_traffic
-from repro.perf.fairshare import build_incidence, progressive_filling_rates
+from repro.perf.fairshare import progressive_filling_rates
 from repro.sim.cluster import SharedClusterSimulator, _JobState
 from repro.sim.events import TIME_QUANTUM, FlowEventEngine
-from repro.sim.flows import Flow, Link, LinkState
-from repro.sim.network_sim import _allreduce_flows, _mp_flows
+from repro.sim.flows import Flow, Link
+from repro.sim.network_sim import traffic_paths
 
 _EPS = 1e-12
 
@@ -54,6 +59,72 @@ _EPS = 1e-12
 # ----------------------------------------------------------------------
 # Flow allocators and the phase loop
 # ----------------------------------------------------------------------
+
+@dataclass
+class LinkState:
+    """Mutable per-link bookkeeping of :class:`FluidNetwork`."""
+
+    capacity_bps: float
+    flows: set = field(default_factory=set)
+
+    def __post_init__(self):
+        if self.capacity_bps <= 0:
+            raise ValueError("link capacity must be positive")
+
+
+def build_incidence(
+    link_lists: Sequence[Sequence[Hashable]],
+    capacities: Dict[Hashable, float],
+) -> Tuple[sparse.csr_matrix, np.ndarray, List[Hashable]]:
+    """Build the (links x flows) 0/1 incidence matrix for a flow set.
+
+    Parameters
+    ----------
+    link_lists:
+        Per-flow link sequences (``flow.links``).  Duplicate links
+        within one flow are counted once, matching the set semantics of
+        the reference allocator.
+    capacities:
+        Link -> capacity table.  Only links actually crossed by a flow
+        get a row, so a dense fabric with ``n^2`` idle links costs
+        nothing.
+
+    Returns
+    -------
+    (incidence, cap_vector, link_order):
+        CSR incidence matrix, per-row capacities, and the link each row
+        corresponds to.
+
+    Raises
+    ------
+    KeyError
+        If a flow crosses a link missing from ``capacities``.
+    """
+    link_index: Dict[Hashable, int] = {}
+    link_order: List[Hashable] = []
+    cap_list: List[float] = []
+    rows: List[int] = []
+    cols: List[int] = []
+    for col, links in enumerate(link_lists):
+        for link in dict.fromkeys(links):
+            row = link_index.get(link)
+            if row is None:
+                if link not in capacities:
+                    raise KeyError(
+                        f"flow {col} uses link {link} which does not "
+                        "exist in the network"
+                    )
+                row = link_index[link] = len(link_order)
+                link_order.append(link)
+                cap_list.append(float(capacities[link]))
+            rows.append(row)
+            cols.append(col)
+    shape = (len(link_order), len(link_lists))
+    incidence = sparse.csr_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=shape
+    )
+    return incidence, np.asarray(cap_list, dtype=float), link_order
+
 
 class FluidNetwork:
     """Tracks active flows on a capacitated link set and assigns rates.
@@ -598,9 +669,12 @@ class ReferenceSharedClusterSimulator(SharedClusterSimulator):
 
     def _start_communication(self, state: _JobState, now: float) -> None:
         spec = state.spec
-        traffic = spec.global_traffic()
-        flows = _mp_flows(spec.fabric, traffic)
-        flows.extend(_allreduce_flows(spec.fabric, traffic))
+        flows = [
+            Flow(path=path, size_bits=size)
+            for path, size in zip(
+                *traffic_paths(spec.fabric, spec.global_traffic())
+            )
+        ]
         if not flows:
             self._finish_communication(state, now)
             return

@@ -3,10 +3,11 @@
 This package is the array-based kernel layer the rest of the system
 leans on for cluster-scale runs:
 
-- :mod:`repro.perf.fairshare` -- sparse flow--link incidence
-  construction plus a batched progressive-filling solver that computes
-  the max-min fair rate allocation with NumPy/scipy.sparse instead of
-  per-(link, flow) Python loops.
+- :mod:`repro.perf.fairshare` -- a batched progressive-filling solver
+  over a sparse flow--link incidence (compiled by
+  :class:`repro.sim.flows.FlowSet`) that computes the max-min fair
+  rate allocation with NumPy/scipy.sparse instead of per-(link, flow)
+  Python loops, plus its incremental delta-repair counterpart.
 - :mod:`repro.perf.graph` -- all-pairs hop counts (one C-level BFS
   sweep per source via ``scipy.sparse.csgraph``), strong-connectivity
   checks, min-hop path enumeration from a precomputed distance matrix,
@@ -26,7 +27,7 @@ Consumers: :mod:`repro.sim.fluid` (rate allocation, phase simulation),
 incremental cost model).
 """
 
-from repro.perf.fairshare import build_incidence, progressive_filling_rates
+from repro.perf.fairshare import progressive_filling_rates
 from repro.perf.graph import (
     all_pairs_hop_counts,
     enumerate_min_hop_paths,
@@ -34,7 +35,6 @@ from repro.perf.graph import (
 )
 
 __all__ = [
-    "build_incidence",
     "progressive_filling_rates",
     "all_pairs_hop_counts",
     "enumerate_min_hop_paths",

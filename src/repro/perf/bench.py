@@ -51,13 +51,13 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.network.topology import DirectConnectTopology
 from repro.sim.flows import Flow
-from repro.sim.fluid import simulate_phase
+from repro.sim.fluid import compile_phase, simulate_phase
 
 GBPS = 1e9
 
@@ -154,7 +154,14 @@ def bench_staggered_phase(n: int, degree: int = 4, chunks: int = 16) -> Dict:
     }
     flows_ref = staggered_phase_flows(topo, chunks=chunks)
     start = time.perf_counter()
-    makespan_ref = BatchFlowEventEngine(capacities, flows_ref).run()
+    makespan_ref = BatchFlowEventEngine(
+        capacities,
+        compile_phase(
+            capacities,
+            [flow.path for flow in flows_ref],
+            [flow.size_bits for flow in flows_ref],
+        ),
+    ).run()
     reference_s = time.perf_counter() - start
     flows_inc = staggered_phase_flows(topo, chunks=chunks)
     start = time.perf_counter()
@@ -988,8 +995,13 @@ def run_benchmarks(
         "scheduler_sweep", "scenario_storm", "service_throughput",
         "obs_overhead",
     ),
+    wall_s: Optional[Dict[str, float]] = None,
 ) -> Dict:
-    """Run the kernel micro-benchmarks and return the results tree."""
+    """Run the kernel micro-benchmarks and return the results tree.
+
+    ``wall_s``, when given, receives each entry's wall time in seconds
+    under ``"<scenario> n=<size>"``.
+    """
     runners = BENCH_ENTRIES
     full_run = max(sizes) >= max(FULL_SIZES)
     results: Dict = {"sizes": list(sizes)}
@@ -1016,7 +1028,10 @@ def run_benchmarks(
         elif scenario in ("mcmc_steps", "alternating"):
             scenario_sizes = SEARCH_SIZES
         for n in scenario_sizes:
+            start = time.perf_counter()
             results[scenario][f"n={n}"] = runners[scenario](n)
+            if wall_s is not None:
+                wall_s[f"{scenario} n={n}"] = time.perf_counter() - start
     return results
 
 

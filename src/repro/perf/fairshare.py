@@ -17,126 +17,12 @@ all-to-all, AllReduce rings) collapse from thousands of rounds to one.
 from __future__ import annotations
 
 import heapq
-from itertools import chain
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
 _EPS = 1e-12
-Edge = Tuple[int, int]
-
-
-def build_incidence(
-    link_lists: Sequence[Sequence[Hashable]],
-    capacities: Dict[Hashable, float],
-) -> Tuple[sparse.csr_matrix, np.ndarray, List[Hashable]]:
-    """Build the (links x flows) 0/1 incidence matrix for a flow set.
-
-    Parameters
-    ----------
-    link_lists:
-        Per-flow link sequences (``flow.links``).  Duplicate links
-        within one flow are counted once, matching the set semantics of
-        the reference allocator.
-    capacities:
-        Link -> capacity table.  Only links actually crossed by a flow
-        get a row, so a dense fabric with ``n^2`` idle links costs
-        nothing.
-
-    Returns
-    -------
-    (incidence, cap_vector, link_order):
-        CSR incidence matrix, per-row capacities, and the link each row
-        corresponds to.
-
-    Raises
-    ------
-    KeyError
-        If a flow crosses a link missing from ``capacities``.
-    """
-    link_index: Dict[Hashable, int] = {}
-    link_order: List[Hashable] = []
-    cap_list: List[float] = []
-    rows: List[int] = []
-    cols: List[int] = []
-    for col, links in enumerate(link_lists):
-        for link in dict.fromkeys(links):
-            row = link_index.get(link)
-            if row is None:
-                if link not in capacities:
-                    raise KeyError(
-                        f"flow {col} uses link {link} which does not "
-                        "exist in the network"
-                    )
-                row = link_index[link] = len(link_order)
-                link_order.append(link)
-                cap_list.append(float(capacities[link]))
-            rows.append(row)
-            cols.append(col)
-    shape = (len(link_order), len(link_lists))
-    incidence = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=shape
-    )
-    return incidence, np.asarray(cap_list, dtype=float), link_order
-
-
-def build_incidence_from_paths(
-    paths: Sequence[Sequence[int]],
-    capacities: Dict[Edge, float],
-) -> Tuple[sparse.csr_matrix, np.ndarray, List[Edge]]:
-    """Vectorized :func:`build_incidence` for integer node paths.
-
-    Links are the consecutive node pairs of each path, encoded as
-    ``a * stride + b`` integers so the whole (flow, link) table is
-    deduplicated and indexed with :func:`np.unique` instead of per-hop
-    dict lookups -- the construction itself was the bottleneck once the
-    solve went sparse.  Semantics match ``build_incidence`` on
-    ``[flow.links for flow in flows]``.
-    """
-    num_flows = len(paths)
-    if num_flows == 0:
-        return (
-            sparse.csr_matrix((0, 0)),
-            np.empty(0),
-            [],
-        )
-    lens = np.fromiter((len(p) for p in paths), dtype=np.int64, count=num_flows)
-    total = int(lens.sum())
-    flat = np.fromiter(chain.from_iterable(paths), dtype=np.int64, count=total)
-    # Positions of every hop head: all path positions except the last
-    # node of each path.
-    mask = np.ones(total, dtype=bool)
-    mask[np.cumsum(lens) - 1] = False
-    head_pos = np.flatnonzero(mask)
-    heads = flat[head_pos]
-    tails = flat[head_pos + 1]
-    flow_ids = np.repeat(np.arange(num_flows), lens - 1)
-    stride = int(flat.max()) + 1
-    codes = heads * stride + tails
-    # Count each (flow, link) incidence once even if a path revisits a
-    # link (set semantics, as in the reference allocator).
-    pair_codes = flow_ids * (stride * stride) + codes
-    _, keep = np.unique(pair_codes, return_index=True)
-    link_rows, row_index = np.unique(codes[keep], return_inverse=True)
-    link_order: List[Edge] = []
-    cap_list: List[float] = []
-    for code in link_rows:
-        link = (int(code) // stride, int(code) % stride)
-        if link not in capacities:
-            raise KeyError(
-                f"a flow uses link {link} which does not exist in the network"
-            )
-        link_order.append(link)
-        cap_list.append(float(capacities[link]))
-    incidence = sparse.csr_matrix(
-        (
-            np.ones(len(row_index)),
-            (row_index, flow_ids[keep]),
-        ),
-        shape=(len(link_order), num_flows),
-    )
-    return incidence, np.asarray(cap_list), link_order
 
 
 def progressive_filling_rates(
@@ -324,16 +210,16 @@ _CHECK_RTOL = 1e-9
 
 
 class IncrementalFairShare:
-    """Incremental max-min solver with add/remove-flow deltas.
+    """Incremental max-min solver with remove-flow deltas.
 
     Holds the ``(L, F)`` flow--link incidence matrix fixed and maintains
     the max-min fair allocation for the *active* subset of its columns,
-    updating it in place as flows depart (complete) or arrive instead of
+    updating it in place as flows depart (complete) instead of
     re-running progressive filling from scratch.
 
     Each delta re-solves only the affected link/flow *frontier*: the
-    departing (or arriving) flows' capacity is released on (charged to)
-    their links, and progressive filling re-runs over just the active
+    departing flows' capacity is released on their links, and
+    progressive filling re-runs over just the active
     flows sharing a link with them, against the residual capacity left
     by everyone else.  The repaired allocation is then *verified* with
     the water-filling optimality condition -- a feasible allocation is
@@ -449,10 +335,6 @@ class IncrementalFairShare:
         """The live rate vector (no copy). Callers must not mutate it."""
         return self._rates
 
-    def active_view(self) -> np.ndarray:
-        """The live active mask (no copy). Callers must not mutate it."""
-        return self._active
-
     # -- deltas --------------------------------------------------------
     def remove_flows(self, indices: Sequence[int]) -> None:
         """Deactivate ``indices`` and repair the allocation in place.
@@ -484,32 +366,6 @@ class IncrementalFairShare:
         self._repair(link_ids)
         self._tick()
 
-    def add_flows(self, indices: Sequence[int]) -> None:
-        """Activate ``indices`` (columns of the incidence matrix).
-
-        Arriving flows start at rate 0 with no witness, so the repair
-        loop immediately re-solves them (and whoever they squeeze).
-        Already-active indices are ignored, as are duplicates within
-        one call.
-        """
-        idx = np.unique(np.asarray(indices, dtype=np.int64))
-        idx = idx[~self._active[idx]]
-        if idx.size == 0:
-            return
-        bulk = self._bulk_delta(idx.size)
-        self._active_count += idx.size
-        if bulk:
-            self._active[idx] = True
-            self._rates[idx] = 0.0
-            self.recompute()
-            return
-        link_ids, _ = self._gather_links(idx)
-        self._active[idx] = True
-        self._rates[idx] = 0.0
-        self._witness[idx] = -1
-        self._repair(link_ids)
-        self._tick()
-
     def recompute(self) -> None:
         """Full from-scratch re-solve (drops all incremental state)."""
         self._rates[:] = 0.0
@@ -524,7 +380,7 @@ class IncrementalFairShare:
     def _bulk_delta(self, delta_size: int) -> bool:
         """Whether a delta is so large that frontier repair cannot win.
 
-        A batch that adds or removes a sizeable fraction of the active
+        A batch that removes a sizeable fraction of the active
         set perturbs most of the allocation anyway (symmetric phases
         complete in a handful of huge batches), so a single full
         re-solve is cheaper than repairing an almost-global frontier.

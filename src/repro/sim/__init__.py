@@ -7,7 +7,8 @@ max-min fair rates over their paths (progressive filling), recomputed at
 every arrival/departure, with exact completion times under
 piecewise-constant rates and 1 us per-hop propagation latency.
 
-* :mod:`repro.sim.flows` -- flow and link primitives.
+* :mod:`repro.sim.flows` -- flows and :class:`~repro.sim.flows.FlowSet`,
+  the one compiler every stepper's flows go through.
 * :mod:`repro.sim.events` -- the array-backed flow event engine.
 * :mod:`repro.sim.fluid` -- the max-min phase runner built on it.
 * :mod:`repro.sim.network_sim` -- training-iteration simulation of a
@@ -20,7 +21,7 @@ piecewise-constant rates and 1 us per-hop propagation latency.
   (NPAR) model of section 6 / Appendix I.
 """
 
-from repro.sim.flows import Flow, LinkState
+from repro.sim.flows import Flow
 from repro.sim.fluid import simulate_phase
 from repro.sim.network_sim import (
     IterationBreakdown,
@@ -33,7 +34,6 @@ from repro.sim.rdma import RdmaForwardingModel, NparInterface
 
 __all__ = [
     "Flow",
-    "LinkState",
     "simulate_phase",
     "IterationBreakdown",
     "TrainingSimulator",

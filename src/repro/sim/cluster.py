@@ -39,130 +39,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs import TRACER
 from repro.parallel.traffic import TrafficSummary
 from repro.perf.fairshare import progressive_filling_rates
-from repro.sim.network_sim import _allreduce_flows, _mp_flows
-
-Link = Tuple[int, int]
+from repro.sim.flows import FlowSet, Link
+from repro.sim.network_sim import traffic_paths
 
 _EPS = 1e-12
-
-#: Entries one :class:`FlowSet`'s rate memo may hold.  A shard phase
-#: walks one active mask per completion event and every phase of a
-#: template replays the same walk: ``bench scenario_fleet --n 1000``
-#: peaks at 184 masks (a 275-flow DLRM shard).  The cap only bounds
-#: memory where masks never repeat.
-_RATE_MEMO_CAP = 512
-
-
-def _incidence(rows, cols, num_links: int, num_flows: int):
-    """The (links x flows) 0/1 CSR incidence of COO ``(rows, cols)``."""
-    from scipy import sparse
-
-    return sparse.csr_matrix(
-        (
-            np.ones(len(rows)),
-            (
-                np.asarray(rows, dtype=np.int64),
-                np.asarray(cols, dtype=np.int64),
-            ),
-        ),
-        shape=(num_links, num_flows),
-    )
-
-
-class FlowSet:
-    """One job's communication flows, compiled against a link order.
-
-    Holds what the substrate kernel registers per job: each flow's link
-    rows (indices into the substrate's capacity table), the per-flow
-    entry counts, the flow sizes, and -- built on first use -- the
-    (links x flows) CSR incidence with its transpose.  A set compiled
-    on a shard-local TopoOpt fabric serves every admission of that
-    template: shards are contiguous server blocks and relabeling keeps
-    the capacity table's link order, so link rows, flow order and sizes
-    are the same on every block.  A set is immutable except for its
-    rate memo: max-min rate vectors solved over its incidence, keyed by
-    the bytes of the capacity vector and active mask they were solved
-    for (see :meth:`memo_rates`).  Kernels copy what they keep.
-    """
-
-    def __init__(
-        self,
-        rows: List[int],
-        nnz: List[int],
-        sizes: np.ndarray,
-        num_links: int,
-    ):
-        self.rows = rows
-        self.nnz = nnz
-        self.sizes = sizes
-        self.num_links = num_links
-        self.count = len(nnz)
-        self.cols = np.repeat(np.arange(self.count, dtype=np.int64), nnz)
-        self._matrices = None
-        self._rate_memo: Dict[Tuple[bytes, bytes], np.ndarray] = {}
-
-    @classmethod
-    def compile(
-        cls, links: Iterable[Link], fabric, traffic: TrafficSummary
-    ) -> "FlowSet":
-        """Build the MP + AllReduce flows of ``traffic`` on ``fabric``.
-
-        ``links`` lists the substrate's links in capacity-table order;
-        a flow's row is its link's position in that list.
-        """
-        link_rows = {link: row for row, link in enumerate(links)}
-        flows = _mp_flows(fabric, traffic)
-        flows.extend(_allreduce_flows(fabric, traffic))
-        rows: List[int] = []
-        nnz: List[int] = []
-        for index, flow in enumerate(flows):
-            # Duplicate links within one flow count once (the set
-            # semantics of the reference allocator).
-            unique = dict.fromkeys(flow.links)
-            for link in unique:
-                row = link_rows.get(link)
-                if row is None:
-                    raise KeyError(
-                        f"flow {index} uses link {link} which does not "
-                        "exist in the network"
-                    )
-                rows.append(row)
-            nnz.append(len(unique))
-        sizes = np.array([flow.size_bits for flow in flows], dtype=float)
-        return cls(rows, nnz, sizes, len(link_rows))
-
-    def matrices(self):
-        """``(incidence, incidence.T)`` in CSR form, built once."""
-        if self._matrices is None:
-            incidence = _incidence(
-                self.rows, self.cols, self.num_links, self.count
-            )
-            self._matrices = (incidence, incidence.T.tocsr())
-        return self._matrices
-
-    def memo_rates(self, key: Tuple[bytes, bytes]) -> Optional[np.ndarray]:
-        """A copy of the rates memoized under ``key``, or ``None``.
-
-        ``key`` is ``(capacities.tobytes(), active.tobytes())``: with
-        the incidence fixed, max-min rates are a pure function of the
-        two, so a memoized vector is the one a fresh solve would give.
-        """
-        rates = self._rate_memo.get(key)
-        return None if rates is None else rates.copy()
-
-    def memoize_rates(
-        self, key: Tuple[bytes, bytes], rates: np.ndarray
-    ) -> None:
-        """Remember a copy of ``rates`` under ``key`` (until the cap)."""
-        if len(self._rate_memo) < _RATE_MEMO_CAP:
-            self._rate_memo[key] = rates.copy()
 
 
 @dataclass
@@ -176,10 +63,10 @@ class JobSpec:
     ``i``.  :meth:`global_traffic` gives the global-id view either way,
     remapping at most once per spec and only when a flow build needs it
     -- so an admission that adopts a precompiled set never pays for the
-    dense remap.  ``flows`` is an optional precompiled :class:`FlowSet`
-    of this job in the substrate's link order (a shard template);
-    without one the kernel compiles the set from ``fabric`` and
-    :meth:`global_traffic` at the first phase.
+    dense remap.  ``flows`` is an optional precompiled
+    :class:`~repro.sim.flows.FlowSet` of this job in the substrate's
+    link order (a shard template); without one the kernel compiles the
+    set from ``fabric`` and :meth:`global_traffic` at the first phase.
     """
 
     name: str
@@ -285,18 +172,16 @@ class _SubstrateFlowKernel:
     def __init__(self, capacities: Dict[Link, float]):
         if not capacities:
             raise ValueError("network needs at least one link")
-        self._link_index = {
-            link: row for row, link in enumerate(capacities)
-        }
+        self.links = list(capacities)
         self._cap_vec = np.fromiter(
             capacities.values(), dtype=float, count=len(capacities)
         )
         self._cap_key = self._cap_vec.tobytes()
         self.num_links = len(capacities)
-        # Growing COO triplets of the persistent incidence.
-        self._coo_rows: List[int] = []
-        self._coo_cols: List[int] = []
-        self._nnz_per_col: List[int] = []
+        # Link rows of every registered column, column after column,
+        # and each column's row count (a FlowSet's layout).
+        self._rows: List[int] = []
+        self._nnz: List[int] = []
         self._col_count = 0
         # Per-column state.
         self._size = np.empty(0)
@@ -327,17 +212,24 @@ class _SubstrateFlowKernel:
 
     # -- registration --------------------------------------------------
     def register(self, flows: FlowSet) -> np.ndarray:
-        """Add one job's flow set as inactive columns; return their ids."""
+        """Add one job's flow set as inactive columns; return their ids.
+
+        A kernel with nothing live drops its dead columns first (no
+        caller holds a live column id to remap), so the set lands at
+        column 0 as the kernel's sole set: a rerouted shard job's
+        recompiled set then reuses its own matrices and rate memo.
+        """
         if flows.num_links != self.num_links:
             raise ValueError(
                 f"flow set compiled for {flows.num_links} links, "
                 f"this substrate has {self.num_links}"
             )
+        if self._dead_nnz and not self._live_nnz:
+            self.compact()
         start = self._col_count
         self._sole_set = flows if start == 0 else None
-        self._coo_rows.extend(flows.rows)
-        self._coo_cols.extend((flows.cols + start).tolist())
-        self._nnz_per_col.extend(flows.nnz)
+        self._rows.extend(flows.rows.tolist())
+        self._nnz.extend(flows.nnz.tolist())
         self._live_nnz += len(flows.rows)
         count = flows.count
         self._col_count += count
@@ -364,7 +256,7 @@ class _SubstrateFlowKernel:
             self.deactivate(live)
         self._dead[cols] = True
         for col in cols:
-            moved = self._nnz_per_col[col]
+            moved = self._nnz[col]
             self._dead_nnz += moved
             self._live_nnz -= moved
 
@@ -377,16 +269,12 @@ class _SubstrateFlowKernel:
         keep = ~self._dead
         mapping = np.full(self._col_count, -1, dtype=np.int64)
         mapping[keep] = np.arange(int(keep.sum()), dtype=np.int64)
-        cols = np.asarray(self._coo_cols, dtype=np.int64)
-        rows = np.asarray(self._coo_rows, dtype=np.int64)
-        kept_entries = keep[cols]
-        self._coo_rows = rows[kept_entries].tolist()
-        self._coo_cols = mapping[cols[kept_entries]].tolist()
-        self._nnz_per_col = [
-            nnz
-            for nnz, alive in zip(self._nnz_per_col, keep)
-            if alive
-        ]
+        nnz = np.asarray(self._nnz, dtype=np.int64)
+        kept_entries = np.repeat(keep, nnz)
+        self._rows = np.asarray(self._rows, dtype=np.int64)[
+            kept_entries
+        ].tolist()
+        self._nnz = nnz[keep].tolist()
         self._size = self._size[keep]
         self._eps = self._eps[keep]
         self.remaining = self.remaining[keep]
@@ -416,11 +304,12 @@ class _SubstrateFlowKernel:
         if self._sole_set is not None:
             self._incidence, self._incidence_t = self._sole_set.matrices()
         else:
-            self._incidence = _incidence(
-                self._coo_rows, self._coo_cols,
-                self.num_links, self._col_count,
-            )
-            self._incidence_t = self._incidence.T.tocsr()
+            self._incidence, self._incidence_t = FlowSet(
+                self.links,
+                np.asarray(self._rows, dtype=np.int64),
+                np.asarray(self._nnz, dtype=np.int64),
+                self._size,
+            ).matrices()
         self._stale_structure = False
 
     def _resolve_rates(self) -> None:
@@ -481,11 +370,11 @@ class _SubstrateFlowKernel:
         """
         self._solve_if_dirty()
         if self._incidence is None or self._col_count == 0:
-            return {link: 0.0 for link in self._link_index}
+            return {link: 0.0 for link in self.links}
         used = self._incidence @ (self._rates * self._active)
         return {
             link: float(used[row] / self._cap_vec[row])
-            for link, row in self._link_index.items()
+            for row, link in enumerate(self.links)
         }
 
     def _sample_utilization(self, recorder) -> None:
@@ -528,7 +417,7 @@ class _SubstrateFlowKernel:
             return
         timelines = [
             recorder.timeline(f"link_util.{src}->{dst}")
-            for src, dst in self._link_index
+            for src, dst in self.links
         ]
         snaps, cache[1][:] = list(cache[1]), []
         last = self._last_util
@@ -683,10 +572,7 @@ class SharedClusterSimulator:
         for key in dead:
             del self._flow_owner[key]
         if state.flow_cols is not None:
-            self._kernel.release(state.flow_cols)
-            state.flow_cols = None
-            if self._kernel.wants_compaction:
-                self._compact_kernel()
+            self._release_flows(state)
 
     def defer_job(self, state: _JobState, until: float) -> None:
         """Skip a job ahead to the iteration boundary at ``until``.
@@ -722,17 +608,19 @@ class SharedClusterSimulator:
         if state.phase == "comm" and state.outstanding > 0:
             state.flows_stale = True
             return
+        self._release_flows(state)
+
+    def _release_flows(self, state: _JobState) -> None:
+        """Drop ``state``'s flow columns; compact when the kernel wants."""
         self._kernel.release(state.flow_cols)
         state.flow_cols = None
         state.flows_stale = False
-        if self._kernel.wants_compaction:
-            self._compact_kernel()
-
-    def _compact_kernel(self) -> None:
+        if not self._kernel.wants_compaction:
+            return
         mapping = self._kernel.compact()
-        for state in self.states:
-            if state.flow_cols is not None:
-                state.flow_cols = mapping[state.flow_cols]
+        for other in self.states:
+            if other.flow_cols is not None:
+                other.flow_cols = mapping[other.flow_cols]
         self._flow_owner = {
             int(mapping[col]): owner
             for col, owner in self._flow_owner.items()
@@ -835,9 +723,7 @@ class SharedClusterSimulator:
             # Routing changed while the previous phase was in flight;
             # its columns are inactive now, so drop and rebuild from the
             # patched fabric.
-            self._kernel.release(cols)
-            state.flow_cols = None
-            state.flows_stale = False
+            self._release_flows(state)
             cols = None
         if cols is None:
             # Registered once per job (and after routing invalidation),
@@ -845,10 +731,9 @@ class SharedClusterSimulator:
             # (fabric, traffic).
             flows = None if state.rerouted else spec.flows
             if flows is None:
-                flows = FlowSet.compile(
-                    self._kernel._link_index,
-                    spec.fabric,
-                    spec.global_traffic(),
+                flows = FlowSet.from_paths(
+                    *traffic_paths(spec.fabric, spec.global_traffic()),
+                    self._kernel.links,
                 )
             cols = self._kernel.register(flows)
             state.flow_cols = cols

@@ -6,15 +6,18 @@ saturates, every flow crossing it freezes at its fair share and the
 remaining flows keep growing.  The result is the unique max-min fair
 allocation, recomputed whenever the active flow set changes.
 
-:func:`simulate_phase` drives the array-backed
-:class:`repro.sim.events.FlowEventEngine`, which lowers the flow set
-once to a sparse flow--link incidence matrix and re-solves it with
+:func:`simulate_phase` compiles its flows once into a
+:class:`repro.sim.flows.FlowSet` -- rows in (src, dst) order over the
+whole capacity table (:func:`compile_phase`) -- and runs it on the
+array-backed :class:`repro.sim.events.FlowEventEngine`, which re-solves
+the sparse flow--link incidence with
 :func:`repro.perf.fairshare.progressive_filling_rates` per event batch;
 a phase whose completions come one flow at a time (a staggered
 workload, every flow finishing at a distinct time) hands over to the
 incremental solver (:class:`repro.perf.fairshare.IncrementalFairShare`)
-instead.  The OCS-reconfig simulator (:mod:`repro.sim.reconfig`) runs
-on the same kernel.
+instead.  The OCS-reconfig simulator (:mod:`repro.sim.reconfig`) and
+the shared-cluster kernel (:mod:`repro.sim.cluster`) compile through
+the same :meth:`~repro.sim.flows.FlowSet.from_paths`.
 
 The seed's dict-of-flows allocators and event loop are test oracles in
 :mod:`repro.oracles` (``FluidNetwork``, ``ReferenceFluidNetwork``,
@@ -27,12 +30,26 @@ paper's no-overlap iteration-time model (Eq. 1 in section 5.4).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.sim.events import FlowEventEngine
-from repro.sim.flows import Flow, Link
+from repro.sim.flows import Flow, FlowSet, Link
+
+
+def compile_phase(
+    capacities: Dict[Link, float],
+    paths: Sequence[Sequence[int]],
+    sizes_bits: Sequence[float],
+) -> FlowSet:
+    """One phase's flows as a :class:`~repro.sim.flows.FlowSet`.
+
+    Rows follow the whole capacity table in (src, dst) order: the
+    incremental solver's repair ties follow row order, and its
+    hand-over results are pinned in this one.
+    """
+    return FlowSet.from_paths(paths, sizes_bits, sorted(capacities))
 
 
 def simulate_phase(
@@ -42,8 +59,8 @@ def simulate_phase(
 ) -> float:
     """Run flows that all start at t=0 to completion; return the makespan.
 
-    Fully array-based: the flow set is lowered once to a sparse
-    incidence matrix and driven by
+    Fully array-based: the flow set is compiled once
+    (:func:`compile_phase`) and driven by
     :class:`repro.sim.events.FlowEventEngine`.  Each step completes the
     whole batch of flows finishing within
     :data:`repro.sim.events.TIME_QUANTUM` (1 ns) of the earliest
@@ -57,9 +74,9 @@ def simulate_phase(
     capacities:
         Link -> bits/s table; must cover every link on every flow path.
     flows:
-        Flows to run; ``flow.remaining_bits`` is reset to the full size
-        and zeroed on return, ``flow.rate_bps`` ends at the rate held
-        during the final completion event.
+        Flows to run; ``flow.remaining_bits`` is zeroed on return and
+        ``flow.rate_bps`` ends at the rate held during the final
+        completion event.
     include_propagation:
         Add the worst per-hop latency across flows to the makespan
         (flows are long; the paper's 1 us/hop only matters for the
@@ -96,29 +113,22 @@ def simulate_phase_completions(
     Returns ``(makespan, completion_times)`` where ``completion_times``
     is one absolute completion time (seconds since phase start) per
     flow, in ``flows`` order -- the raw material for flow-completion-
-    time CDFs.  Used by :mod:`repro.sim.network_sim`.
+    time CDFs.
     """
     if not flows:
         return 0.0, np.empty(0)
-    for flow in flows:
-        flow.remaining_bits = float(flow.size_bits)
-    engine = FlowEventEngine(capacities, flows)
+    engine = FlowEventEngine(
+        capacities,
+        compile_phase(
+            capacities,
+            [flow.path for flow in flows],
+            [flow.size_bits for flow in flows],
+        ),
+    )
     makespan = engine.run()
-    final_rates = engine.last_completion_rates
-    max_propagation = 0.0
-    for flow, rate in zip(flows, final_rates):
+    for flow, rate in zip(flows, engine.last_completion_rates.tolist()):
         flow.remaining_bits = 0.0
-        flow.rate_bps = float(rate)
-        if include_propagation:
-            max_propagation = max(max_propagation, flow.propagation_delay_s)
-    return makespan + max_propagation, engine.completion_times
-
-
-def phase_link_bytes(flows: Iterable[Flow]) -> Dict[Link, float]:
-    """Total bytes each link carries for a flow set (Figure 15's CDF)."""
-    totals: Dict[Link, float] = {}
-    for flow in flows:
-        per_link = flow.size_bits / 8.0
-        for link in flow.links:
-            totals[link] = totals.get(link, 0.0) + per_link
-    return totals
+        flow.rate_bps = rate
+    if include_propagation:
+        makespan += max(flow.propagation_delay_s for flow in flows)
+    return makespan, engine.completion_times

@@ -29,7 +29,8 @@ import numpy as np
 
 from repro.core.ocs_reconfig import exponential_discount, ocs_reconfig, unit_discount
 from repro.network.topology import DirectConnectTopology
-from repro.perf.fairshare import build_incidence_from_paths, progressive_filling_rates
+from repro.perf.fairshare import progressive_filling_rates
+from repro.sim.flows import FlowSet
 
 Link = Tuple[int, int]
 _EPS_BYTES = 1.0
@@ -160,24 +161,27 @@ class ReconfigurableFabricSimulator:
 
         Returns (bytes served, elapsed seconds).  Mutates ``demand``.
 
-        The epoch's flows share one incidence matrix and an active
-        mask; max-min rates are re-solved only after a completion.
-        Each step advances to the earliest completion plus a 1 ns pad
-        (capped at the epoch's end), and every served byte is taken off
-        its pair's demand.
+        The epoch's flows compile into one
+        :class:`~repro.sim.flows.FlowSet` over the circuits and share
+        an active mask; max-min rates are re-solved only after a
+        completion.  Each step advances to the earliest completion plus
+        a 1 ns pad (capped at the epoch's end), and every served byte is
+        taken off its pair's demand.
         """
         paths, srcs, dsts = self._build_flows(topology, demand)
         if not paths:
             return 0.0, self.demand_epoch_s
-        incidence, cap_vec, _ = build_incidence_from_paths(
+        edges = list(topology.edges())
+        flows = FlowSet.from_paths(
             paths,
-            {
-                (src, dst): count * self.link_bandwidth_bps
-                for src, dst, count in topology.edges()
-            },
+            demand[srcs, dsts] * 8.0,
+            [(src, dst) for src, dst, _ in edges],
         )
-        incidence_t = incidence.T.tocsr()
-        remaining = demand[srcs, dsts] * 8.0
+        incidence, incidence_t = flows.matrices()
+        cap_vec = np.array(
+            [count * self.link_bandwidth_bps for _, _, count in edges]
+        )
+        remaining = flows.sizes.copy()
         done_at = _EPS * np.maximum(1.0, remaining)
         active = np.ones(len(paths), dtype=bool)
         rates: Optional[np.ndarray] = None  # None: stale after a completion

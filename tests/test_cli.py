@@ -264,7 +264,9 @@ class TestBenchSmokeGates:
         results = passing_smoke_results()
         results["routing"]["n=64"]["speedup"] = 0.5
         results["obs_overhead"]["n=64"]["overhead_pct"] = 12.0
-        monkeypatch.setattr(bench, "run_benchmarks", lambda sizes: results)
+        monkeypatch.setattr(
+            bench, "run_benchmarks", lambda sizes, wall_s=None: results
+        )
         monkeypatch.setattr(bench, "format_results", lambda results: [])
         assert main(["bench-smoke"]) == 1
         err = capsys.readouterr().err

@@ -1,10 +1,10 @@
 """Unit tests for the flow primitives."""
 
+import numpy as np
 import pytest
 
-from repro.sim.flows import Flow, LinkState, flows_from_matrix
-
-import numpy as np
+from repro.oracles import LinkState
+from repro.sim.flows import Flow, flows_from_matrix
 
 
 class TestFlow:

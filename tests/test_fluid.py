@@ -1,10 +1,15 @@
 """Unit tests for the max-min fair fluid network."""
 
+import numpy as np
 import pytest
 
+from repro.core.topology_finder import AllReduceGroup
+from repro.network.fattree import LeafSpineFabric
 from repro.oracles import FluidNetwork
-from repro.sim.flows import Flow
-from repro.sim.fluid import phase_link_bytes, simulate_phase
+from repro.parallel.traffic import TrafficSummary
+from repro.sim.flows import Flow, FlowSet
+from repro.sim.fluid import simulate_phase
+from repro.sim.network_sim import simulate_iteration, traffic_paths
 
 GBPS = 1e9
 
@@ -170,7 +175,29 @@ class TestSimulatePhase:
 
 class TestPhaseLinkBytes:
     def test_accumulates_per_hop(self):
-        flows = [flow([0, 1, 2], 8e9), flow([0, 1], 8e9)]
-        totals = phase_link_bytes(flows)
-        assert totals[(0, 1)] == pytest.approx(2e9)
-        assert totals[(1, 2)] == pytest.approx(1e9)
+        flows = FlowSet.from_paths(
+            [(0, 1, 2), (0, 1)], [8e9, 8e9], [(1, 2), (0, 1), (2, 0)]
+        )
+        assert flows.link_bytes() == {(0, 1): 2e9, (1, 2): 1e9}
+
+    def test_iteration_link_bytes_add_per_hop_in_flow_order(self):
+        # Every MP flow, then every AllReduce flow, adds its bytes to
+        # each link it crosses, in flow order: the same floats as a
+        # per-hop loop, bit for bit.
+        rng = np.random.default_rng(5)
+        n = 16
+        mp = rng.uniform(1e5, 1e7, (n, n)) * (rng.random((n, n)) < 0.3)
+        groups = [
+            AllReduceGroup(members=tuple(range(0, n, 2)), total_bytes=3e7),
+            AllReduceGroup(members=(1, 5, 9, 13), total_bytes=7e6),
+        ]
+        traffic = TrafficSummary(n=n, allreduce_groups=groups, mp_matrix=mp)
+        fabric = LeafSpineFabric(n, 2, 10e9, num_spines=2)
+        breakdown = simulate_iteration(
+            fabric, traffic, 0.0, collect_link_bytes=True
+        )
+        expected = {}
+        for path, size in zip(*traffic_paths(fabric, traffic)):
+            for link in zip(path, path[1:]):
+                expected[link] = expected.get(link, 0.0) + size / 8.0
+        assert breakdown.link_bytes == expected

@@ -5,8 +5,12 @@ hop counts, and path sets as the pure-Python reference implementations
 it replaced -- on randomized inputs, and across cache invalidation.
 """
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.routing_lp import _normalize_splits
 from repro.network.topology import DirectConnectTopology
@@ -14,15 +18,12 @@ from repro.oracles import (
     FluidNetwork,
     ReferenceFluidNetwork,
     all_shortest_paths_bfs,
+    build_incidence,
     simulate_phase_reference,
 )
 from repro.perf.bench import SMOKE_SIZES, run_benchmarks
-from repro.perf.fairshare import (
-    build_incidence,
-    build_incidence_from_paths,
-    progressive_filling_rates,
-)
-from repro.sim.flows import Flow
+from repro.perf.fairshare import progressive_filling_rates
+from repro.sim.flows import Flow, FlowSet
 from repro.sim.fluid import simulate_phase
 
 GBPS = 1e9
@@ -56,6 +57,34 @@ def random_flows(rng, topo, count):
     return flows
 
 
+@st.composite
+def compiler_inputs(draw):
+    """Walks of 1-5 hops (links may repeat) over a random link table.
+
+    Returns ``(paths, capacities)``, the capacity table's keys in
+    random order.
+    """
+    n = draw(st.integers(2, 7))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    links = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    out = {}
+    for src, dst in links:
+        out.setdefault(src, []).append(dst)
+    paths = []
+    for _ in range(draw(st.integers(1, 40))):
+        path = list(draw(st.sampled_from(links)))
+        for _ in range(draw(st.integers(0, 4))):
+            nexts = out.get(path[-1])
+            if not nexts:
+                break
+            path.append(draw(st.sampled_from(nexts)))
+        paths.append(tuple(path))
+    caps = draw(st.lists(
+        st.floats(1.0, 400.0), min_size=len(links), max_size=len(links)
+    ))
+    return paths, {link: cap * GBPS for link, cap in zip(links, caps)}
+
+
 class TestFluidRateEquivalence:
     @pytest.mark.parametrize("seed", range(5))
     def test_randomized_rates_match_reference(self, seed):
@@ -84,39 +113,55 @@ class TestFluidRateEquivalence:
 
     def test_kernel_direct_vs_reference_simple(self):
         # Textbook 3-flow example solved by the raw kernel.
-        capacities = {(0, 1): 1 * GBPS, (1, 2): 1 * GBPS}
+        links = [(0, 1), (1, 2)]
         paths = [(0, 1), (0, 1, 2), (1, 2)]
-        incidence, cap_vec, _ = build_incidence_from_paths(paths, capacities)
-        rates = progressive_filling_rates(cap_vec, incidence)
+        incidence, _ = FlowSet.from_paths(paths, [1.0] * 3, links).matrices()
+        rates = progressive_filling_rates(np.array([GBPS, GBPS]), incidence)
         assert np.allclose(rates, [0.5 * GBPS] * 3)
 
-    def test_incidence_builders_agree(self):
-        capacities = {(0, 1): GBPS, (1, 2): 2 * GBPS, (2, 0): GBPS}
-        paths = [(0, 1, 2), (1, 2, 0), (0, 1)]
-        link_lists = [list(zip(p, p[1:])) for p in paths]
-        inc_a, cap_a, order_a = build_incidence(link_lists, capacities)
-        inc_b, cap_b, order_b = build_incidence_from_paths(paths, capacities)
-        dense_a = {
-            (order_a[r], c): v
-            for (r, c), v in np.ndenumerate(inc_a.toarray())
+    @settings(deadline=None, max_examples=200)
+    @given(compiler_inputs(), st.data())
+    def test_incidence_builders_agree(self, inputs, data):
+        # The one compiler against the oracle builder: the same
+        # (link, flow) entries once rows map through each link table,
+        # bitwise-equal max-min rates, and a KeyError naming the first
+        # unknown link.
+        paths, capacities = inputs
+        table = list(capacities)
+        flows = FlowSet.from_paths(paths, [1.0] * len(paths), table)
+        inc_a, cap_a, order_a = build_incidence(
+            [list(zip(p, p[1:])) for p in paths], capacities
+        )
+        inc_b, _ = flows.matrices()
+        entries_a = {
+            (order_a[r], c) for r, c in zip(*inc_a.nonzero())
         }
-        dense_b = {
-            (order_b[r], c): v
-            for (r, c), v in np.ndenumerate(inc_b.toarray())
-        }
-        assert dense_a == dense_b
-        assert dict(zip(order_a, cap_a)) == dict(zip(order_b, cap_b))
+        entries_b = {(table[r], c) for r, c in zip(*inc_b.nonzero())}
+        assert entries_a == entries_b
+        assert np.all(inc_a.data == 1.0) and np.all(inc_b.data == 1.0)
+        cap_b = np.array([capacities[link] for link in table])
+        rates_a = progressive_filling_rates(cap_a, inc_a)
+        rates_b = progressive_filling_rates(cap_b, inc_b)
+        assert rates_a.tobytes() == rates_b.tobytes()
+        n = 1 + max(max(link) for link in table)
+        unknown = data.draw(st.tuples(
+            st.integers(0, n + 1), st.integers(0, n + 1)
+        ).filter(lambda link: link not in capacities))
+        where = data.draw(st.integers(0, len(paths)))
+        bad = paths[:where] + [unknown] + paths[where:]
+        with pytest.raises(KeyError, match=re.escape(str(unknown))):
+            FlowSet.from_paths(bad, [1.0] * len(bad), table)
 
     def test_unknown_link_raises(self):
-        with pytest.raises(KeyError):
-            build_incidence_from_paths([(0, 1)], {(1, 0): GBPS})
+        with pytest.raises(KeyError, match=r"\(0, 1\)"):
+            FlowSet.from_paths([(0, 1)], [1.0], [(1, 0)])
 
     def test_active_mask_excludes_flows(self):
-        capacities = {(0, 1): GBPS}
         paths = [(0, 1), (0, 1)]
-        incidence, cap_vec, _ = build_incidence_from_paths(paths, capacities)
+        flows = FlowSet.from_paths(paths, [1.0, 1.0], [(0, 1)])
+        incidence, _ = flows.matrices()
         rates = progressive_filling_rates(
-            cap_vec, incidence, active=np.array([True, False])
+            np.array([GBPS]), incidence, active=np.array([True, False])
         )
         assert rates[0] == pytest.approx(GBPS)
         assert rates[1] == 0.0

@@ -41,12 +41,14 @@ from repro.models.configs import CONFIG_FAMILIES
 from repro.obs import TRACER, TraceRecorder
 from repro.oracles import ReferenceScenarioEngine
 from repro.perf.fairshare import progressive_filling_rates
+from repro.sim import cluster as sim_cluster
 from repro.sim.cluster import (
-    FlowSet,
     JobSpec,
     SharedClusterSimulator,
     _SubstrateFlowKernel,
 )
+from repro.sim.flows import FlowSet
+from repro.sim.network_sim import traffic_paths
 
 
 def result_json(result) -> str:
@@ -382,12 +384,43 @@ class TestRateMemo:
         )
         assert result_json(memoized) == result_json(reference)
 
+    def test_rerouted_shard_memoizes_its_own_rates(self, monkeypatch):
+        # A cut mid-phase marks job 0's columns stale; once they are
+        # released nothing is live, so the recompiled set registers at
+        # column 0 as the kernel's sole set and the job's later
+        # iterations hit that set's memo.  Registered behind the dead
+        # columns instead, every completion re-solved (406 solves once
+        # the template's memo is warm).
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return progressive_filling_rates(*args, **kwargs)
+
+        spec = ScenarioSpec.preset("shared").with_overrides({
+            "servers": 8, "elastic": True, "jobs.0.iterations": 60,
+        })
+        cut = with_link_cuts(
+            spec, dict(time_s=0.3, job_index=0, link=(1, 2))
+        )
+        run_scenario(spec)  # warms the template's memo
+        monkeypatch.setattr(
+            sim_cluster, "progressive_filling_rates", counted
+        )
+        memoized = run_scenario(cut)
+        assert [e["kind"] for e in memoized.failure_log] == ["mp_detour"]
+        assert len(solves) <= 11
+        force_memo_misses(monkeypatch)
+        assert scenario_json(run_scenario(cut)) == scenario_json(memoized)
+
     def test_different_capacities_miss(self):
         prepared = shard_template()
         fabric = prepared.fabric
         capacities = fabric.capacities()
         halved = {link: 0.5 * cap for link, cap in capacities.items()}
-        flows = FlowSet.compile(capacities, fabric, prepared.traffic)
+        flows = FlowSet.from_paths(
+            *traffic_paths(fabric, prepared.traffic), capacities
+        )
 
         def solved(caps):
             job = JobSpec(

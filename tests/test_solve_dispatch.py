@@ -14,6 +14,7 @@ from repro.perf.bench import alltoall_flows, ring_topology, staggered_phase_flow
 from repro.sim import events
 from repro.sim.events import HANDOVER_RUN, FlowEventEngine
 from repro.sim.flows import Flow
+from repro.sim.fluid import compile_phase
 
 GBPS = 1e9
 
@@ -37,8 +38,19 @@ def ring_capacities(topo):
     return {(s, d): c * 100 * GBPS for s, d, c in topo.edges()}
 
 
+def build_engine(capacities, flows, engine_class=FlowEventEngine):
+    return engine_class(
+        capacities,
+        compile_phase(
+            capacities,
+            [flow.path for flow in flows],
+            [flow.size_bits for flow in flows],
+        ),
+    )
+
+
 def run_engine(capacities, flows, engine_class=FlowEventEngine):
-    engine = engine_class(capacities, flows)
+    engine = build_engine(capacities, flows, engine_class)
     engine.run()
     return engine
 
@@ -94,8 +106,7 @@ class TestHandOverTrigger:
         # Completions: {0}, {1, 2}, {3}, {4}, {5} -- the pair resets
         # the run, so the hand-over waits for {3} and {4}.
         capacities, flows = disjoint_flows([1, 2, 2, 3, 4, 5])
-        engine = FlowEventEngine(capacities, flows)
-        engine.step()  # the arrival batch
+        engine = build_engine(capacities, flows)
         finished = []
         counts = []
         while True:
@@ -115,23 +126,3 @@ class TestHandOverTrigger:
         capacities, flows = disjoint_flows([1, 2])
         run_engine(capacities, flows)
         assert handovers == []
-
-    def test_cancellations_do_not_count(self, handovers):
-        capacities, flows = disjoint_flows([1, 2, 3, 4, 5, 6])
-        engine = FlowEventEngine(capacities, flows)
-        engine.step()  # the arrival batch
-        engine.cancel_flows([5])
-        engine.cancel_flows([4])
-        assert handovers == []
-        _, done = engine.step()
-        assert done.tolist() == [0]
-        engine.cancel_flows([3])
-        assert handovers == []
-        _, done = engine.step()
-        assert done.tolist() == [1]
-        assert len(handovers) == 1
-        engine.run()
-        np.testing.assert_array_equal(
-            engine.completion_times,
-            [1.0, 2.0, 3.0, np.nan, np.nan, np.nan],
-        )
