@@ -6,6 +6,8 @@ four synthetic jobs through the real traffic extractor and verify the
 same structure.
 """
 
+import zlib
+
 import numpy as np
 
 from benchmarks.harness import emit, format_table
@@ -25,7 +27,8 @@ def run_experiment():
     heatmaps = {}
     for name, servers, mp_layers in JOBS:
         heatmaps[name] = gen.production_heatmap(
-            servers, num_mp_layers=mp_layers, seed=hash(name) % 1000
+            servers, num_mp_layers=mp_layers,
+            seed=zlib.crc32(name.encode()) % 1000,
         )
     return heatmaps
 

@@ -695,41 +695,15 @@ def cmd_trace(argv: Sequence[str] = ()) -> int:
 def bench_smoke(argv: Sequence[str] = ()) -> int:
     """Run the kernel micro-benchmarks at smoke scale.
 
-    Two runs took 46 and 56 s on a 2-vCPU VM, 32 and 39 s of it the
-    ``staggered_phase`` reference side at n=64; the run prints each
-    entry's wall time and the total.  A pre-merge perf sanity check:
-    prints reference-vs-vectorized timings for phase simulation,
-    routing construction, LP assembly, the staggered-flow event engine,
-    the search plane (MCMC steps/sec and end-to-end alternating
-    optimization), and the multi-job
-    scenario engine, and fails (exit 1) if a vectorized kernel has
-    regressed to slower than the seed implementation at n=64 (the
-    oracles in :mod:`repro.oracles`), a kernel's result drifts from its
-    oracle's (phase makespans, ECMP hop counts, LP matrices, MCMC and
-    alternating-optimization costs), the scenario engine loses (spec,
-    seed) determinism / allocator equivalence, the scenario kernel
-    falls under its 1.5x speedup floor at n=64, the capped fleet-scale
-    scenario fails to drain its trace, the scheduler policy sweep fails
-    its gate (every queue policy drains a 100-job trace
-    deterministically under a 60 s wall-time cap, with backfill
-    strictly beating FCFS queueing delay on the head-of-line-blocking
-    trace), the failure-storm
-    scenario fails its gate (every recovery policy drains the trace
-    through a correlated fault storm, deterministically, with zero
-    scheduler-invariant violations and >= 20 applied fault events), or
-    the service-throughput gate trips (the warm store-backed drain of
-    the Zipf request mix must be >= 5x cold specs/sec, the cold drain
-    must compute each unique spec exactly once, and store-served
-    results must be byte-identical to fresh computes), or the
-    observability gate trips (a traced scenario run must produce
-    byte-identical result JSON to an untraced one, with tracing
-    overhead under 10%).  Every failed gate is reported, not just the
-    first (:func:`smoke_gate_failures`).
+    A pre-merge perf sanity check: prints every entry's record and wall
+    time, then fails (exit 1) with the message of every gate row the
+    results fail.  :data:`repro.perf.bench.BENCH_ENTRIES` holds the
+    entries, their smoke sizes and their gates.
     """
     import time
 
     start = time.perf_counter()
-    from repro.perf.bench import SMOKE_SIZES, format_results, run_benchmarks
+    from repro.perf.bench import format_results, gate_failures, run_benchmarks
 
     parser = argparse.ArgumentParser(prog="repro bench-smoke")
     parser.add_argument(
@@ -738,7 +712,7 @@ def bench_smoke(argv: Sequence[str] = ()) -> int:
     )
     args = parser.parse_args(list(argv))
     wall_s: Dict[str, float] = {}
-    results = run_benchmarks(SMOKE_SIZES, wall_s=wall_s)
+    results = run_benchmarks("smoke", wall_s=wall_s)
     for line in format_results(results):
         print(line)
     print("wall time per entry:")
@@ -750,7 +724,7 @@ def bench_smoke(argv: Sequence[str] = ()) -> int:
 
         write_results(results, args.json)
         print(f"results written to {args.json}")
-    failures = smoke_gate_failures(results, f"n={max(SMOKE_SIZES)}")
+    failures = gate_failures(results, "smoke")
     for message in failures:
         print(message, file=sys.stderr)
     if failures:
@@ -759,126 +733,13 @@ def bench_smoke(argv: Sequence[str] = ()) -> int:
     return 0
 
 
-def smoke_gate_failures(results: Dict[str, Any], gate_key: str) -> List[str]:
-    """The message of every ``bench-smoke`` gate ``results`` fails.
-
-    ``results`` is the :func:`repro.perf.bench.run_benchmarks` tree and
-    ``gate_key`` the size the per-size gates read (``"n=64"``); the
-    single-size entries are read at whatever size they ran.  One
-    ``(failed, message)`` row per gate, all evaluated, so a run reports
-    every failure rather than the first.
-    """
-    def at_gate(entry: str) -> Dict[str, Any]:
-        return results[entry][gate_key]
-
-    def only(entry: str) -> Dict[str, Any]:
-        return next(iter(results[entry].values()))
-
-    slower = [
-        entry
-        for entry in (
-            "phase_sim", "routing", "staggered_phase",
-            "mcmc_steps", "alternating",
-        )
-        if at_gate(entry)["speedup"] < 1.0
-    ]
-    scenario = at_gate("scenario")
-    fleet = only("scenario_fleet")
-    sweep = only("scheduler_sweep")
-    storm = only("scenario_storm")
-    service = only("service_throughput")
-    obs = only("obs_overhead")
-    gates = [
-        (slower,
-         f"PERF REGRESSION: {', '.join(slower)} slower than the seed "
-         f"implementation at {gate_key}"),
-        (at_gate("mcmc_steps")["cost_rel_err"] >= 1e-12,
-         "EQUIVALENCE REGRESSION: incremental MCMC costs drifted from "
-         "the full-rebuild oracle"),
-        # The other kernel-vs-oracle checks; ``not x < bound`` also
-        # fails a NaN.
-        (not at_gate("phase_sim")["makespan_rel_err"] < 1e-6,
-         "EQUIVALENCE REGRESSION: phase_sim makespan drifted from the "
-         "seed event loop"),
-        (not at_gate("staggered_phase")["makespan_rel_err"] < 1e-6,
-         "EQUIVALENCE REGRESSION: staggered_phase makespan drifted from "
-         "the engine that never hands over"),
-        (not at_gate("routing")["hop_counts_match"],
-         "EQUIVALENCE REGRESSION: batched ECMP hop counts differ from "
-         "the seed per-pair BFS"),
-        (not at_gate("lp_assembly")["matrices_match"],
-         "EQUIVALENCE REGRESSION: sparse routing-LP matrices differ from "
-         "the seed dense assembly"),
-        (not at_gate("alternating")["cost_rel_err"] < 1e-9,
-         "EQUIVALENCE REGRESSION: alternating optimization cost drifted "
-         "from the full-rebuild search plane"),
-        (not scenario["deterministic"],
-         "DETERMINISM REGRESSION: same (scenario spec, seed) produced "
-         "different result JSON"),
-        (scenario["iteration_rel_err"] >= 1e-9,
-         "EQUIVALENCE REGRESSION: scenario kernel allocator drifted "
-         "from the pure-Python reference"),
-        (scenario["speedup"] < 1.5,
-         f"PERF REGRESSION: scenario kernel speedup "
-         f"{scenario['speedup']}x at {gate_key} under the 1.5x floor"),
-        (fleet["jobs_completed"] < fleet["jobs_submitted"],
-         f"FLEET REGRESSION: scenario_fleet completed "
-         f"{fleet['jobs_completed']}/{fleet['jobs_submitted']} jobs "
-         f"(trace did not drain)"),
-        (not sweep["drained"],
-         "SCHEDULER REGRESSION: a queue policy failed to drain the "
-         "100-job trace"),
-        (not sweep["deterministic"],
-         "DETERMINISM REGRESSION: same (spec, seed) under EASY backfill "
-         "produced different result JSON"),
-        (not sweep["backfill_beats_fcfs"],
-         "SCHEDULER REGRESSION: backfill no longer beats FCFS mean "
-         "queueing delay on the head-of-line-blocking trace"),
-        (sweep["wall_s"] > 60.0,
-         f"PERF REGRESSION: scheduler_sweep took {sweep['wall_s']}s "
-         f"(wall-time cap 60 s)"),
-        (not storm["drained"],
-         "RESILIENCE REGRESSION: a recovery policy failed to drain the "
-         "100-job trace through the fault storm"),
-        (not storm["deterministic"],
-         "DETERMINISM REGRESSION: same (spec, seed) under the fault "
-         "storm produced different result JSON"),
-        (storm["invariant_violations"],
-         f"RESILIENCE REGRESSION: {storm['invariant_violations']} "
-         f"scheduler-invariant violations under the fault storm"),
-        (not storm["storm_bites"],
-         f"RESILIENCE REGRESSION: the storm schedule only landed "
-         f"{storm['fault_events']} fault events (floor 20) -- the chaos "
-         f"gate is no longer exercising recovery"),
-        (not service["dedup_exact"],
-         f"SERVICE REGRESSION: cold drain launched "
-         f"{service['computed']} computations for "
-         f"{service['unique_requested']} unique specs (in-flight dedup "
-         f"must coalesce duplicates onto one computation)"),
-        (not service["byte_identical"],
-         "SERVICE REGRESSION: a store-served result's JSON differs from "
-         "a freshly computed one (content-addressed memoization must be "
-         "byte-identical)"),
-        (service["warm_speedup"] < 5.0,
-         f"SERVICE REGRESSION: warm drain only "
-         f"{service['warm_speedup']}x cold specs/sec (floor 5x) -- the "
-         f"result store is no longer paying for itself"),
-        (not obs["byte_identical"],
-         "OBSERVABILITY REGRESSION: a traced scenario run's result JSON "
-         "differs from the untraced run's (instrumentation must never "
-         "perturb simulation results)"),
-        (obs["overhead_pct"] >= 10.0,
-         f"PERF REGRESSION: tracing overhead {obs['overhead_pct']}% on "
-         f"the scenario engine (cap 10%)"),
-    ]
-    return [message for failed, message in gates if failed]
-
-
 def cmd_bench(argv: Sequence[str] = ()) -> int:
     """Run one kernel micro-benchmark entry, optionally under cProfile.
 
-    ``repro bench scenario --n 256`` runs a single entry at one size
-    and prints its record as JSON.  ``--profile 25`` reruns the entry
+    ``repro bench ENTRY --n SIZE`` runs a single entry at one size (by
+    default its largest smoke size in
+    :data:`repro.perf.bench.BENCH_ENTRIES`) and prints its record as
+    JSON.  ``--profile 25`` reruns the entry
     under :mod:`cProfile` and prints the top 25 functions by cumulative
     time -- the first tool to reach for when a bench-smoke speedup
     floor trips and you need to see where the hot loop went -- followed
@@ -895,7 +756,8 @@ def cmd_bench(argv: Sequence[str] = ()) -> int:
     )
     parser.add_argument(
         "--n", type=int, default=None, metavar="SIZE",
-        help="problem size (servers); default 64, fleet default 200",
+        help="problem size (servers); default: the entry's largest "
+             "smoke size",
     )
     parser.add_argument(
         "--profile", type=int, default=0, metavar="TOP",
@@ -908,12 +770,9 @@ def cmd_bench(argv: Sequence[str] = ()) -> int:
              "('-' for stdout; implies --profile)",
     )
     args = parser.parse_args(list(argv))
-    n = args.n
-    if n is None:
-        n = {"scenario_fleet": 200, "service_throughput": 16}.get(
-            args.entry, 64
-        )
-    runner = BENCH_ENTRIES[args.entry]
+    entry = BENCH_ENTRIES[args.entry]
+    n = max(entry.sizes["smoke"]) if args.n is None else args.n
+    runner = entry.run
     record = runner(n)
     print(json.dumps(record, indent=2, sort_keys=True))
     if args.profile or args.profile_out:

@@ -17,8 +17,9 @@ leans on for cluster-scale runs:
   compiled per-layer load vectors, and the delta-updated
   :class:`~repro.perf.costmodel.IncrementalCostEvaluator` the MCMC
   inner loop mutates.
-- :mod:`repro.perf.bench` -- the micro-benchmark runner behind
-  ``benchmarks/bench_perf_kernels.py`` and ``repro.cli bench-smoke``.
+- :mod:`repro.perf.bench` -- the micro-benchmark entries and their
+  gate table, behind ``benchmarks/bench_perf_kernels.py`` and
+  ``repro.cli bench-smoke``.
 
 Consumers: :mod:`repro.sim.fluid` (rate allocation, phase simulation),
 :mod:`repro.network.topology` (graph queries, routing support),

@@ -1,57 +1,28 @@
-"""Micro-benchmarks for the vectorized kernel layer.
+"""Micro-benchmarks for the kernel layer, and the table that gates them.
 
-The first seven scenarios compare a seed reference implementation
-(:mod:`repro.oracles`) against the vectorized kernel on identical
-inputs; the last two gate the service and observability planes:
+:data:`BENCH_ENTRIES` is the one place that says what each entry runs
+and must satisfy: its runner, its sizes at each scale (``smoke`` for
+``python -m repro.cli bench-smoke``, ``full`` for
+``benchmarks/bench_perf_kernels.py``, which writes
+``BENCH_kernels.json``) and its gate rows.  :func:`run_benchmarks`
+runs one scale and :func:`gate_failures` checks its results tree.
 
-- ``phase_sim``: uniform all-to-all ECMP flow set over a TotientPerms-
-  style ring topology, run to completion by
-  :func:`repro.oracles.simulate_phase_reference` (pure Python) and
-  :func:`repro.sim.fluid.simulate_phase` (incidence-matrix kernel).
-- ``routing``: all-pairs minimum-hop ECMP path construction, seed
-  per-pair BFS vs. the batched shortest-path-DAG sweep behind
-  ``DirectConnectTopology.min_hop_paths_from``.
-- ``lp_assembly``: min-max-utilization routing-LP constraint assembly,
-  seed dense ``np.zeros`` formulation vs. the ``scipy.sparse`` COO
-  assembly now used by :func:`repro.core.routing_lp.optimize_routing`.
-- ``staggered_phase``: chunked ring-AllReduce plus model-parallel
-  flows, sizes jittered so every flow completes at a distinct time --
-  the per-event full recompute
-  (:class:`repro.oracles.BatchFlowEventEngine`) vs. the runtime engine,
-  which hands such a phase over to the incremental frontier solver
-  (:class:`repro.perf.fairshare.IncrementalFairShare`).
-- ``mcmc_steps``: the MCMC strategy search on a DLRM-class model over
-  a TopoOpt fabric -- the seed full-rebuild scoring (re-extract the
-  traffic summary and re-route all pairs per proposal) vs. the sparse
-  incremental cost-model kernel (:mod:`repro.perf.costmodel`), same
-  seed, per-step costs checked to agree.
-- ``alternating``: end-to-end ``AlternatingOptimizer.run`` (MCMC x
-  TopologyFinder), old full-rebuild path vs. the incremental kernel
-  path with per-fabric routing-matrix reuse.
-- ``scenario``: the multi-job shared-cluster scenario engine
-  (:mod:`repro.cluster`) on a contended Fat-tree -- pure-Python
-  reference allocator (:class:`repro.oracles.ReferenceScenarioEngine`)
-  vs. the sparse progressive-filling kernel -- doubling as the
-  same-(spec, seed)-identical-JSON determinism gate.
-- ``service_throughput``: the optimization-as-a-service loop
-  (:mod:`repro.service`) draining a Zipf-distributed request mix cold
-  (empty store) and warm (populated store) -- gates warm >= 5x cold
-  specs/sec, exact dedup, and store-vs-fresh byte identity.
-- ``obs_overhead``: the same scenario with the observability plane
-  (:mod:`repro.obs`) off vs on -- gates the tracing overhead under 10%
-  and the traced result JSON byte-identical to the untraced one.
-
-Used by ``benchmarks/bench_perf_kernels.py`` (full sizes, writes
-``BENCH_kernels.json``) and ``python -m repro.cli bench-smoke`` (quick
-pre-merge sanity check).
+Each runner's docstring says what it measures.  Most time a seed
+reference (:mod:`repro.oracles`) against the runtime kernel on
+identical inputs and record the speedup next to an equivalence check;
+``scenario_fleet``, ``scheduler_sweep``, ``scenario_storm``,
+``service_throughput`` and ``obs_overhead`` have no reference side and
+record absolute numbers and behavioural checks.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import statistics
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,10 +32,8 @@ from repro.sim.fluid import compile_phase, simulate_phase
 
 GBPS = 1e9
 
-#: Sizes the full benchmark sweeps (the acceptance targets live at
-#: n=64 for phase simulation and n=128 for routing construction).
-FULL_SIZES = (16, 64, 128)
-SMOKE_SIZES = (16, 64)
+#: The job mix of the scenario and service entries.
+MODELS = ("DLRM", "BERT", "CANDLE", "VGG16")
 
 
 def ring_topology(n: int, degree: int = 4) -> DirectConnectTopology:
@@ -421,6 +390,31 @@ def bench_alternating(n: int, rounds: int = 2, iterations: int = 60) -> Dict:
     )
 
 
+def _fattree_scenario(
+    name: str, n: int, num_jobs: int, job_servers: int, iterations: int,
+):
+    """``num_jobs`` jobs arriving at t=0 on ``n`` shared Fat-tree servers.
+
+    Its templates are the first ``num_jobs`` entries of :data:`MODELS`
+    (all four when more jobs arrive), each on ``job_servers`` servers.
+    """
+    from repro.cluster import ArrivalSpec, JobTemplateSpec, ScenarioSpec
+    from repro.api.spec import ClusterSpec, FabricSpec
+
+    return ScenarioSpec(
+        name=name,
+        cluster=ClusterSpec(servers=n, degree=4, bandwidth_gbps=100.0),
+        fabric=FabricSpec(kind="fattree"),
+        arrivals=ArrivalSpec(process="explicit", times=(0.0,) * num_jobs),
+        jobs=tuple(
+            JobTemplateSpec(
+                model=model, servers=job_servers, iterations=iterations
+            )
+            for model in MODELS[:num_jobs]
+        ),
+    )
+
+
 def bench_scenario(n: int, iterations: int = 2) -> Dict:
     """Multi-job shared-cluster scenario, reference vs kernel allocator.
 
@@ -435,30 +429,14 @@ def bench_scenario(n: int, iterations: int = 2) -> Dict:
 
     The same entry doubles as the determinism gate: the kernel run is
     repeated with an identical (spec, seed) and the two result JSONs
-    must be byte-identical (``deterministic``), which ``bench-smoke``
-    enforces pre-merge.
+    must be byte-identical (``deterministic``).
     """
-    from repro.cluster import ArrivalSpec, JobTemplateSpec, ScenarioSpec
     from repro.cluster.engine import run_scenario
-    from repro.api.spec import ClusterSpec, FabricSpec
     from repro.oracles import ReferenceScenarioEngine
 
-    models = ("DLRM", "BERT", "CANDLE", "VGG16")
     num_jobs = max(n // 8, 2)
-    spec = ScenarioSpec(
-        name=f"bench-scenario-n{n}",
-        cluster=ClusterSpec(servers=n, degree=4, bandwidth_gbps=100.0),
-        fabric=FabricSpec(kind="fattree"),
-        arrivals=ArrivalSpec(
-            process="explicit", times=tuple(0.0 for _ in range(num_jobs))
-        ),
-        jobs=tuple(
-            JobTemplateSpec(
-                model=models[i % len(models)], servers=8,
-                iterations=iterations,
-            )
-            for i in range(min(num_jobs, len(models)))
-        ),
+    spec = _fattree_scenario(
+        f"bench-scenario-n{n}", n, num_jobs, 8, iterations
     )
     # Untimed warm-up: populates the process-wide pipeline/kernel warm
     # caches (repro.perf.warmcache) so both timed runs measure the
@@ -492,6 +470,34 @@ def bench_scenario(n: int, iterations: int = 2) -> Dict:
     )
 
 
+def _trace_scenario(
+    name: str, n: int, jobs: int, interarrival_s: float,
+    max_sim_time_s: float,
+):
+    """``n`` best-fit TopoOpt servers ingesting ``jobs`` trace jobs.
+
+    The production trace (section 2.2 population) with wall-clock
+    durations, fast-forwarded through steady-state iterations.
+    """
+    from repro.cluster import ArrivalSpec, JobTemplateSpec, ScenarioSpec
+    from repro.cluster.spec import SchedulerSpec
+    from repro.api.spec import ClusterSpec, FabricSpec
+
+    return ScenarioSpec(
+        name=name,
+        cluster=ClusterSpec(servers=n, degree=4, bandwidth_gbps=100.0),
+        fabric=FabricSpec(kind="topoopt"),
+        arrivals=ArrivalSpec(
+            process="trace", count=jobs, mean_interarrival_s=interarrival_s,
+            max_servers=16, durations="wallclock",
+        ),
+        jobs=tuple(JobTemplateSpec(model=m, servers=8) for m in MODELS),
+        scheduler=SchedulerSpec(policy="best-fit"),
+        max_sim_time_s=max_sim_time_s,
+        fast_forward=True,
+    )
+
+
 def bench_scenario_fleet(n: int = 1000) -> Dict:
     """Fleet-scale trace scenario: months of cluster time, one number.
 
@@ -504,29 +510,9 @@ def bench_scenario_fleet(n: int = 1000) -> Dict:
     this scale is billions of events; the entry records absolute wall
     time and the simulated-to-wall ratio instead of a speedup.
     """
-    from repro.cluster import ArrivalSpec, JobTemplateSpec, ScenarioSpec
     from repro.cluster.engine import run_scenario
-    from repro.cluster.spec import SchedulerSpec
-    from repro.api.spec import ClusterSpec, FabricSpec
 
-    spec = ScenarioSpec(
-        name=f"bench-fleet-n{n}",
-        cluster=ClusterSpec(servers=n, degree=4, bandwidth_gbps=100.0),
-        fabric=FabricSpec(kind="topoopt"),
-        arrivals=ArrivalSpec(
-            process="trace", count=n, mean_interarrival_s=7200.0,
-            max_servers=16, durations="wallclock",
-        ),
-        jobs=(
-            JobTemplateSpec(model="DLRM", servers=8),
-            JobTemplateSpec(model="BERT", servers=8),
-            JobTemplateSpec(model="CANDLE", servers=8),
-            JobTemplateSpec(model="VGG16", servers=8),
-        ),
-        scheduler=SchedulerSpec(policy="best-fit"),
-        max_sim_time_s=4e7,
-        fast_forward=True,
-    )
+    spec = _trace_scenario(f"bench-fleet-n{n}", n, n, 7200.0, 4e7)
     start = time.perf_counter()
     result = run_scenario(spec)
     wall_s = time.perf_counter() - start
@@ -551,41 +537,23 @@ def bench_scheduler_sweep(n: int = 64) -> Dict:
     population, wall-clock durations) under each queue discipline --
     FCFS, EASY backfill, conservative backfill -- plus the EASY run
     repeated with an identical (spec, seed) as the determinism probe.
-    The smoke gate requires every policy to drain the full trace, the
-    repeat to be byte-identical, and backfill to strictly beat FCFS on
+    The record says whether every policy drained the full trace, the
+    repeat was byte-identical, and backfill strictly beat FCFS on
     mean queueing delay on a canonical head-of-line-blocking trace
     (the golden scheduler scenario, where a 24-server job blocks two
     8-server jobs behind a long-running 16-server one).
     """
-    from repro.cluster import ArrivalSpec, JobTemplateSpec, ScenarioSpec
     from repro.cluster.engine import run_scenario
     from repro.cluster.invariants import golden_scenario_spec
-    from repro.cluster.spec import QUEUE_POLICIES, SchedulerSpec
-    from repro.api.spec import ClusterSpec, FabricSpec
+    from repro.cluster.spec import QUEUE_POLICIES
 
     jobs = 100
-    spec = ScenarioSpec(
-        name=f"bench-scheduler-sweep-n{n}",
-        cluster=ClusterSpec(servers=n, degree=4, bandwidth_gbps=100.0),
-        fabric=FabricSpec(kind="topoopt"),
-        arrivals=ArrivalSpec(
-            # ~20 h median durations x ~12 servers / 4 h interarrival
-            # is near saturation on 64 servers: the queue backs up
-            # (policies actually differ) without a standing backlog
-            # that would make the conservative O(queue) walk the
-            # benchmark instead of the policy.
-            process="trace", count=jobs, mean_interarrival_s=14400.0,
-            max_servers=16, durations="wallclock",
-        ),
-        jobs=(
-            JobTemplateSpec(model="DLRM", servers=8),
-            JobTemplateSpec(model="BERT", servers=8),
-            JobTemplateSpec(model="CANDLE", servers=8),
-            JobTemplateSpec(model="VGG16", servers=8),
-        ),
-        scheduler=SchedulerSpec(policy="best-fit"),
-        max_sim_time_s=4e7,
-        fast_forward=True,
+    # ~20 h median durations x ~12 servers / 4 h interarrival is near
+    # saturation on 64 servers: the queue backs up (policies actually
+    # differ) without a standing backlog that would make the
+    # conservative O(queue) walk the benchmark instead of the policy.
+    spec = _trace_scenario(
+        f"bench-scheduler-sweep-n{n}", n, jobs, 14400.0, 4e7
     )
     record: Dict = {"servers": n, "jobs": jobs}
     drained = True
@@ -633,31 +601,13 @@ def bench_scenario_storm(n: int = 64) -> Dict:
     detour run repeated with identical (spec, seed) must be
     byte-identical JSON.
     """
-    from repro.cluster import ArrivalSpec, JobTemplateSpec, ScenarioSpec
     from repro.cluster.engine import run_scenario
     from repro.cluster.invariants import check_scenario_invariants
-    from repro.cluster.spec import SchedulerSpec
     from repro.cluster.faults import RECOVERY_POLICIES
-    from repro.api.spec import ClusterSpec, FabricSpec
 
     jobs = 100
-    spec = ScenarioSpec(
-        name=f"bench-scenario-storm-n{n}",
-        cluster=ClusterSpec(servers=n, degree=4, bandwidth_gbps=100.0),
-        fabric=FabricSpec(kind="topoopt"),
-        arrivals=ArrivalSpec(
-            process="trace", count=jobs, mean_interarrival_s=14400.0,
-            max_servers=16, durations="wallclock",
-        ),
-        jobs=(
-            JobTemplateSpec(model="DLRM", servers=8),
-            JobTemplateSpec(model="BERT", servers=8),
-            JobTemplateSpec(model="CANDLE", servers=8),
-            JobTemplateSpec(model="VGG16", servers=8),
-        ),
-        scheduler=SchedulerSpec(policy="best-fit"),
-        max_sim_time_s=2e8,
-        fast_forward=True,
+    spec = _trace_scenario(
+        f"bench-scenario-storm-n{n}", n, jobs, 14400.0, 2e8
     )
     # Storms over the first ~23 simulated days: arrivals span ~17 days
     # (100 x 4 h), so every storm lands while the cluster is busy.
@@ -717,12 +667,11 @@ def bench_service_throughput(n: int = 16) -> Dict:
     dedup does the coalescing); the **warm** drain replays the same 64
     requests against the now-populated store.
 
-    Three gates ride on the record: ``warm_speedup`` (warm specs/sec
-    over cold; floor 5x, enforced by ``bench-smoke`` and the full
-    harness), ``dedup_exact`` (the cold drain launched exactly one
-    computation per *unique* spec -- the dedup counter's proof
-    obligation), and ``byte_identical`` (a store-served result's JSON
-    equals a freshly computed one's, byte for byte).
+    Three fields carry gates (:data:`BENCH_ENTRIES`): ``warm_speedup``
+    (warm specs/sec over cold), ``dedup_exact`` (the cold drain
+    launched exactly one computation per *unique* spec -- the dedup
+    counter's proof obligation), and ``byte_identical`` (a store-served
+    result's JSON equals a freshly computed one's, byte for byte).
     """
     from repro.api.runner import run_experiment
     from repro.api.spec import (
@@ -732,13 +681,12 @@ def bench_service_throughput(n: int = 16) -> Dict:
     from repro.service import BatchExecutor, ResultStore
 
     universe_size, request_count, zipf_s = 8, 64, 1.1
-    models = ("DLRM", "BERT", "CANDLE", "VGG16")
     universe = [
         ExperimentSpec(
             name=f"bench-service-{i}",
             seed=i,
             workload=WorkloadSpec(
-                model=models[i % len(models)], scale="testbed"
+                model=MODELS[i % len(MODELS)], scale="testbed"
             ),
             cluster=ClusterSpec(servers=n, degree=4, bandwidth_gbps=100.0),
             fabric=FabricSpec(kind="fattree"),
@@ -824,35 +772,18 @@ def bench_obs_overhead(n: int = 64, iterations: int = 4,
     absolute difference between *consecutive disabled* runs -- says
     what resolution the estimate actually had.
 
-    Two gates ride on the record, enforced by ``bench-smoke``:
-    ``byte_identical`` -- the traced run's result JSON must equal the
-    untraced run's byte for byte (instrumentation must never perturb
-    simulation state, RNG draws, or serialization) -- and
-    ``overhead_pct`` under 10% (the spans and counters on the hot path
-    must stay cheap enough to leave on in development).
+    Two fields carry gates (:data:`BENCH_ENTRIES`): ``byte_identical``
+    -- the traced run's result JSON must equal the untraced run's byte
+    for byte (instrumentation must never perturb simulation state, RNG
+    draws, or serialization) -- and ``overhead_pct`` (the spans and
+    counters on the hot path must stay cheap enough to leave on in
+    development).
     """
-    from repro.cluster import ArrivalSpec, JobTemplateSpec, ScenarioSpec
     from repro.cluster.engine import run_scenario
     from repro.obs import TRACER, TraceRecorder
-    from repro.api.spec import ClusterSpec, FabricSpec
 
-    models = ("DLRM", "BERT", "CANDLE", "VGG16")
     num_jobs = max(n // 16, 2)
-    spec = ScenarioSpec(
-        name=f"bench-obs-n{n}",
-        cluster=ClusterSpec(servers=n, degree=4, bandwidth_gbps=100.0),
-        fabric=FabricSpec(kind="fattree"),
-        arrivals=ArrivalSpec(
-            process="explicit", times=tuple(0.0 for _ in range(num_jobs))
-        ),
-        jobs=tuple(
-            JobTemplateSpec(
-                model=models[i % len(models)], servers=16,
-                iterations=iterations,
-            )
-            for i in range(min(num_jobs, len(models)))
-        ),
-    )
+    spec = _fattree_scenario(f"bench-obs-n{n}", n, num_jobs, 16, iterations)
     run_scenario(spec)  # warm-up: pipeline/kernel caches off the clock
     # GC pauses would land disproportionately on the enabled side
     # (spans and snapshots are allocations), so collection is off for
@@ -922,123 +853,275 @@ def bench_obs_overhead(n: int = 64, iterations: int = 4,
     }
 
 
-#: Sizes the staggered-phase scenario runs at: the batch baseline is
-#: quadratic-ish in events x flows, so n=128 would dominate the whole
-#: suite without changing the verdict (the acceptance gate is n=64).
-STAGGERED_SIZES = (16, 64)
+_COMPARE = {
+    ">=": operator.ge, "<": operator.lt, "<=": operator.le, "==": operator.eq,
+}
 
-#: Sizes the shared-cluster scenario runs at.  Smoke runs intersect
-#: with :data:`SMOKE_SIZES` (the determinism / equivalence gate lives
-#: at n=64); full runs sweep all three -- the >=3x speedup gate lives
-#: at n=256, where per-event solver rebuilds dominated the seed.
-SCENARIO_SIZES = (16, 64, 256)
 
-#: Fleet-scale scenario sizes (servers; jobs scale 1:1).  The full run
-#: is the headline config -- a 1000-server cluster ingesting 1000
-#: trace jobs with wall-clock durations over months of simulated time
-#: -- and the smoke run is the same shape capped small enough for the
-#: pre-merge budget.
-FLEET_SIZES = (1000,)
-FLEET_SMOKE_SIZES = (200,)
+@dataclass(frozen=True)
+class Gate:
+    """One gate row: ``record[field] <op> bound`` must hold.
 
-#: Scheduler policy-sweep size (servers; the trace is always 100
-#: jobs).  One size at both scales: the gate is behavioral (drain,
-#: determinism, backfill < FCFS queueing), not a speedup curve.
-SCHEDULER_SWEEP_SIZES = (64,)
+    ``record`` is the entry's result at ``n=size``.  ``op`` states the
+    passing condition, so a NaN fails every numeric row.  ``bound`` is
+    a constant or, as a string, another field of the same record.  The
+    failure ``message`` is formatted with the record's fields and the
+    whole record as ``record``.  A row applies at every scale that runs
+    its size, or only at ``scale`` when one is given.
+    """
 
-#: Failure-storm scenario size (servers; the trace is always 100
-#: jobs).  One size at both scales: the gate is behavioral (drain
-#: under every recovery policy, determinism, zero invariant
-#: violations, the storm actually biting), not a speedup curve.
-STORM_SIZES = (64,)
+    size: int
+    field: str
+    op: str
+    bound: Any
+    message: str
+    scale: Optional[str] = None
 
-#: Service-throughput size (servers per spec; the request mix is
-#: always 64 Zipf draws over an 8-spec universe).  One size at both
-#: scales: the gates are behavioral (warm >= 5x cold, dedup exactness,
-#: byte identity), not a scaling curve.
-SERVICE_SIZES = (16,)
+    def passes(self, record: Dict) -> bool:
+        bound = self.bound
+        if isinstance(bound, str):
+            bound = record[bound]
+        return _COMPARE[self.op](record[self.field], bound)
 
-#: Observability-overhead size (servers).  One size at both scales:
-#: the gates are behavioral (byte identity, overhead under the 10%
-#: cap), not a scaling curve.
-OBS_SIZES = (64,)
 
-#: Sizes the search-plane scenarios run at (fixed, per the acceptance
-#: criteria): the full-rebuild baseline re-routes all n^2 pairs per
-#: proposal, so n=128 would dominate the suite without changing the
-#: verdict (the gate is n=64).
-SEARCH_SIZES = (32, 64)
+@dataclass(frozen=True)
+class BenchEntry:
+    """A bench entry: its runner, its sizes at each scale, its gates."""
 
-#: Every benchmark entry, by name -- shared by :func:`run_benchmarks`
-#: and the ``repro bench`` CLI (single entry, optional profiling).
-BENCH_ENTRIES = {
-    "phase_sim": bench_phase_sim,
-    "routing": bench_routing,
-    "lp_assembly": bench_lp_assembly,
-    "staggered_phase": bench_staggered_phase,
-    "mcmc_steps": bench_mcmc_steps,
-    "alternating": bench_alternating,
-    "scenario": bench_scenario,
-    "scenario_fleet": bench_scenario_fleet,
-    "scheduler_sweep": bench_scheduler_sweep,
-    "scenario_storm": bench_scenario_storm,
-    "service_throughput": bench_service_throughput,
-    "obs_overhead": bench_obs_overhead,
+    run: Callable[[int], Dict]
+    sizes: Dict[str, Tuple[int, ...]]
+    gates: Tuple[Gate, ...]
+
+    def gates_at(self, scale: str) -> List[Gate]:
+        """The rows that apply at ``scale``."""
+        return [
+            gate for gate in self.gates
+            if gate.size in self.sizes[scale] and gate.scale in (None, scale)
+        ]
+
+
+def _not_slower(name: str, scale: Optional[str] = None) -> Gate:
+    return Gate(
+        64, "speedup", ">=", 1.0,
+        f"PERF REGRESSION: {name} slower than the seed implementation "
+        f"at n=64",
+        scale,
+    )
+
+
+#: Every benchmark entry, by name: what it runs, at which sizes, and
+#: the gates its records must pass.  :func:`run_benchmarks`,
+#: :func:`gate_failures` and the ``repro bench`` CLI all read it.
+BENCH_ENTRIES: Dict[str, BenchEntry] = {
+    # n=64 is the phase-simulation acceptance target.
+    "phase_sim": BenchEntry(
+        bench_phase_sim, {"smoke": (16, 64), "full": (16, 64, 128)}, (
+            _not_slower("phase_sim", "smoke"),
+            Gate(64, "speedup", ">=", 5.0,
+                 "phase_sim n=64 speedup {speedup}x < 5x", "full"),
+            Gate(64, "makespan_rel_err", "<", 1e-6,
+                 "EQUIVALENCE REGRESSION: phase_sim makespan drifted from "
+                 "the seed event loop"),
+        ),
+    ),
+    # n=128 is the routing-construction acceptance target.
+    "routing": BenchEntry(
+        bench_routing, {"smoke": (16, 64), "full": (16, 64, 128)}, (
+            _not_slower("routing"),
+            Gate(64, "hop_counts_match", "==", True,
+                 "EQUIVALENCE REGRESSION: batched ECMP hop counts differ "
+                 "from the seed per-pair BFS"),
+            Gate(128, "speedup", ">=", 5.0,
+                 "routing n=128 speedup {speedup}x < 5x"),
+        ),
+    ),
+    # No speedup row: below DENSE_ASSEMBLY_MAX_VARS variables the
+    # production assembler takes a dense path that tracks the seed at
+    # ~1x; the sparse win is memory, not time, until n is large.
+    "lp_assembly": BenchEntry(
+        bench_lp_assembly, {"smoke": (16, 64), "full": (16, 64, 128)}, (
+            Gate(64, "matrices_match", "==", True,
+                 "EQUIVALENCE REGRESSION: sparse routing-LP matrices differ "
+                 "from the seed dense assembly"),
+        ),
+    ),
+    # The batch baseline is quadratic-ish in events x flows, so n=128
+    # would dominate the whole suite without changing the verdict.
+    "staggered_phase": BenchEntry(
+        bench_staggered_phase, {"smoke": (16, 64), "full": (16, 64)}, (
+            _not_slower("staggered_phase", "smoke"),
+            Gate(64, "speedup", ">=", 5.0,
+                 "staggered_phase n=64 speedup {speedup}x < 5x", "full"),
+            Gate(64, "makespan_rel_err", "<", 1e-6,
+                 "EQUIVALENCE REGRESSION: staggered_phase makespan drifted "
+                 "from the engine that never hands over"),
+        ),
+    ),
+    # The full-rebuild baseline re-routes all n^2 pairs per proposal,
+    # so n=128 would dominate the suite without changing the verdict.
+    "mcmc_steps": BenchEntry(
+        bench_mcmc_steps, {"smoke": (32, 64), "full": (32, 64)}, (
+            _not_slower("mcmc_steps", "smoke"),
+            Gate(64, "speedup", ">=", 5.0,
+                 "mcmc_steps n=64 speedup {speedup}x < 5x", "full"),
+            Gate(64, "cost_rel_err", "<", 1e-12,
+                 "EQUIVALENCE REGRESSION: incremental MCMC costs drifted "
+                 "from the full-rebuild oracle"),
+        ),
+    ),
+    "alternating": BenchEntry(
+        bench_alternating, {"smoke": (32, 64), "full": (32, 64)}, (
+            _not_slower("alternating"),
+            Gate(64, "cost_rel_err", "<", 1e-9,
+                 "EQUIVALENCE REGRESSION: alternating optimization cost "
+                 "drifted from the full-rebuild search plane"),
+        ),
+    ),
+    # n=256 is where per-event solver rebuilds dominated the seed.
+    "scenario": BenchEntry(
+        bench_scenario, {"smoke": (16, 64), "full": (16, 64, 256)}, (
+            Gate(64, "deterministic", "==", True,
+                 "DETERMINISM REGRESSION: same (scenario spec, seed) "
+                 "produced different result JSON"),
+            Gate(64, "iteration_rel_err", "<", 1e-9,
+                 "EQUIVALENCE REGRESSION: scenario kernel allocator drifted "
+                 "from the pure-Python reference"),
+            Gate(64, "speedup", ">=", 1.5,
+                 "PERF REGRESSION: scenario kernel speedup {speedup}x at "
+                 "n=64 under the 1.5x floor"),
+            Gate(256, "speedup", ">=", 3.0,
+                 "scenario n=256 speedup {speedup}x < 3x"),
+            Gate(256, "deterministic", "==", True,
+                 "scenario lost (spec, seed) determinism"),
+            Gate(256, "iteration_rel_err", "==", 0.0,
+                 "scenario n=256 iteration_rel_err {iteration_rel_err} != 0 "
+                 "against the pure-Python reference"),
+        ),
+    ),
+    # Servers, with jobs 1:1.  The full size is the headline config --
+    # a 1000-server cluster ingesting 1000 trace jobs over months of
+    # simulated time; the smoke size is the same shape capped for the
+    # pre-merge budget.
+    "scenario_fleet": BenchEntry(
+        bench_scenario_fleet, {"smoke": (200,), "full": (1000,)}, (
+            Gate(200, "jobs_completed", ">=", "jobs_submitted",
+                 "FLEET REGRESSION: scenario_fleet completed "
+                 "{jobs_completed}/{jobs_submitted} jobs (trace did not "
+                 "drain)"),
+            Gate(1000, "jobs_completed", "==", "jobs_submitted",
+                 "fleet scenario stranded jobs: {record}"),
+            Gate(1000, "wall_s", "<", 600.0,
+                 "fleet scenario took {wall_s}s (> 10 minutes)"),
+        ),
+    ),
+    # The last four entries run one size at both scales: their gates
+    # are behavioural, not a scaling curve.
+    "scheduler_sweep": BenchEntry(
+        bench_scheduler_sweep, {"smoke": (64,), "full": (64,)}, (
+            Gate(64, "drained", "==", True,
+                 "SCHEDULER REGRESSION: a queue policy failed to drain the "
+                 "100-job trace"),
+            Gate(64, "deterministic", "==", True,
+                 "DETERMINISM REGRESSION: same (spec, seed) under EASY "
+                 "backfill produced different result JSON"),
+            Gate(64, "backfill_beats_fcfs", "==", True,
+                 "SCHEDULER REGRESSION: backfill no longer beats FCFS mean "
+                 "queueing delay on the head-of-line-blocking trace"),
+            Gate(64, "wall_s", "<=", 60.0,
+                 "PERF REGRESSION: scheduler_sweep took {wall_s}s "
+                 "(wall-time cap 60 s)"),
+        ),
+    ),
+    "scenario_storm": BenchEntry(
+        bench_scenario_storm, {"smoke": (64,), "full": (64,)}, (
+            Gate(64, "drained", "==", True,
+                 "RESILIENCE REGRESSION: a recovery policy failed to drain "
+                 "the 100-job trace through the fault storm"),
+            Gate(64, "deterministic", "==", True,
+                 "DETERMINISM REGRESSION: same (spec, seed) under the fault "
+                 "storm produced different result JSON"),
+            Gate(64, "invariant_violations", "==", 0,
+                 "RESILIENCE REGRESSION: {invariant_violations} "
+                 "scheduler-invariant violations under the fault storm"),
+            Gate(64, "storm_bites", "==", True,
+                 "RESILIENCE REGRESSION: the storm schedule only landed "
+                 "{fault_events} fault events (floor 20) -- the chaos gate "
+                 "is no longer exercising recovery"),
+        ),
+    ),
+    "service_throughput": BenchEntry(
+        bench_service_throughput, {"smoke": (16,), "full": (16,)}, (
+            Gate(16, "dedup_exact", "==", True,
+                 "SERVICE REGRESSION: cold drain launched {computed} "
+                 "computations for {unique_requested} unique specs "
+                 "(in-flight dedup must coalesce duplicates onto one "
+                 "computation)"),
+            Gate(16, "byte_identical", "==", True,
+                 "SERVICE REGRESSION: a store-served result's JSON differs "
+                 "from a freshly computed one (content-addressed "
+                 "memoization must be byte-identical)"),
+            Gate(16, "warm_speedup", ">=", 5.0,
+                 "SERVICE REGRESSION: warm drain only {warm_speedup}x cold "
+                 "specs/sec (floor 5x) -- the result store is no longer "
+                 "paying for itself"),
+        ),
+    ),
+    "obs_overhead": BenchEntry(
+        bench_obs_overhead, {"smoke": (64,), "full": (64,)}, (
+            Gate(64, "byte_identical", "==", True,
+                 "OBSERVABILITY REGRESSION: a traced scenario run's result "
+                 "JSON differs from the untraced run's (instrumentation "
+                 "must never perturb simulation results)"),
+            Gate(64, "overhead_pct", "<", 10.0,
+                 "PERF REGRESSION: tracing overhead {overhead_pct}% on the "
+                 "scenario engine (cap 10%)"),
+        ),
+    ),
 }
 
 
 def run_benchmarks(
-    sizes: Sequence[int] = FULL_SIZES,
-    scenarios: Sequence[str] = (
-        "phase_sim", "routing", "lp_assembly", "staggered_phase",
-        "mcmc_steps", "alternating", "scenario", "scenario_fleet",
-        "scheduler_sweep", "scenario_storm", "service_throughput",
-        "obs_overhead",
-    ),
+    scale: str,
+    scenarios: Sequence[str] = tuple(BENCH_ENTRIES),
     wall_s: Optional[Dict[str, float]] = None,
 ) -> Dict:
-    """Run the kernel micro-benchmarks and return the results tree.
+    """Run the kernel micro-benchmarks at ``scale``; the results tree.
 
-    ``wall_s``, when given, receives each entry's wall time in seconds
-    under ``"<scenario> n=<size>"``.
+    Each entry runs at the sizes :data:`BENCH_ENTRIES` gives it for
+    ``scale``.  ``wall_s``, when given, receives each entry's wall time
+    in seconds under ``"<scenario> n=<size>"``.
     """
-    runners = BENCH_ENTRIES
-    full_run = max(sizes) >= max(FULL_SIZES)
-    results: Dict = {"sizes": list(sizes)}
+    results: Dict = {"scale": scale}
     for scenario in scenarios:
+        entry = BENCH_ENTRIES[scenario]
         results[scenario] = {}
-        scenario_sizes = sizes
-        if scenario == "staggered_phase":
-            scenario_sizes = [n for n in sizes if n in STAGGERED_SIZES]
-        elif scenario == "scenario":
-            scenario_sizes = (
-                list(SCENARIO_SIZES) if full_run
-                else [n for n in sizes if n in SCENARIO_SIZES]
-            )
-        elif scenario == "scenario_fleet":
-            scenario_sizes = FLEET_SIZES if full_run else FLEET_SMOKE_SIZES
-        elif scenario == "scheduler_sweep":
-            scenario_sizes = SCHEDULER_SWEEP_SIZES
-        elif scenario == "scenario_storm":
-            scenario_sizes = STORM_SIZES
-        elif scenario == "service_throughput":
-            scenario_sizes = SERVICE_SIZES
-        elif scenario == "obs_overhead":
-            scenario_sizes = OBS_SIZES
-        elif scenario in ("mcmc_steps", "alternating"):
-            scenario_sizes = SEARCH_SIZES
-        for n in scenario_sizes:
+        for n in entry.sizes[scale]:
             start = time.perf_counter()
-            results[scenario][f"n={n}"] = runners[scenario](n)
+            results[scenario][f"n={n}"] = entry.run(n)
             if wall_s is not None:
                 wall_s[f"{scenario} n={n}"] = time.perf_counter() - start
     return results
 
 
+def gate_failures(results: Dict, scale: str) -> List[str]:
+    """The message of every gate row of ``scale`` that ``results`` fails.
+
+    ``results`` is a :func:`run_benchmarks` tree of that scale.  Every
+    row is evaluated, so a run reports every failure, not the first.
+    """
+    failures = []
+    for name, entry in BENCH_ENTRIES.items():
+        for gate in entry.gates_at(scale):
+            record = results[name][f"n={gate.size}"]
+            if not gate.passes(record):
+                failures.append(gate.message.format(record=record, **record))
+    return failures
+
+
 def format_results(results: Dict) -> List[str]:
     lines = ["kernel micro-benchmarks (reference vs vectorized)", ""]
     for scenario, per_size in results.items():
-        if scenario == "sizes":
+        if scenario == "scale":
             continue
         lines.append(f"{scenario}:")
         for size_key, entry in per_size.items():

@@ -215,8 +215,10 @@ class BatchExecutor:
         self._inflight: Dict[str, _Computation] = {}
         self._sema = threading.BoundedSemaphore(queue_depth)
         self._threads: List[threading.Thread] = []
-        #: Worker processes of retired pools (see :meth:`_retire_pool`).
+        #: Worker processes and manager threads of retired pools (see
+        #: :meth:`_retire_pool`).
         self._orphans: List[Any] = []
+        self._orphan_managers: List[threading.Thread] = []
         self._worker_caches: Dict[int, Dict[str, Any]] = {}
         self._shutdown = False
         self._started = time.monotonic()
@@ -255,9 +257,13 @@ class BatchExecutor:
             if self._shutdown or self._pool is not pool:
                 return  # already retired by a concurrent failure
             self._pool = self._make_pool()
-            # Snapshot now: a pool's shutdown drops its process table.
+            # Snapshot now: a pool's shutdown drops its process table
+            # and its manager thread.
             processes = getattr(pool, "_processes", None) or {}
             self._orphans.extend(processes.values())
+            manager = getattr(pool, "_executor_manager_thread", None)
+            if manager is not None:
+                self._orphan_managers.append(manager)
         pool.shutdown(wait=False)
 
     def _submit_to_pool(self, payload: Dict[str, Any]):
@@ -519,10 +525,17 @@ class BatchExecutor:
         with self._pool_lock:
             pool, self._pool = self._pool, None
             orphans, self._orphans = self._orphans, []
+            managers, self._orphan_managers = self._orphan_managers, []
         if pool is not None:
             pool.shutdown(wait=wait, cancel_futures=not wait)
         for process in orphans:
             process.terminate()
+        # A retired pool's manager thread reaps the workers it sees die.
+        # Whichever of its join and ours loses the race returns before
+        # the exit status is stored, so ours comes after it.
+        for thread in managers:
+            thread.join()
+        for process in orphans:
             process.join()
 
     def __enter__(self) -> "BatchExecutor":

@@ -11,8 +11,8 @@ from repro.cli import (
     _add_spec_arguments,
     _load_spec,
     main,
-    smoke_gate_failures,
 )
+from repro.perf.bench import BENCH_ENTRIES, gate_failures
 
 
 def run_spec(argv):
@@ -235,11 +235,11 @@ def passing_smoke_results():
         "scenario_fleet": {"n=200": {
             "jobs_completed": 10, "jobs_submitted": 10,
         }},
-        "scheduler_sweep": {"n=100": {
+        "scheduler_sweep": {"n=64": {
             "drained": True, "deterministic": True,
             "backfill_beats_fcfs": True, "wall_s": 1.0,
         }},
-        "scenario_storm": {"n=100": {
+        "scenario_storm": {"n=64": {
             "drained": True, "deterministic": True,
             "invariant_violations": 0, "storm_bites": True,
             "fault_events": 30,
@@ -254,9 +254,28 @@ def passing_smoke_results():
     }
 
 
+def passing_full_results():
+    """A full-scale results tree that passes every gate."""
+    results = passing_smoke_results()
+    for entry in ("phase_sim", "staggered_phase", "mcmc_steps"):
+        results[entry]["n=64"]["speedup"] = 6.0
+    results["routing"]["n=128"] = {"speedup": 6.0}
+    results["scenario"]["n=256"] = {
+        "speedup": 4.0, "deterministic": True, "iteration_rel_err": 0.0,
+    }
+    results["scenario_fleet"] = {"n=1000": {
+        "jobs_completed": 10, "jobs_submitted": 10, "wall_s": 2.0,
+    }}
+    return results
+
+
+PASSING = {"smoke": passing_smoke_results, "full": passing_full_results}
+SCALES = tuple(PASSING)
+
+
 class TestBenchSmokeGates:
     def test_passing_results_report_nothing(self):
-        assert smoke_gate_failures(passing_smoke_results(), "n=64") == []
+        assert gate_failures(passing_smoke_results(), "smoke") == []
 
     def test_every_failed_gate_is_reported(self, monkeypatch, capsys):
         import repro.perf.bench as bench
@@ -265,7 +284,7 @@ class TestBenchSmokeGates:
         results["routing"]["n=64"]["speedup"] = 0.5
         results["obs_overhead"]["n=64"]["overhead_pct"] = 12.0
         monkeypatch.setattr(
-            bench, "run_benchmarks", lambda sizes, wall_s=None: results
+            bench, "run_benchmarks", lambda scale, wall_s=None: results
         )
         monkeypatch.setattr(bench, "format_results", lambda results: [])
         assert main(["bench-smoke"]) == 1
@@ -289,10 +308,75 @@ class TestBenchSmokeGates:
     def test_kernel_oracle_drift_fails(self, entry, field, value, message):
         results = passing_smoke_results()
         results[entry]["n=64"][field] = value
-        failures = smoke_gate_failures(results, "n=64")
+        failures = gate_failures(results, "smoke")
         assert len(failures) == 1
         assert failures[0].startswith("EQUIVALENCE REGRESSION")
         assert message in failures[0]
+
+
+def gate_rows(numeric_only=False):
+    return [
+        pytest.param(
+            scale, name, gate,
+            id=f"{scale}-{name}-n={gate.size}-{gate.field}",
+        )
+        for scale in SCALES
+        for name, entry in BENCH_ENTRIES.items()
+        for gate in entry.gates_at(scale)
+        if not (numeric_only and isinstance(gate.bound, bool))
+    ]
+
+
+def failing_value(gate, record):
+    """A value of ``gate.field`` that misses ``gate``'s bound."""
+    if isinstance(gate.bound, bool):
+        return not gate.bound
+    bound = record[gate.bound] if isinstance(gate.bound, str) else gate.bound
+    return {"<": bound, ">=": bound - 1}.get(gate.op, bound + 1)
+
+
+class TestGateTable:
+    """``BENCH_ENTRIES`` keeps every gate of both scales."""
+
+    def test_rows_and_sizes_per_scale(self):
+        entries = BENCH_ENTRIES.values()
+        assert [
+            sum(len(entry.gates_at(scale)) for entry in entries)
+            for scale in SCALES
+        ] == [28, 33]
+        assert [
+            sum(len(entry.sizes[scale]) for entry in entries)
+            for scale in SCALES
+        ] == [19, 23]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_every_entry_is_gated_at_every_scale(self, scale):
+        assert [
+            name for name, entry in BENCH_ENTRIES.items()
+            if entry.sizes[scale] and not entry.gates_at(scale)
+        ] == []
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_passing_results_report_nothing(self, scale):
+        assert gate_failures(PASSING[scale](), scale) == []
+
+    @pytest.mark.parametrize("scale, name, gate", gate_rows())
+    def test_each_row_reports_its_own_failure(self, scale, name, gate):
+        results = PASSING[scale]()
+        record = results[name][f"n={gate.size}"]
+        record[gate.field] = failing_value(gate, record)
+        assert gate_failures(results, scale) == [
+            gate.message.format(record=record, **record)
+        ]
+
+    @pytest.mark.parametrize("scale, name, gate", gate_rows(True))
+    def test_each_numeric_row_fails_on_nan(self, scale, name, gate):
+        results = PASSING[scale]()
+        record = results[name][f"n={gate.size}"]
+        record[gate.field] = float("nan")
+        assert gate_failures(results, scale) == [
+            gate.message.format(record=record, **record)
+        ]
 
 
 def _cheap_spec_dict():

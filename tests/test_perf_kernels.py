@@ -21,7 +21,7 @@ from repro.oracles import (
     build_incidence,
     simulate_phase_reference,
 )
-from repro.perf.bench import SMOKE_SIZES, run_benchmarks
+from repro.perf.bench import run_benchmarks
 from repro.perf.fairshare import progressive_filling_rates
 from repro.sim.flows import Flow, FlowSet
 from repro.sim.fluid import simulate_phase
@@ -352,7 +352,8 @@ class TestLpSplitNormalization:
 
 class TestBenchRunner:
     def test_smoke_sizes_report_speedups(self):
-        results = run_benchmarks(sizes=SMOKE_SIZES[:1], scenarios=("routing",))
+        results = run_benchmarks("smoke", scenarios=("routing",))
+        assert list(results["routing"]) == ["n=16", "n=64"]
         entry = results["routing"]["n=16"]
         assert entry["hop_counts_match"]
         assert entry["reference_s"] > 0
