@@ -51,7 +51,7 @@ from repro.api.results import (
 from repro.api.spec import ExperimentSpec, FabricSpec
 from repro.models.compute import compute_time_seconds
 from repro.network.cost import architecture_cost
-from repro.obs import TRACER, TraceRecorder
+from repro.obs import TRACER
 from repro.parallel.traffic import extract_traffic
 
 
@@ -354,30 +354,15 @@ def prepare(spec: ExperimentSpec) -> PreparedExperiment:
     )
 
 
-def run_experiment(
-    spec: ExperimentSpec,
-    trace: Optional[TraceRecorder] = None,
-) -> ExperimentResult:
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Execute one experiment end to end; see the module docstring.
 
-    ``trace`` opts the run into the observability plane
-    (:mod:`repro.obs`): the recorder is installed for the duration, so
+    Under a recorder (``with TRACER.recording() as rec:``) the
     pipeline spans (MCMC chains, TopologyFinder solves, LP assembly)
-    and the experiment-level phases land in it.  The returned result is
-    byte-identical with or without a recorder -- instrumentation never
+    and the experiment-level phases land in ``rec``.  The result is
+    byte-identical with or without one -- instrumentation never
     touches the optimization state.
     """
-    if trace is None:
-        return _run_experiment(spec)
-    with TRACER.recording(trace):
-        with TRACER.span(
-            "experiment.run", cat="experiment",
-            experiment=spec.name or "unnamed",
-        ):
-            return _run_experiment(spec)
-
-
-def _run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     started = time.perf_counter()
     with TRACER.span("experiment.prepare", cat="experiment"):
         prepared = prepare(spec)

@@ -62,11 +62,6 @@ OVERRIDE_SHORTHANDS: Dict[str, str] = {
 }
 
 
-def spec_content_hash(spec) -> str:
-    """``spec.content_hash()``: the store key (see :mod:`repro.codec`)."""
-    return spec.content_hash()
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SpecError(message)

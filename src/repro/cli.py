@@ -40,10 +40,11 @@ list and exits 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from repro.api import (
     ExperimentResult,
@@ -125,19 +126,29 @@ def print_report(result: ExperimentResult) -> None:
 # Spec loading helpers
 # ----------------------------------------------------------------------
 
-def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_spec_arguments(
+    parser: argparse.ArgumentParser,
+    presets: Optional[Mapping[str, str]] = None,
+) -> None:
+    """Add ``--spec``, ``--preset`` and ``--set`` (see :func:`_load_spec`).
+
+    ``presets`` maps each ``--preset`` choice to its help text; the
+    default is the experiment presets, one per model-config family.
+    """
+    if presets is None:
+        presets = {
+            name: FAMILY_DESCRIPTIONS[name] for name in EXPERIMENT_PRESETS
+        }
     parser.add_argument(
         "--spec", default=None, metavar="PATH",
-        help="ExperimentSpec JSON file (see docs/api.md for the schema)",
+        help="spec JSON file (see docs/api.md and docs/scenarios.md for "
+             "the schemas)",
     )
-    families = "; ".join(
-        f"{name}: {FAMILY_DESCRIPTIONS[name]}" for name in EXPERIMENT_PRESETS
-    )
+    described = "; ".join(f"{name}: {text}" for name, text in presets.items())
     parser.add_argument(
-        "--preset", default=None,
-        choices=tuple(EXPERIMENT_PRESETS),
+        "--preset", default=None, choices=tuple(presets),
         help=f"start from a named preset instead of a spec file "
-             f"({families})",
+             f"({described})",
     )
     parser.add_argument(
         "--set", action="append", default=[], metavar="KEY=VALUE",
@@ -147,10 +158,17 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _scenario_presets() -> Dict[str, str]:
+    """The scenario presets for ``--preset``, each described by its name."""
+    from repro.cluster import SCENARIO_PRESETS
+
+    return {name: spec.name for name, spec in SCENARIO_PRESETS.items()}
+
+
 def _load_spec(args: argparse.Namespace, spec_cls=ExperimentSpec):
     """Resolve --spec/--preset/--set into a spec of ``spec_cls``.
 
-    Shared by the experiment subcommands and ``repro scenario``
+    Shared by the experiment subcommands, ``scenario`` and ``trace``
     (``spec_cls`` needs ``from_dict``, ``preset``, ``with_overrides``).
     """
     if args.spec and args.preset:
@@ -182,21 +200,22 @@ def _write_json(path: str, payload: Dict[str, Any]) -> bool:
     return True
 
 
-def _trace_context(path: Optional[str]):
-    """Recording context for ``--trace-out``: a recorder, or a no-op.
+@contextlib.contextmanager
+def _trace_out(path: Optional[str]) -> Iterator[None]:
+    """Record the block for ``--trace-out PATH``, then write its trace.
 
-    Yields the installed :class:`repro.obs.TraceRecorder` when ``path``
-    is set (the caller writes the Chrome trace there afterwards) and
-    ``None`` otherwise, so commands can wrap their run section
-    unconditionally.
+    A no-op without ``path``.  The Chrome trace is written, and
+    announced, only when the block finishes without raising.
     """
-    import contextlib
-
     if not path:
-        return contextlib.nullcontext(None)
-    from repro.obs import TRACER, TraceRecorder
+        yield
+        return
+    from repro.obs import TRACER, write_chrome_trace
 
-    return TRACER.recording(TraceRecorder())
+    with TRACER.recording() as recorder:
+        yield
+    write_chrome_trace(path, recorder)
+    print(f"trace written to {path}")
 
 
 def _add_trace_out_argument(parser: argparse.ArgumentParser) -> None:
@@ -323,18 +342,13 @@ def cmd_sweep(argv: Sequence[str] = ()) -> int:
             store = ResultStore(args.store)
         # Points traced in-process (serial and thread executors) land
         # in the recorder; process-pool points run outside it.
-        with _trace_context(args.trace_out) as recorder:
+        with _trace_out(args.trace_out):
             sweep = run_sweep(
                 spec, grid,
                 max_workers=args.max_workers, executor=args.executor,
                 point_timeout_s=args.point_timeout, retries=args.retries,
                 store=store,
             )
-        if args.trace_out:
-            from repro.obs import write_chrome_trace
-
-            write_chrome_trace(args.trace_out, recorder)
-            print(f"trace written to {args.trace_out}")
     except (SpecError, RegistryError, KeyError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -443,23 +457,10 @@ def cmd_scenario(argv: Sequence[str] = ()) -> int:
     per-policy JCT / queueing-delay comparison; a single policy simply
     overrides the spec's ``queue`` field.
     """
-    from repro.cluster import SCENARIO_PRESETS, ScenarioSpec, run_scenario
+    from repro.cluster import ScenarioSpec, run_scenario
 
     parser = argparse.ArgumentParser(prog="repro scenario")
-    parser.add_argument(
-        "--spec", default=None, metavar="PATH",
-        help="ScenarioSpec JSON file (see docs/scenarios.md)",
-    )
-    parser.add_argument(
-        "--preset", default=None, choices=tuple(SCENARIO_PRESETS),
-        help="start from a named scenario preset",
-    )
-    parser.add_argument(
-        "--set", action="append", default=[], metavar="KEY=VALUE",
-        dest="overrides",
-        help="override a spec field (dotted path or shorthand, e.g. "
-             "policy=best-fit, jobs.0.iterations=2); repeatable",
-    )
+    _add_spec_arguments(parser, _scenario_presets())
     parser.add_argument(
         "--fabrics", default=None, metavar="KIND,KIND,...",
         help="run the same scenario on several fabrics and compare",
@@ -502,7 +503,7 @@ def cmd_scenario(argv: Sequence[str] = ()) -> int:
             kinds = [k.strip() for k in args.fabrics.split(",") if k.strip()]
             if not kinds:
                 raise SpecError("--fabrics needs at least one fabric name")
-        with _trace_context(args.trace_out) as recorder:
+        with _trace_out(args.trace_out):
             if args.fabrics:
                 results = {
                     kind: run_scenario(
@@ -519,11 +520,6 @@ def cmd_scenario(argv: Sequence[str] = ()) -> int:
                 }
             else:
                 results = {spec.fabric.kind: run_scenario(spec)}
-        if args.trace_out:
-            from repro.obs import write_chrome_trace
-
-            write_chrome_trace(args.trace_out, recorder)
-            print(f"trace written to {args.trace_out}")
     except (SpecError, RegistryError, KeyError, ValueError, OSError,
             RuntimeError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -625,29 +621,16 @@ def cmd_trace(argv: Sequence[str] = ()) -> int:
     The simulated result itself is byte-identical to an untraced run
     (``bench-smoke`` enforces this), so tracing is always safe to add.
     """
-    from repro.cluster import SCENARIO_PRESETS, ScenarioSpec, run_scenario
+    from repro.cluster import ScenarioSpec, run_scenario
     from repro.obs import (
+        TRACER,
         ObsReport,
-        TraceRecorder,
         write_chrome_trace,
         write_metrics_jsonl,
     )
 
     parser = argparse.ArgumentParser(prog="repro trace")
-    parser.add_argument(
-        "--spec", default=None, metavar="PATH",
-        help="ScenarioSpec JSON file (see docs/scenarios.md)",
-    )
-    parser.add_argument(
-        "--preset", default=None, choices=tuple(SCENARIO_PRESETS),
-        help="start from a named scenario preset",
-    )
-    parser.add_argument(
-        "--set", action="append", default=[], metavar="KEY=VALUE",
-        dest="overrides",
-        help="override a spec field (dotted path or shorthand); "
-             "repeatable",
-    )
+    _add_spec_arguments(parser, _scenario_presets())
     parser.add_argument(
         "--out", default="trace.json", metavar="PATH",
         help="Chrome trace-event JSON output path (default: trace.json)",
@@ -663,8 +646,10 @@ def cmd_trace(argv: Sequence[str] = ()) -> int:
     args = parser.parse_args(list(argv))
     try:
         spec = _load_spec(args, spec_cls=ScenarioSpec)
-        recorder = TraceRecorder()
-        result = run_scenario(spec, recorder=recorder)
+        with TRACER.recording() as recorder:
+            with TRACER.span("engine.run_scenario", cat="engine",
+                             scenario=spec.name or "unnamed"):
+                result = run_scenario(spec)
         write_chrome_trace(args.out, recorder)
         if args.metrics_out:
             write_metrics_jsonl(args.metrics_out, recorder)
@@ -898,7 +883,7 @@ def cmd_serve_batch(argv: Sequence[str] = ()) -> int:
         store = ResultStore(args.store) if args.store else ResultStore()
         # Request spans (route, latency) record in the parent process;
         # pool workers' pipeline spans do only for --executor serial.
-        with _trace_context(args.trace_out) as recorder:
+        with _trace_out(args.trace_out):
             with BatchExecutor(
                 store=store,
                 max_workers=args.max_workers,
@@ -909,11 +894,6 @@ def cmd_serve_batch(argv: Sequence[str] = ()) -> int:
             ) as service:
                 requests = service.drain(specs)
                 report = service.report()
-        if args.trace_out:
-            from repro.obs import write_chrome_trace
-
-            write_chrome_trace(args.trace_out, recorder)
-            print(f"trace written to {args.trace_out}")
     except (SpecError, RegistryError, KeyError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -85,7 +85,7 @@ from repro.cluster.scheduler import (
 from repro.cluster.spec import FAMILY_MODELS, ScenarioSpec
 from repro.models.compute import compute_time_seconds
 from repro.models.configs import CONFIG_FAMILIES
-from repro.obs import TRACER, ObsReport, TraceRecorder
+from repro.obs import TRACER
 from repro.parallel.traffic import extract_traffic
 from repro.sim.cluster import JobSpec, SharedClusterSimulator
 from repro.sim.flows import FlowSet
@@ -1548,12 +1548,7 @@ class ScenarioEngine:
         return (src, dst)
 
 
-def run_scenario(
-    spec: ScenarioSpec,
-    store=None,
-    *,
-    recorder: Optional[TraceRecorder] = None,
-) -> ScenarioResult:
+def run_scenario(spec: ScenarioSpec, store=None) -> ScenarioResult:
     """Simulate one scenario end to end; see the module docstring.
 
     The returned result's ``to_dict()`` is deterministic for a given
@@ -1563,37 +1558,19 @@ def run_scenario(
     memoizes the run under the spec's content hash (faults included:
     they are part of the spec).
 
-    Observation: passing a :class:`repro.obs.tracer.TraceRecorder` as
-    ``recorder`` (or setting ``spec.observe`` -- which creates one when
-    no recorder is already active process-wide) runs the engine under
-    that recorder and attaches the merged
-    :meth:`repro.obs.report.ObsReport.to_dict` to the result's
-    off-JSON ``obs`` field.  Simulated results are byte-identical with
-    and without observation; a store hit returns the cached result as
-    is (no trace, since nothing ran).
+    To observe the run, record it: ``with TRACER.recording() as rec:``
+    around the call, then :meth:`repro.obs.report.ObsReport.build`
+    over ``rec``.  The result is byte-identical either way.
     """
     if store is not None:
         cached = store.get(spec)
         if cached is not None:
             return cached
-    if recorder is None and spec.observe and not TRACER.enabled:
-        recorder = TraceRecorder()
     started = time.perf_counter()
-    engine = ScenarioEngine(spec)
-    if recorder is not None:
-        with TRACER.recording(recorder):
-            with TRACER.span("engine.run_scenario", cat="engine",
-                             scenario=spec.name or "unnamed"):
-                result = engine.run()
-    else:
-        result = engine.run()
+    result = ScenarioEngine(spec).run()
     object.__setattr__(
         result, "wall_time_s", time.perf_counter() - started
     )
-    if recorder is not None:
-        object.__setattr__(
-            result, "obs", ObsReport.build(recorder).to_dict()
-        )
     if store is not None:
         store.put(spec, result)
     return result

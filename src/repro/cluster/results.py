@@ -12,7 +12,7 @@ recomputed on load, never stored state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -145,10 +145,6 @@ class ScenarioResult(Record, derived={
     and their repair actions as read-only dicts.  The JSON carries a
     ``"type": "scenario"`` tag and the derived ``metrics`` and
     ``provenance`` blocks, recomputed on every ``to_dict``.
-
-    ``spec`` is held unobserved: ``observe`` is off-hash, so an
-    observed run's result is, byte for byte, the one the store keeps
-    for the spec unobserved.
     """
 
     spec: ScenarioSpec
@@ -166,15 +162,6 @@ class ScenarioResult(Record, derived={
     #: every scenario that drains.
     unfinished_jobs: Tuple[int, ...] = field(default=(), omit_default=True)
     wall_time_s: Optional[float] = field(default=None, off_json=True)
-    #: Merged observability report (``ObsReport.to_dict()``) attached by
-    #: an *observed* ``run_scenario``.  Like ``wall_time_s`` it lives
-    #: only on the in-memory object -- never in the JSON -- so observed
-    #: and unobserved runs of one (spec, seed) serialize byte-identically.
-    obs: Optional[Dict[str, Any]] = field(default=None, off_json=True)
-
-    def _validate(self):
-        if self.spec.observe:
-            object.__setattr__(self, "spec", replace(self.spec, observe=False))
 
     # -- aggregate metrics ---------------------------------------------
     def iteration_samples(self, skip_first: int = 0) -> List[float]:

@@ -337,12 +337,12 @@ class ScenarioSpec(Spec, path="", shorthands=SCENARIO_SHORTHANDS):
     time (``hierarchical``) cannot serve as the shared substrate.
 
     Serialization, the content hash and overrides come from
-    :mod:`repro.codec`.  ``faults``, ``recovery`` and ``observe`` stay
-    out of the JSON at their defaults, and ``observe`` out of the hash:
+    :mod:`repro.codec`.  ``faults`` and ``recovery`` stay out of the
+    JSON, and so out of the hash, at their defaults:
 
     >>> spec = ScenarioSpec.preset("shared")
     >>> spec.content_hash() == spec.with_overrides(
-    ...     {"observe": True}).content_hash()
+    ...     {"faults.events": []}).content_hash()
     True
     >>> spec.content_hash() == spec.with_overrides({"seed": 1}).content_hash()
     False
@@ -381,15 +381,6 @@ class ScenarioSpec(Spec, path="", shorthands=SCENARIO_SHORTHANDS):
     #: to a full simulation.  Requires the shardable ``topoopt`` fabric
     #: (shared-fabric jobs contend, so no steady state exists).
     fast_forward: bool = False
-    #: Opt into the observability plane: ``run_scenario`` installs a
-    #: :class:`repro.obs.tracer.TraceRecorder` for the run (unless one
-    #: is already active) and attaches the merged
-    #: :class:`repro.obs.report.ObsReport` dict to the result's
-    #: off-JSON ``obs`` field.  Purely additive -- simulated results
-    #: are byte-identical either way -- so the flag stays out of the
-    #: content hash: an observed spec shares its store entry with the
-    #: unobserved one.  Omitted from ``to_dict`` at its default.
-    observe: bool = field(default=False, omit_default=True, off_hash=True)
 
     def _validate(self):
         if self.faults is not None and self.faults.is_empty:

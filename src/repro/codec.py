@@ -25,13 +25,11 @@ scalar fields become ``int``.
 **Field metadata** (:func:`field`): ``ge``/``gt`` bound a spec number
 from below; ``omit_default`` leaves a key out of the JSON and the hash
 while it holds its default -- how a new field joins without moving
-existing hashes; ``off_hash`` keeps a field out of the hash only
-(``ScenarioSpec.observe``); ``off_json`` keeps a measured field out of
-the JSON and of equality (``wall_time_s``, ``obs``); ``decode``
-dispatches a polymorphic field (the sweep's ``base_spec`` and
-``result``).  The ``derived=`` class keyword adds output-only blocks
-(``metrics``, ``provenance``, the scenario ``type`` tag), dropped
-again on input.
+existing hashes; ``off_json`` keeps a measured field out of the JSON
+and of equality (``wall_time_s``); ``decode`` dispatches a polymorphic
+field (the sweep's ``base_spec`` and ``result``).  The ``derived=``
+class keyword adds output-only blocks (``metrics``, ``provenance``,
+the scenario ``type`` tag), dropped again on input.
 
 >>> from repro.api.spec import ClusterSpec
 >>> ClusterSpec(servers=8, bandwidth_gbps=100).bandwidth_gbps
@@ -184,7 +182,6 @@ def field(
     ge: Any = None,
     gt: Any = None,
     omit_default: bool = False,
-    off_hash: bool = False,
     off_json: bool = False,
     decode: Optional[Callable[[Any], Any]] = None,
 ) -> Any:
@@ -201,7 +198,6 @@ def field(
                 (">", gt) if gt is not None else None
             ),
             "omit_default": omit_default,
-            "off_hash": off_hash,
             "off_json": off_json,
             "decode": decode,
         },
@@ -296,10 +292,9 @@ def apply_overrides(
 # Per-class plans
 # ----------------------------------------------------------------------
 
-#: Encoding modes: the JSON, the content-hash form (JSON minus
-#: ``off_hash`` fields) and the override base (nothing omitted, and an
-#: absent nested spec spelled out, so every field has a path).
-JSON, HASH, FULL = 0, 1, 2
+#: Encoding modes: the JSON and the override base (nothing omitted,
+#: and an absent nested spec spelled out, so every field has a path).
+JSON, FULL = 0, 1
 
 
 class _Plan(NamedTuple):
@@ -328,7 +323,7 @@ def _compile(cls: type) -> _Plan:
     hints = typing.get_type_hints(cls)
     strict = issubclass(cls, Spec)
     prefix = cls._codec_path + "." if cls._codec_path else ""
-    checks, modes = [], ([], [], [])
+    checks, modes = [], ([], [])
     allowed, required = set(cls._codec_derived), set()
     for f in dataclasses.fields(cls):
         meta = f.metadata
@@ -351,8 +346,6 @@ def _compile(cls: type) -> _Plan:
                 f.default_factory()
             )
         modes[JSON].append((f.name, encoder, omit, default))
-        if not meta.get("off_hash"):
-            modes[HASH].append((f.name, encoder, omit, default))
         modes[FULL].append((f.name, encoder, False, None))
     derived = tuple(cls._codec_derived.items())
     validate = cls._validate if cls._validate is not Record._validate else None
@@ -625,16 +618,16 @@ class Spec(Record):
         cls._codec_shorthands = dict(shorthands or {})
 
     def content_hash(self) -> str:
-        """SHA-256 of the canonical (spec, seed) JSON -- the store key.
+        """SHA-256 of ``canonical_json(self.to_dict())`` -- the store key.
 
         Equal specs hash equal however they were built (constructor,
         ``from_dict``, overrides, ``100`` or ``100.0`` for a float);
-        any change to a hashed field -- including ``seed`` -- changes
-        it.  Computed once per spec.
+        any change to a serialized field -- including ``seed`` --
+        changes it.  Computed once per spec.
         """
         digest = self.__dict__.get("_content_hash")
         if digest is None:
-            payload = canonical_json(_encode(self, HASH)).encode("utf-8")
+            payload = canonical_json(self.to_dict()).encode("utf-8")
             digest = hashlib.sha256(payload).hexdigest()
             object.__setattr__(self, "_content_hash", digest)
         return digest

@@ -45,10 +45,6 @@ class AlternatingResult:
     cost_s: float
     rounds: List[AlternatingRound] = field(default_factory=list)
 
-    @property
-    def converged_round(self) -> int:
-        return len(self.rounds)
-
 
 class AlternatingOptimizer:
     """Alternate MCMC strategy search with TopologyFinder until converged."""

@@ -73,9 +73,6 @@ class GroupPlan:
     rings: List[List[int]] = field(default_factory=list)
     router: Optional[CoinChangeRouter] = None
 
-    def position_of(self, server: int) -> int:
-        return self.group.members.index(server)
-
 
 @dataclass
 class RoutingTable:

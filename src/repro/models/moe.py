@@ -119,18 +119,6 @@ class MoeTrafficSampler:
     def iteration_matrices(self, count: int) -> List[np.ndarray]:
         return [self.iteration_matrix() for _ in range(count)]
 
-    def total_bytes_per_iteration(self) -> float:
-        """Volume is pattern-independent: only the *shape* drifts."""
-        n = self.num_servers
-        return (
-            2.0
-            * self.tokens_per_server
-            * self.bytes_per_token
-            * (n - 1)
-            / n
-            * n
-        )
-
 
 def pattern_drift(matrices: List[np.ndarray]) -> float:
     """Mean normalized L1 distance between consecutive patterns.

@@ -3,18 +3,18 @@
 Before the obs plane, "where did this scenario spend its time?" meant
 stitching together ``scheduler_log`` events, ``warmcache.stats()``,
 ``ServiceCounters`` snapshots, and ``bench --profile`` prints by hand.
-:class:`ObsReport` is the one schema they all land in: span aggregates
-and counters from a :class:`~repro.obs.tracer.TraceRecorder`, the
-process-wide warm-cache counters, scheduler event counts (recorded as
-``scheduler.*`` counters by the engine), per-link utilization RLE
-timelines from the fluid substrate, and -- when a service run is being
-observed -- the executor's counter snapshot.
+:class:`ObsReport` is the one schema a recorded run lands in: span
+aggregates and counters from a :class:`~repro.obs.tracer.TraceRecorder`
+(the executor's request routes among them), the process-wide
+warm-cache counters, scheduler event counts (recorded as
+``scheduler.*`` counters by the engine), and per-link utilization RLE
+timelines from the fluid substrate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Dict, List
 
 from repro.codec import Record, field
 from repro.obs.tracer import TraceRecorder
@@ -34,17 +34,9 @@ class ObsReport(Record):
     warmcache: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: RLE timelines as ``[[t, value], ...]`` point lists.
     timelines: Dict[str, List[List[float]]] = field(default_factory=dict)
-    #: ``ServiceCounters`` snapshot when a service run was observed.
-    service: Optional[Dict[str, Any]] = field(
-        default=None, omit_default=True
-    )
 
     @classmethod
-    def build(
-        cls,
-        recorder: TraceRecorder,
-        service: Optional[Dict[str, Any]] = None,
-    ) -> "ObsReport":
+    def build(cls, recorder: TraceRecorder) -> "ObsReport":
         """Snapshot ``recorder`` plus the process-wide warm caches."""
         from repro.perf import warmcache
 
@@ -58,7 +50,6 @@ class ObsReport(Record):
                 name: timeline.to_list()
                 for name, timeline in recorder.timelines.items()
             },
-            service=dict(service) if service is not None else None,
         )
 
     # -- human-readable summary ---------------------------------------
@@ -90,12 +81,5 @@ class ObsReport(Record):
             lines.append(
                 f"  timelines {len(self.timelines)} series, "
                 f"{points} RLE points"
-            )
-        if self.service is not None:
-            lines.append(
-                "  service "
-                + " ".join(
-                    f"{k}={self.service[k]}" for k in sorted(self.service)
-                )
             )
         return lines

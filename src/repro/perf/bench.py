@@ -759,9 +759,9 @@ def bench_obs_overhead(n: int = 64, iterations: int = 4,
     recording.
 
     The enabled side measures the *hot path* under an ambient recorder
-    (tracing left on in development), so the one-time ObsReport/export
-    cost at the end of an observed run is not charged against the
-    per-event budget.  Overhead is estimated from ``pairs`` adjacent
+    (tracing left on in development): building an ObsReport or an
+    export from the recorder is a separate step, not charged against
+    the per-event budget.  Overhead is estimated from ``pairs`` adjacent
     disabled/enabled run pairs -- order flipped every pair so periodic
     background load cannot alias onto one side -- as the *median of
     the paired differences*: pairing cancels CPU-frequency drift, and

@@ -32,11 +32,9 @@ Timeouts need a real pool (the serial path runs inline).
 
 Workers share compiled-kernel state the same way the scenario engine
 does: each pool worker owns the process-wide warm caches of
-:mod:`repro.perf.warmcache`, optionally pre-populated via
-``warm_specs`` (the pool initializer runs them once per worker), and
-every computation ships its worker's cache counters back so
-:meth:`BatchExecutor.report` can export them into the
-:class:`~repro.service.metrics.ServiceReport`.
+:mod:`repro.perf.warmcache`, and every computation ships its worker's
+cache counters back so :meth:`BatchExecutor.report` can export them
+into the :class:`~repro.service.metrics.ServiceReport`.
 """
 
 from __future__ import annotations
@@ -60,7 +58,7 @@ from repro.service.metrics import (
     ServiceCounters,
     ServiceReport,
 )
-from repro.service.store import ResultStore, unobserved
+from repro.service.store import ResultStore
 
 #: Worker-pool kinds ``BatchExecutor`` accepts (mirrors ``run_sweep``).
 EXECUTOR_KINDS = ("process", "thread", "serial")
@@ -116,12 +114,6 @@ def _service_compute(payload: Dict[str, Any]) -> Tuple[str, Any, Dict]:
         return (
             "error", f"{type(error).__name__}: {error}", _cache_snapshot()
         )
-
-
-def _worker_warmup(payloads: Sequence[Dict[str, Any]]) -> None:
-    """Pool initializer: pre-populate this worker's warm caches."""
-    for payload in payloads:
-        _service_compute(payload)
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +178,6 @@ class BatchExecutor:
         queue_depth: int = 64,
         point_timeout_s: Optional[float] = None,
         retries: int = 0,
-        warm_specs: Sequence[object] = (),
     ):
         if executor not in EXECUTOR_KINDS:
             raise ValueError(
@@ -205,9 +196,6 @@ class BatchExecutor:
         self._queue_depth = queue_depth
         self.point_timeout_s = point_timeout_s
         self.retries = retries
-        self._warm_payloads = [
-            spec.to_dict() for spec in warm_specs
-        ]
         self.counters = ServiceCounters()
         self.latencies = LatencyRecorder()
         self._lock = threading.Lock()
@@ -225,23 +213,11 @@ class BatchExecutor:
         self._pool = None
         if self._kind != "serial":
             self._pool = self._make_pool()
-        elif self._warm_payloads:
-            _worker_warmup(self._warm_payloads)
 
     # -- pool plumbing -------------------------------------------------
     def _make_pool(self):
         if self._kind == "process":
-            if self._warm_payloads:
-                return ProcessPoolExecutor(
-                    max_workers=self._max_workers,
-                    initializer=_worker_warmup,
-                    initargs=(self._warm_payloads,),
-                )
             return ProcessPoolExecutor(max_workers=self._max_workers)
-        # One shared process: warm synchronously, once.
-        if self._warm_payloads:
-            _worker_warmup(self._warm_payloads)
-            self._warm_payloads = []
         return ThreadPoolExecutor(max_workers=self._max_workers)
 
     def _retire_pool(self, pool) -> None:
@@ -400,10 +376,8 @@ class BatchExecutor:
         self._fail(comp, last_error)
 
     def _resolve(self, comp: _Computation, result) -> None:
-        # Duplicates ran nothing, so they get no trace (see unobserved).
-        served = unobserved(result)
         if self._store is not None:
-            self._store.put(comp.spec, served)
+            self._store.put(comp.spec, result)
         waiters = self._detach(comp)
         now = time.monotonic()
         for index, (request, started) in enumerate(waiters):
@@ -413,7 +387,7 @@ class BatchExecutor:
                 comp.key, "compute" if index == 0 else "dedup", elapsed
             )
             request.attempts = comp.attempts
-            request.future.set_result(result if index == 0 else served)
+            request.future.set_result(result)
 
     def _fail(self, comp: _Computation, message: str) -> None:
         self.counters.bump("errors")

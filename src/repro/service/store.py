@@ -33,7 +33,6 @@ Durability rules:
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import os
@@ -55,18 +54,6 @@ STORE_VERSION = 4
 #: Unique suffix source for temp files (pid alone is not enough: two
 #: threads of one process may write the same key concurrently).
 _TMP_COUNTER = itertools.count()
-
-
-def unobserved(result):
-    """``result`` without the trace (``obs``) of an observed run.
-
-    ``obs`` is off-JSON and belongs to the run that recorded it: a store
-    hit or a coalesced duplicate runs nothing, so it gets what a fresh
-    unobserved computation returns.
-    """
-    if getattr(result, "obs", None) is None:
-        return result
-    return dataclasses.replace(result, obs=None)
 
 
 class ResultStore:
@@ -188,7 +175,6 @@ class ResultStore:
             )
             tmp.write_text(canonical_json(entry))
             os.replace(tmp, path)
-        result = unobserved(result)
         with self._lock:
             self._counts["puts"] += 1
             self._remember(key, result)

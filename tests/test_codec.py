@@ -3,16 +3,17 @@
 Properties (hypothesis): any JSON value at any position of a valid
 spec dict parses or raises ``SpecError``; whatever parses round-trips
 through ``to_dict``/``from_dict`` and JSON and keeps its hash; equal
-specs hash equal; changing any one hashed field changes the hash.
+specs hash equal; the hash is the SHA-256 of the canonical JSON, so
+changing any one field changes it.
 Plus one regression test per defect of the hand-written codecs this
 module replaced, and the no-aliasing contract of ``to_dict``.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import pickle
-import threading
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.codec as codec
-import repro.service.executor as executor_module
+from repro.api import parse_overrides
 from repro.api.results import (
     ExperimentResult,
     FabricTiming,
@@ -56,9 +57,10 @@ from repro.cluster.spec import (
     ScenarioSpec,
     SchedulerSpec,
 )
+from repro.cli import main
 from repro.codec import FULL, Record, _encode, spec_from_dict
-from repro.obs.report import ObsReport
-from repro.service import BatchExecutor, ResultStore
+from repro.obs import TRACER, ObsReport
+from repro.service import BatchExecutor
 from repro.service.metrics import ServiceReport
 
 #: Every class the codec serves.
@@ -113,9 +115,7 @@ def spec_samples():
         custom,
         ScenarioSpec.preset("shared"),
         ScenarioSpec.preset("lifetime"),
-        faulted_scenario().with_overrides(
-            {"storms": 2, "observe": True, "elastic": True}
-        ),
+        faulted_scenario().with_overrides({"storms": 2, "elastic": True}),
     ]
 
 
@@ -138,9 +138,8 @@ def cheap_experiment() -> ExperimentSpec:
 def results():
     """One instance of every result and report class."""
     experiment = run_experiment(cheap_experiment())
-    scenario = run_scenario(faulted_scenario().with_overrides(
-        {"observe": True}
-    ))
+    with TRACER.recording() as recorder:
+        scenario = run_scenario(faulted_scenario())
     with BatchExecutor(executor="serial") as service:
         service.drain([experiment.spec])
         report = service.report(wall_s=1.0)
@@ -154,8 +153,7 @@ def results():
             SweepPoint(overrides={"seed": 2}, seed=2, result=experiment),
         ),
     )
-    return [experiment, scenario, sweep, ObsReport.from_dict(scenario.obs),
-            report]
+    return [experiment, scenario, sweep, ObsReport.build(recorder), report]
 
 
 def records_in(value):
@@ -332,6 +330,7 @@ class TestProperties:
     @pytest.mark.parametrize("index", range(len(SPEC_DICTS)))
     def test_single_field_change_changes_hash(self, index):
         spec = spec_samples()[index]
+        assert spec.content_hash() == sha256_of_json(spec)
         full = _encode(spec, FULL)
         changed = 0
         for path in positions(full):
@@ -346,11 +345,16 @@ class TestProperties:
                 if other == spec:
                     continue
                 changed += 1
-                if path == ("observe",):  # off-hash
-                    assert other.content_hash() == spec.content_hash()
-                else:
-                    assert other.content_hash() != spec.content_hash(), path
+                assert other.content_hash() != spec.content_hash(), path
+                assert other.content_hash() == sha256_of_json(other)
         assert changed >= 10
+
+
+def sha256_of_json(spec):
+    """The store key by definition: SHA-256 of the spec's canonical JSON."""
+    return hashlib.sha256(
+        canonical_json(spec.to_dict()).encode("utf-8")
+    ).hexdigest()
 
 
 def _at(data, path):
@@ -476,82 +480,17 @@ class TestBoundaryRegressions:
         assert isinstance(spec_from_dict(ScenarioSpec().to_dict()),
                           ScenarioSpec)
 
-
-class TestObserveIsOffHash:
-    def spec(self):
-        return ScenarioSpec.preset("shared").with_overrides(
-            {f"jobs.{index}.iterations": 1 for index in range(4)}
-        )
-
-    def test_observed_spec_shares_the_key(self):
-        spec = self.spec()
-        observed = spec.with_overrides({"observe": True})
-        assert observed != spec
-        assert observed.to_dict()["observe"] is True
-        assert observed.content_hash() == spec.content_hash()
-
-    def test_run_scenario_serves_an_observed_spec_from_the_store(self):
-        spec = self.spec()
-        store = ResultStore()
-        first = run_scenario(spec, store=store)
-        second = run_scenario(spec.with_overrides({"observe": True}),
-                              store=store)
-        assert second is first
-        assert second.obs is None  # a store hit runs nothing
-        assert store.stats()["hits"] == 1
-
-    def test_batch_executor_serves_an_observed_spec_from_the_store(self):
-        spec = self.spec()
-        with BatchExecutor(store=ResultStore(), executor="serial") as service:
-            first = service.submit(spec)
-            second = service.submit(spec.with_overrides({"observe": True}))
-            assert second.route == "store"
-            assert second.key == first.key
-
-    @pytest.mark.parametrize("observed_first", [True, False])
-    def test_served_bytes_do_not_depend_on_request_order(
-        self, tmp_path, observed_first
-    ):
-        spec = self.spec()
-        observed = spec.with_overrides({"observe": True})
-        fresh = canonical_json(run_scenario(spec).to_dict())
-        first, second = (observed, spec) if observed_first else (
-            spec, observed
-        )
-        store = ResultStore(tmp_path)
-        computed = run_scenario(first, store=store)
-        assert (computed.obs is not None) == observed_first
-        from_memory = run_scenario(second, store=store)
-        from_disk = ResultStore(tmp_path).get(second)
-        assert store.stats()["hits"] == 1
-        for result in (computed, from_memory, from_disk):
-            assert canonical_json(result.to_dict()) == fresh
-            assert not result.spec.observe
-        assert from_memory.obs is None and from_disk.obs is None
-        assert canonical_json(
-            run_scenario(observed).to_dict()
-        ) == fresh
-
-    def test_a_coalesced_duplicate_gets_no_trace(self, monkeypatch):
-        release = threading.Event()
-        compute = executor_module._service_compute
-
-        def gated(payload):
-            release.wait(60)
-            return compute(payload)
-
-        monkeypatch.setattr(executor_module, "_service_compute", gated)
-        spec = self.spec()
-        store = ResultStore()
-        with BatchExecutor(store=store, executor="thread",
-                           max_workers=1) as service:
-            first = service.submit(spec.with_overrides({"observe": True}))
-            second = service.submit(spec)
-            release.set()
-            assert (first.route, second.route) == ("compute", "dedup")
-            observed, duplicate = first.result(60), second.result(60)
-        assert observed.obs is not None
-        assert duplicate.obs is None and store.get(spec).obs is None
-        fresh = canonical_json(run_scenario(spec).to_dict())
-        assert canonical_json(observed.to_dict()) == fresh
-        assert canonical_json(duplicate.to_dict()) == fresh
+    def test_observe_is_not_a_spec_field(self, capsys):
+        # Observing a run is ``TRACER.recording()``; a spec file or a
+        # ``serve-batch`` line that still asks for it is rejected.
+        data = ScenarioSpec.preset("shared").to_dict()
+        with pytest.raises(SpecError, match="unknown keys.*observe"):
+            spec_from_dict({**data, "observe": True})
+        with pytest.raises(SpecError, match="no spec field 'observe'"):
+            ScenarioSpec.preset("shared").with_overrides(
+                parse_overrides(["observe=true"])
+            )
+        assert main([
+            "scenario", "--preset", "shared", "--set", "observe=true",
+        ]) == 2
+        assert "no spec field 'observe'" in capsys.readouterr().err

@@ -2,8 +2,9 @@
 
 Covers the zero-overhead-when-disabled contract, span nesting and
 ordering, the batching span's deferred materialization, RLE timelines,
-the merged ObsReport schema, both exporters, scenario-level
-observation (byte-identical results, attached report), the service
+the merged ObsReport schema, both exporters, observing a scenario or
+an experiment under ``TRACER.recording()`` (byte-identical results,
+the report built from the recorder), the service
 executor's request spans, and the percentile edge cases the serving
 metrics rely on.
 """
@@ -247,12 +248,13 @@ class TestObsReport:
                 TRACER.count("things", 2)
                 TRACER.gauge("level", 1.5)
                 TRACER.sample("tl", 0.0, 1.0)
-        report = ObsReport.build(rec, service={"requests": 3})
+        report = ObsReport.build(rec)
         data = report.to_dict()
         again = ObsReport.from_dict(json.loads(json.dumps(data)))
         assert again.to_dict() == data
         assert again.counters == {"things": 2}
-        assert again.service == {"requests": 3}
+        assert again.gauges == {"level": 1.5}
+        assert again.timelines == {"tl": [[0.0, 1.0]]}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown keys"):
@@ -338,30 +340,37 @@ class TestExporters:
         assert metrics_jsonl(rec) == ""
 
 
+def observe_scenario(spec):
+    """``run_scenario(spec)`` under a fresh recorder: (result, report)."""
+    with TRACER.recording() as rec:
+        result = run_scenario(spec)
+    return result, ObsReport.build(rec)
+
+
 class TestScenarioObservation:
     def test_observed_result_byte_identical(self):
         # Same spec with and without a recorder: observation must not
         # perturb the simulation (the bench-smoke gate's contract).
         spec = observed_spec()
         plain = run_scenario(spec)
-        observed = run_scenario(spec, recorder=TraceRecorder())
+        observed, report = observe_scenario(spec)
         assert (
             json.dumps(plain.to_dict(), sort_keys=True)
             == json.dumps(observed.to_dict(), sort_keys=True)
         )
-        assert plain.obs is None
-        assert observed.obs is not None
+        assert report.spans["engine.step"]["count"] > 0
 
     def test_obs_stays_off_json(self):
-        observed = run_scenario(observed_spec(observe=True))
+        # The trace lives in the recorder, never on the result.
+        observed, _ = observe_scenario(observed_spec())
+        assert not hasattr(observed, "obs")
         assert '"obs"' not in json.dumps(observed.to_dict())
 
     def test_report_covers_hot_planes(self):
         # Cold caches, so the (cache-miss-only) pipeline-build span fires.
         warmcache.clear_all()
-        obs = run_scenario(observed_spec(observe=True)).obs
+        obs = observe_scenario(observed_spec())[1].to_dict()
         span_names = set(obs["spans"])
-        assert "engine.run_scenario" in span_names
         assert "engine.step" in span_names  # batched, flushed at build
         assert "flow.solve" in span_names
         assert "engine.pipeline_build" in span_names
@@ -377,29 +386,30 @@ class TestScenarioObservation:
         # Every job runs two iterations on its own shard, so the second
         # replays the first's active masks from its template's memo.
         warmcache.clear_all()
-        obs = run_scenario(observed_spec(observe=True)).obs
-        report = ObsReport.from_dict(obs)
+        report = observe_scenario(observed_spec())[1]
         hits = report.counters["flow.solve_memo_hits"]
         assert 0 < hits < report.spans["flow.solve"]["count"]
 
     def test_explicit_recorder_receives_the_run(self):
         rec = TraceRecorder()
-        run_scenario(observed_spec(), recorder=rec)
+        with TRACER.recording(rec):
+            run_scenario(observed_spec())
         rec.flush()
         assert any(s.name == "engine.step" for s in rec.spans)
 
     def test_ambient_recorder_leaves_result_unreported(self):
-        # With a process-wide recorder already active (bench mode), the
-        # run records into it but attaches no per-run report.
+        # The library opens no span of its own around the run: the
+        # caller's recorder sees only the engine's inner spans.
         rec = TraceRecorder()
         with TRACER.recording(rec):
             result = run_scenario(observed_spec())
-        assert result.obs is None
+        assert not hasattr(result, "obs")
         rec.flush()
         assert any(s.name == "flow.solve" for s in rec.spans)
+        assert not any(s.name == "engine.run_scenario" for s in rec.spans)
 
     def test_utilization_timeline_values_bounded(self):
-        obs = run_scenario(observed_spec(observe=True)).obs
+        obs = observe_scenario(observed_spec())[1].to_dict()
         for name, points in obs["timelines"].items():
             if not name.startswith("link_util."):
                 continue
@@ -422,15 +432,16 @@ class TestExperimentObservation:
             baselines=(FabricSpec(kind="fattree"),),
         )
         plain = run_experiment(spec)
-        rec = TraceRecorder()
-        traced = run_experiment(spec, trace=rec)
+        with TRACER.recording() as rec:
+            traced = run_experiment(spec)
         assert (
             json.dumps(plain.to_dict(), sort_keys=True)
             == json.dumps(traced.to_dict(), sort_keys=True)
         )
-        runs = [s for s in rec.spans if s.name == "experiment.run"]
-        assert len(runs) == 1
-        assert runs[0].args == {"experiment": "traced"}
+        names = [s.name for s in rec.spans]
+        assert names.count("experiment.prepare") == 1
+        timed = [s for s in rec.spans if s.name == "experiment.time_fabric"]
+        assert [s.args for s in timed] == [{"kind": "topoopt"}]
 
 
 class TestWarmcacheStats:

@@ -5,7 +5,8 @@ checked against.  Only the kernel micro-benchmarks
 (``repro/perf/bench.py``) may import it inside the package, importing
 the package or its CLI must not load it, and no spec field, shorthand
 or parameter named ``solver`` or ``incremental`` may select a
-reference again.
+reference again.  The same guard keeps ``observe`` retired: a run is
+observed by recording it (``TRACER.recording()``), not by a knob.
 """
 
 import ast
@@ -19,7 +20,7 @@ from repro.cluster.spec import SCENARIO_SHORTHANDS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
 ALLOWED_IMPORTERS = {"perf/bench.py", "oracles.py"}
-RETIRED_KNOBS = {"solver", "incremental"}
+RETIRED_KNOBS = {"solver", "incremental", "observe"}
 
 
 def modules():

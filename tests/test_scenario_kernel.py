@@ -38,7 +38,7 @@ from repro.cluster import (
 from repro.cluster.engine import ScenarioEngine
 from repro.cluster.results import _weighted_percentile
 from repro.models.configs import CONFIG_FAMILIES
-from repro.obs import TRACER, TraceRecorder
+from repro.obs import TRACER, ObsReport, TraceRecorder
 from repro.oracles import ReferenceScenarioEngine
 from repro.perf.fairshare import progressive_filling_rates
 from repro.sim import cluster as sim_cluster
@@ -469,12 +469,14 @@ class TestRateMemo:
         spec = storm_spec("detour", seed=5)
         with monkeypatch.context() as patch:
             force_memo_misses(patch)
-            missed = TraceRecorder()
-            run_scenario(spec, recorder=missed)
-        memoized = TraceRecorder()
-        run_scenario(spec, recorder=memoized)
-        solves = memoized.span_summary()["flow.solve"]["count"]
-        assert solves == missed.span_summary()["flow.solve"]["count"]
+            with TRACER.recording() as recorder:
+                run_scenario(spec)
+            missed = ObsReport.build(recorder)
+        with TRACER.recording() as recorder:
+            run_scenario(spec)
+        memoized = ObsReport.build(recorder)
+        solves = memoized.spans["flow.solve"]["count"]
+        assert solves == missed.spans["flow.solve"]["count"]
         assert "flow.solve_memo_hits" not in missed.counters
         hits = memoized.counters["flow.solve_memo_hits"]
         assert 0.9 * solves <= hits < solves

@@ -207,7 +207,6 @@ class TestRealPools:
         store = ResultStore()
         with BatchExecutor(
             store=store, executor="process", max_workers=2,
-            warm_specs=[spec],
         ) as service:
             requests = service.drain([spec, other, spec])
             report = service.report()
