@@ -36,7 +36,7 @@ def run_experiment():
         )
         ratio = _traffic_ratio(traffic)
         times = {
-            fabric: emulator.iteration(model, fabric, batch).total_s
+            fabric: emulator.iteration("DLRM-alltoall", fabric, batch).total_s
             for fabric in FABRICS
         }
         rows.append((batch, ratio, times))

@@ -22,10 +22,11 @@ per kind, in this order:
    queue or routing: the :class:`~repro.cluster.scheduler.JobScheduler`
    picks admissions, preemptions and elastic grows under its queue
    policy and the :class:`~repro.cluster.scheduler.ShardAllocator`'s
-   contiguous blocks.  An admitted job's pipeline runs -- workload
-   build, strategy (a fixed registry builder or the MCMC x
-   TopologyFinder co-optimization on the allocated shard), traffic
-   extraction -- and its flows are handed to the
+   contiguous blocks.  An admitted job's pipeline is
+   :func:`repro.api.runner.prepare` on a ``topoopt`` shard of the
+   job's size -- workload build, strategy (a fixed registry builder or
+   the MCMC x TopologyFinder co-optimization), traffic extraction,
+   TopologyFinder -- and its flows are handed to the
    :class:`repro.sim.cluster.SharedClusterSimulator` state machine: a
    physically isolated per-shard fluid network when the fabric is
    ``topoopt``, the one contended cluster-wide network otherwise.
@@ -35,10 +36,11 @@ Determinism: every random draw derives from the spec seed through
 seedless (stagger disabled), and all reductions are insertion-ordered,
 so ``run_scenario(spec).to_dict()`` is a pure function of (spec, seed).
 
-Strategy parity across fabrics: the per-job pipeline always optimizes
-at shard-local scale, so a ``fattree`` scenario offers *exactly* the
-traffic its ``topoopt`` twin does -- the comparison isolates the
-interconnect, which is what makes the Figure 16 series meaningful.
+Strategy parity across fabrics: every fabric runs the same
+``prepare`` call per job, so a ``fattree`` scenario offers *exactly*
+the traffic its ``topoopt`` twin does (and shares its warm cache
+entries) -- the comparison isolates the interconnect, which is what
+makes the Figure 16 series meaningful.
 
 Faults (section 7) come from the spec's fault plane
 (``spec.faults``, see :mod:`repro.cluster.faults`): a cut shard link
@@ -60,19 +62,9 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.api.registry import (
-    FabricBuildContext,
-    build_fabric,
-    build_strategy,
-    build_workload,
-)
-from repro.api.runner import point_seed
-from repro.api.spec import (
-    ClusterSpec,
-    ExperimentSpec,
-    FabricSpec,
-    WorkloadSpec,
-)
+from repro.api.registry import FabricBuildContext, build_fabric
+from repro.api.runner import point_seed, prepare
+from repro.api.spec import ExperimentSpec, FabricSpec, WorkloadSpec
 from repro.cluster.faults import FaultEventSpec, FaultPlane
 from repro.cluster.results import JobResult, ScenarioResult
 from repro.cluster.scheduler import (
@@ -83,10 +75,8 @@ from repro.cluster.scheduler import (
     ShardManager,
 )
 from repro.cluster.spec import FAMILY_MODELS, ScenarioSpec
-from repro.models.compute import compute_time_seconds
 from repro.models.configs import CONFIG_FAMILIES
 from repro.obs import TRACER
-from repro.parallel.traffic import extract_traffic
 from repro.sim.cluster import JobSpec, SharedClusterSimulator
 from repro.sim.flows import FlowSet
 from repro.sim.network_sim import traffic_paths
@@ -130,7 +120,9 @@ class _Prepared:
     traffic: object
     compute_s: float
     strategy_name: str
-    fabric: Optional[object] = None  # local-id TopoOptFabric (shard mode)
+    #: The local-id TopoOptFabric of the job's shard (only shard
+    #: substrates run on it).
+    fabric: object
     #: Lazily measured uncontended iteration wall times (the backfill
     #: disciplines' reservation currency), keyed by what the measurement
     #: reads beyond this pipeline: ``None`` on an isolated shard (the
@@ -495,7 +487,7 @@ class ScenarioEngine:
             plan.batch_per_gpu,
             plan.seed if resolved == "mcmc" else None,
             spec.cluster.degree, spec.cluster.bandwidth_gbps,
-            spec.cluster.gpus_per_server, self.shardable,
+            spec.cluster.gpus_per_server,
             tuple(sorted(spec.optimizer.to_dict().items())),
         )
         def build() -> _Prepared:
@@ -509,13 +501,16 @@ class ScenarioEngine:
         return PIPELINE_CACHE.get_or_build(key, build)
 
     def _build_pipeline(self, plan: _JobPlan, resolved: str) -> _Prepared:
-        spec = self.spec
-        if resolved == "mcmc":
-            # The full co-optimization (MCMC x TopologyFinder) at shard
-            # scale, via the experiment runner's pipeline.
-            from repro.api.runner import prepare as prepare_experiment
+        """The job's pipeline: :func:`~repro.api.runner.prepare` on a
+        ``topoopt`` shard of the job's size, for every strategy.
 
-            experiment = ExperimentSpec(
+        Switch scenarios build the shard too, so they offer their
+        TopoOpt twin's traffic and share its cache entries; only shard
+        substrates run on the shard fabric.
+        """
+        spec = self.spec
+        pipeline = prepare(
+            ExperimentSpec(
                 name=plan.name,
                 seed=plan.seed,
                 workload=WorkloadSpec(
@@ -523,66 +518,17 @@ class ScenarioEngine:
                     scale=plan.scale,
                     batch_per_gpu=plan.batch_per_gpu,
                 ),
-                cluster=ClusterSpec(
-                    servers=plan.servers,
-                    degree=spec.cluster.degree,
-                    bandwidth_gbps=spec.cluster.bandwidth_gbps,
-                    gpus_per_server=spec.cluster.gpus_per_server,
-                ),
+                cluster=replace(spec.cluster, servers=plan.servers),
                 fabric=FabricSpec(kind="topoopt"),
-                optimizer=replace(spec.optimizer, strategy="mcmc"),
+                optimizer=replace(spec.optimizer, strategy=resolved),
             )
-            pipeline = prepare_experiment(experiment)
-            prepared = _Prepared(
-                traffic=pipeline.traffic,
-                compute_s=pipeline.compute_s,
-                strategy_name="mcmc",
-                fabric=pipeline.fabric if self.shardable else None,
-            )
-        else:
-            model = build_workload(
-                WorkloadSpec(
-                    model=plan.model,
-                    scale=plan.scale,
-                    batch_per_gpu=plan.batch_per_gpu,
-                )
-            )
-            batch = plan.batch_per_gpu or model.default_batch_per_gpu
-            strategy = build_strategy(
-                resolved,
-                model,
-                plan.servers,
-                batch_per_gpu=batch,
-                gpus_per_server=spec.cluster.gpus_per_server,
-            )
-            traffic = extract_traffic(
-                model, strategy, batch, spec.cluster.gpus_per_server
-            )
-            compute_s = compute_time_seconds(
-                model, batch, spec.cluster.gpus_per_server
-            )
-            fabric = None
-            if self.shardable:
-                from repro.core.topology_finder import topology_finder
-                from repro.network.topoopt import TopoOptFabric
-
-                result = topology_finder(
-                    plan.servers,
-                    spec.cluster.degree,
-                    traffic.allreduce_groups,
-                    traffic.mp_matrix,
-                    primes_only=spec.optimizer.primes_only,
-                )
-                fabric = TopoOptFabric(
-                    result, spec.cluster.link_bandwidth_bps
-                )
-            prepared = _Prepared(
-                traffic=traffic,
-                compute_s=compute_s,
-                strategy_name=resolved,
-                fabric=fabric,
-            )
-        return prepared
+        )
+        return _Prepared(
+            traffic=pipeline.traffic,
+            compute_s=pipeline.compute_s,
+            strategy_name=resolved,
+            fabric=pipeline.fabric,
+        )
 
     # -- duration estimates --------------------------------------------
     def _est_iteration(self, prepared: _Prepared, servers: int) -> float:
@@ -604,9 +550,10 @@ class ScenarioEngine:
         cached = prepared.estimates.get(key)
         if cached is not None:
             return cached
-        fabric = prepared.fabric
-        flows = None
-        if fabric is None:
+        if self.shardable:
+            fabric, flows = prepared.fabric, self._shard_flows(prepared)
+        else:
+            flows = None
             ctx = FabricBuildContext(
                 num_servers=servers,
                 degree=self.spec.cluster.degree,
@@ -622,8 +569,6 @@ class ScenarioEngine:
                 # compute-bound guess rather than failing the scenario
                 # over an estimate.
                 fabric = None
-        else:
-            flows = self._shard_flows(prepared)
         estimate = 2.0 * prepared.compute_s
         if fabric is not None:
             sim = self.substrate_class(

@@ -63,13 +63,3 @@ def compute_time_seconds(
     forward = model.total_flops_per_sample * batch_per_gpu
     total = forward * (1.0 + BACKWARD_FLOPS_MULTIPLIER)
     return total / gpu.effective_flops + gpu.per_iteration_overhead_s
-
-
-def layer_compute_time_seconds(
-    flops_per_sample: float,
-    batch: int,
-    gpu: GPUSpec = A100,
-) -> float:
-    """Forward+backward time of a single layer shard on one GPU."""
-    total = flops_per_sample * batch * (1.0 + BACKWARD_FLOPS_MULTIPLIER)
-    return total / gpu.effective_flops

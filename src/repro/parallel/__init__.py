@@ -16,8 +16,6 @@ plane of the alternating optimization):
   topology-aware iteration-time cost model, delta-scored through the
   sparse kernel in :mod:`repro.perf.costmodel` (seed full-rebuild path
   retained as the oracle).
-* :mod:`repro.parallel.taskgraph` -- phase-structured task graphs for the
-  flow simulator.
 """
 
 from repro.parallel.strategy import (
@@ -43,7 +41,6 @@ from repro.parallel.mcmc import (
     MCMCResult,
     MCMCSearch,
 )
-from repro.parallel.taskgraph import CommPhase, IterationPlan, build_iteration_plan
 
 __all__ = [
     "LayerPlacement",
@@ -61,7 +58,4 @@ __all__ = [
     "MCMCSearch",
     "MCMCResult",
     "IterationCostModel",
-    "CommPhase",
-    "IterationPlan",
-    "build_iteration_plan",
 ]

@@ -11,7 +11,9 @@ are cached process-wide here:
 * :data:`PIPELINE_CACHE` -- the scenario engine's per-template pipeline
   output, keyed by the full input fingerprint (model, scale, shard
   size, strategy, batch, seed where the strategy is stochastic, cluster
-  geometry, optimizer knobs).
+  geometry, optimizer knobs).  The scenario's fabric kind is not an
+  input: every job's pipeline builds its TopoOpt shard, so a switch
+  scenario and its ``topoopt`` twin share each entry.
 * :data:`COSTMODEL_CACHE` -- compiled
   :class:`repro.perf.costmodel.CostModelKernel` instances via
   :func:`kernel_for`, keyed by the identity of the fabric's immutable

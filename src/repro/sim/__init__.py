@@ -11,8 +11,8 @@ piecewise-constant rates and 1 us per-hop propagation latency.
   the one compiler every stepper's flows go through.
 * :mod:`repro.sim.events` -- the array-backed flow event engine.
 * :mod:`repro.sim.fluid` -- the max-min phase runner built on it.
-* :mod:`repro.sim.network_sim` -- training-iteration simulation of a
-  task graph (compute + MP + AllReduce phases) on a fabric.
+* :mod:`repro.sim.network_sim` -- training-iteration simulation
+  (compute + MP + AllReduce phases, Eq. 1) on a fabric.
 * :mod:`repro.sim.cluster` -- shared clusters: sharding, job mixes, and
   per-job iteration-time statistics (section 5.6).
 * :mod:`repro.sim.reconfig` -- reconfigurable fabrics (OCS-reconfig and
@@ -23,11 +23,7 @@ piecewise-constant rates and 1 us per-hop propagation latency.
 
 from repro.sim.flows import Flow
 from repro.sim.fluid import simulate_phase
-from repro.sim.network_sim import (
-    IterationBreakdown,
-    TrainingSimulator,
-    simulate_iteration,
-)
+from repro.sim.network_sim import IterationBreakdown, simulate_iteration
 from repro.sim.cluster import SharedClusterSimulator, JobSpec, JobStats
 from repro.sim.reconfig import ReconfigurableFabricSimulator
 from repro.sim.rdma import RdmaForwardingModel, NparInterface
@@ -36,7 +32,6 @@ __all__ = [
     "Flow",
     "simulate_phase",
     "IterationBreakdown",
-    "TrainingSimulator",
     "simulate_iteration",
     "SharedClusterSimulator",
     "JobSpec",

@@ -40,7 +40,6 @@ Path = Tuple[int, ...]
 __all__ = [
     "TopoOptFabric",
     "IterationBreakdown",
-    "TrainingSimulator",
     "simulate_iteration",
 ]
 
@@ -180,34 +179,3 @@ def simulate_iteration(
             "allreduce": ar_completions,
         },
     )
-
-
-@dataclass
-class TrainingSimulator:
-    """Multi-iteration training runs with per-iteration statistics.
-
-    The paper's traffic pattern is identical across iterations (section
-    2.2), so on a dedicated static fabric every iteration takes the same
-    time; this wrapper still simulates ``iterations`` runs to support
-    fabrics whose state evolves (reconfigurable ones override
-    ``run_iteration``).
-    """
-
-    fabric: object
-    traffic: TrafficSummary
-    compute_s: float
-
-    def run_iteration(self) -> IterationBreakdown:
-        return simulate_iteration(self.fabric, self.traffic, self.compute_s)
-
-    def run(self, iterations: int = 1) -> List[IterationBreakdown]:
-        if iterations < 1:
-            raise ValueError("need at least one iteration")
-        return [self.run_iteration() for _ in range(iterations)]
-
-    def throughput_samples_per_s(
-        self, batch_per_server: int, num_servers: int
-    ) -> float:
-        """Training throughput (Figure 19's samples/second)."""
-        iteration = self.run_iteration()
-        return batch_per_server * num_servers / iteration.total_s

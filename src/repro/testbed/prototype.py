@@ -6,30 +6,34 @@ a Telescent patch panel, with RoCEv2 + NPAR host forwarding.  Baselines:
 the same servers behind a 100 Gbps switch ("Switch 100Gbps" ~ Ideal
 Switch) and behind a 25 Gbps switch ("Switch 25Gbps").
 
-The emulator builds each fabric, runs the co-optimized (or hybrid
-default) strategy through the fluid simulator, applies the RDMA
-forwarding penalty to multi-hop MP traffic, and reports training
-throughput in samples/second (Figure 19) and all-to-all sweeps
-(Figure 21).
+The emulator builds each job with :func:`repro.api.runner.prepare` on
+the testbed cluster (strategy ``auto``, TopoOpt fabric), runs it
+through the fluid simulator on each fabric, applies the RDMA
+forwarding penalty to multi-hop MP traffic on TopoOpt, and reports
+training throughput in samples/second (Figure 19) and all-to-all
+sweeps (Figure 21).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.models.base import DNNModel
-from repro.models.compute import GPUSpec, A100, compute_time_seconds
-from repro.models.configs import TESTBED_CONFIGS
-from repro.network.fattree import IdealSwitchFabric
+from repro.api.registry import build_fabric
+from repro.api.runner import PreparedExperiment, prepare
+from repro.api.spec import ExperimentSpec, FabricSpec
 from repro.network.topoopt import TopoOptFabric
-from repro.core.topology_finder import topology_finder
-from repro.parallel.strategy import auto_strategy
-from repro.parallel.traffic import TrafficSummary, extract_traffic
+from repro.parallel.traffic import TrafficSummary
 from repro.sim.network_sim import IterationBreakdown, simulate_iteration
 from repro.sim.rdma import RdmaForwardingModel
 
-GBPS = 1e9
+#: The testbed's TopoOpt fabric, the job's own ``prepare`` output.
+TOPOOPT = "TopoOpt 4x25Gbps"
+#: Each baseline switch's per-server bandwidth (Gb/s, one NIC).
+SWITCH_GBPS: Dict[str, float] = {
+    "Switch 100Gbps": 100.0,
+    "Switch 25Gbps": 25.0,
+}
 
 
 @dataclass(frozen=True)
@@ -42,10 +46,6 @@ class TestbedConfig:
     gpus_per_server: int = 1
     kernel_forwarding_penalty: float = 0.05
 
-    @property
-    def link_bandwidth_bps(self) -> float:
-        return self.link_gbps * GBPS
-
 
 TESTBED = TestbedConfig()
 
@@ -55,83 +55,63 @@ class TestbedEmulator:
 
     __test__ = False  # not a pytest test class despite the name
 
-    def __init__(self, config: TestbedConfig = TESTBED, gpu: GPUSpec = A100):
-        self.config = config
-        self.gpu = gpu
+    def __init__(self):
         self.rdma = RdmaForwardingModel(
-            config.degree, config.kernel_forwarding_penalty
+            TESTBED.degree, TESTBED.kernel_forwarding_penalty
         )
 
-    # ------------------------------------------------------------------
-    def _strategy(self, model: DNNModel, batch_per_gpu: Optional[int] = None):
-        return auto_strategy(
-            model,
-            self.config.num_servers,
-            batch_per_gpu,
-            self.config.gpus_per_server,
-        )
-
-    def _traffic(self, model: DNNModel, batch_per_gpu: Optional[int]):
-        strategy = self._strategy(model, batch_per_gpu)
-        return extract_traffic(
-            model,
-            strategy,
-            batch_per_gpu or model.default_batch_per_gpu,
-            self.config.gpus_per_server,
-        )
-
-    def _compute_s(self, model: DNNModel, batch_per_gpu: Optional[int]):
-        return compute_time_seconds(
-            model,
-            batch_per_gpu or model.default_batch_per_gpu,
-            self.config.gpus_per_server,
-            self.gpu,
-        )
-
-    def _topoopt_fabric(self, traffic: TrafficSummary) -> TopoOptFabric:
-        result = topology_finder(
-            self.config.num_servers,
-            self.config.degree,
-            traffic.allreduce_groups,
-            traffic.mp_matrix,
-        )
-        return TopoOptFabric(result, self.config.link_bandwidth_bps)
-
-    def _switch_fabric(self, gbps: float) -> IdealSwitchFabric:
-        fabric = IdealSwitchFabric(
-            self.config.num_servers, 1, gbps * GBPS
-        )
-        fabric.name = f"Switch {int(gbps)}Gbps"
-        return fabric
-
-    # ------------------------------------------------------------------
     def iteration(
         self,
-        model: DNNModel,
+        model_name: str,
         fabric_name: str,
         batch_per_gpu: Optional[int] = None,
     ) -> IterationBreakdown:
         """Simulate one iteration on one of the three testbed fabrics.
 
+        ``model_name`` is a testbed preset
+        (:data:`repro.models.configs.TESTBED_CONFIGS`);
         ``fabric_name``: "TopoOpt 4x25Gbps", "Switch 100Gbps", or
         "Switch 25Gbps".
         """
-        traffic = self._traffic(model, batch_per_gpu)
-        compute_s = self._compute_s(model, batch_per_gpu)
-        if fabric_name == "TopoOpt 4x25Gbps":
-            fabric = self._topoopt_fabric(traffic)
-            breakdown = simulate_iteration(fabric, traffic, compute_s)
-            return self._apply_rdma_penalty(breakdown, fabric, traffic)
-        if fabric_name == "Switch 100Gbps":
-            fabric = self._switch_fabric(100.0)
-        elif fabric_name == "Switch 25Gbps":
-            fabric = self._switch_fabric(25.0)
-        else:
+        return self._run(model_name, fabric_name, batch_per_gpu)[1]
+
+    def _run(
+        self,
+        model_name: str,
+        fabric_name: str,
+        batch_per_gpu: Optional[int],
+    ) -> Tuple[PreparedExperiment, IterationBreakdown]:
+        if fabric_name != TOPOOPT and fabric_name not in SWITCH_GBPS:
             raise ValueError(
                 f"unknown testbed fabric {fabric_name!r}; use "
                 "'TopoOpt 4x25Gbps', 'Switch 100Gbps', or 'Switch 25Gbps'"
             )
-        return simulate_iteration(fabric, traffic, compute_s)
+        prepared = prepare(
+            ExperimentSpec.preset("testbed", model_name).with_overrides(
+                {"strategy": "auto", "batch_per_gpu": batch_per_gpu}
+            )
+        )
+        traffic = prepared.traffic
+        if fabric_name == TOPOOPT:
+            breakdown = simulate_iteration(
+                prepared.fabric, traffic, prepared.compute_s
+            )
+            breakdown = self._apply_rdma_penalty(
+                breakdown, prepared.fabric, traffic
+            )
+        else:
+            switch = build_fabric(
+                FabricSpec(
+                    kind="ideal-switch",
+                    degree=1,
+                    bandwidth_gbps=SWITCH_GBPS[fabric_name],
+                ),
+                prepared.context,
+            )
+            breakdown = simulate_iteration(
+                switch, traffic, prepared.compute_s
+            )
+        return prepared, breakdown
 
     def _apply_rdma_penalty(
         self,
@@ -177,17 +157,18 @@ class TestbedEmulator:
         batch_per_gpu: Optional[int] = None,
     ) -> float:
         """Figure 19's samples/second for one (model, fabric) pair."""
-        model = TESTBED_CONFIGS[model_name].build()
-        batch = batch_per_gpu or model.default_batch_per_gpu
-        breakdown = self.iteration(model, fabric_name, batch)
-        samples = batch * self.config.gpus_per_server * self.config.num_servers
+        prepared, breakdown = self._run(model_name, fabric_name, batch_per_gpu)
+        cluster = prepared.spec.cluster
+        samples = (
+            prepared.batch_per_gpu * cluster.gpus_per_server * cluster.servers
+        )
         return samples / breakdown.total_s
 
     def throughput_table(
         self, model_names: List[str]
     ) -> Dict[str, Dict[str, float]]:
         """Figure 19: model -> fabric -> samples/second."""
-        fabrics = ["TopoOpt 4x25Gbps", "Switch 100Gbps", "Switch 25Gbps"]
+        fabrics = [TOPOOPT, *SWITCH_GBPS]
         return {
             name: {
                 fabric: self.throughput_samples_per_s(name, fabric)

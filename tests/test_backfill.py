@@ -143,7 +143,8 @@ class TestIterationEstimate:
 class TestEstimateKey:
     """On a shared substrate the estimate is built from the scenario's
     fabric spec and seed, so the warm pipeline cache keys it by both:
-    no scenario reads another's estimate."""
+    no scenario reads another's estimate -- not even its TopoOpt
+    twin's, whose pipeline entries (shard fabric included) it shares."""
 
     @staticmethod
     def estimates(spec):
@@ -159,14 +160,19 @@ class TestEstimateKey:
             patch.setattr(warmcache, "PIPELINE_CACHE", warmcache.WarmCache())
             return self.estimates(spec)
 
-    @pytest.mark.parametrize("kind", ["leaf-spine", "expander"])
+    @pytest.mark.parametrize("kind", ["leaf-spine", "expander", "fattree"])
     def test_fabric_after_fattree_gets_its_own(self, kind, monkeypatch):
         golden = golden_scenario_spec("conservative")
-        fattree = self.estimates(golden.with_overrides({"fabric": "fattree"}))
+        firsts = [self.estimates(golden)]
+        if kind != "fattree":
+            firsts.append(
+                self.estimates(golden.with_overrides({"fabric": "fattree"}))
+            )
         spec = golden.with_overrides({"fabric": kind})
         warm = self.estimates(spec)
         assert warm == self.fresh_estimates(spec, monkeypatch)
-        assert warm != fattree
+        for first in firsts:
+            assert warm != first
 
     def test_seed_after_other_seed_gets_its_own(self, monkeypatch):
         # An expander's wiring is drawn from the scenario seed.

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.models import A100, GPUSpec, build_resnet50, compute_time_seconds
-from repro.models.compute import layer_compute_time_seconds
 
 
 class TestGPUSpec:
@@ -56,13 +55,3 @@ class TestComputeTime:
     def test_invalid_gpus_rejected(self):
         with pytest.raises(ValueError):
             compute_time_seconds(build_resnet50(), 8, gpus_per_server=0)
-
-
-class TestLayerComputeTime:
-    def test_forward_backward_accounting(self):
-        gpu = GPUSpec("x", 1e12, 1.0, per_iteration_overhead_s=0.0)
-        t = layer_compute_time_seconds(1e9, 10, gpu)
-        assert t == pytest.approx(1e9 * 10 * 3 / 1e12)
-
-    def test_zero_flops_layer(self):
-        assert layer_compute_time_seconds(0.0, 100) == 0.0

@@ -10,7 +10,7 @@ from repro.network.fattree import FatTreeFabric, IdealSwitchFabric
 from repro.network.topoopt import TopoOptFabric
 from repro.parallel.strategy import data_parallel_strategy, hybrid_strategy
 from repro.parallel.traffic import TrafficSummary, extract_traffic
-from repro.sim.network_sim import TrainingSimulator, simulate_iteration
+from repro.sim.network_sim import simulate_iteration
 
 GBPS = 1e9
 
@@ -113,29 +113,6 @@ class TestBreakdown:
             b = simulate_iteration(fabric, traffic, compute)
             fractions.append(b.network_overhead_fraction)
         assert fractions[0] < fractions[1] < fractions[2]
-
-
-class TestTrainingSimulator:
-    def test_static_fabric_iterations_identical(self):
-        fabric = IdealSwitchFabric(4, 2, GBPS)
-        sim = TrainingSimulator(fabric, dp_traffic(4, 1e8), compute_s=0.01)
-        runs = sim.run(iterations=3)
-        assert len(runs) == 3
-        times = [r.total_s for r in runs]
-        assert max(times) - min(times) < 1e-9
-
-    def test_throughput(self):
-        fabric = IdealSwitchFabric(4, 2, GBPS)
-        sim = TrainingSimulator(fabric, dp_traffic(4, 1e8), compute_s=0.01)
-        tput = sim.throughput_samples_per_s(batch_per_server=32, num_servers=4)
-        iteration = sim.run_iteration().total_s
-        assert tput == pytest.approx(128 / iteration)
-
-    def test_invalid_iteration_count(self):
-        fabric = IdealSwitchFabric(4, 2, GBPS)
-        sim = TrainingSimulator(fabric, dp_traffic(4, 1e8), compute_s=0.01)
-        with pytest.raises(ValueError):
-            sim.run(iterations=0)
 
 
 class TestExpanderBaseline:

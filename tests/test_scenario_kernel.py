@@ -589,12 +589,17 @@ class TestWarmCaches:
         cold_misses = PIPELINE_CACHE.misses
         assert cold_misses > 0
         warm = run_scenario(spec)
+        # A switch scenario shares its TopoOpt twin's entries.
+        twin = spec.with_overrides({"fabric": "fattree"})
+        warm_twin = run_scenario(twin)
         assert PIPELINE_CACHE.misses == cold_misses  # all hits
         assert PIPELINE_CACHE.hits > 0
         assert (
             json.dumps(cold.to_dict(), sort_keys=True)
             == json.dumps(warm.to_dict(), sort_keys=True)
         )
+        clear_all()
+        assert result_json(warm_twin) == result_json(run_scenario(twin))
 
     def test_costmodel_kernel_reused_per_fabric(self):
         from repro.network.fattree import FatTreeFabric

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.models import build_model
+from repro.api.spec import EXPERIMENT_PRESETS
 from repro.testbed.accuracy import TimeToAccuracyModel
 from repro.testbed.nccl import NcclCommunicator
 from repro.testbed.prototype import TESTBED, TestbedEmulator
@@ -17,6 +17,15 @@ class TestTestbedConfig:
         assert TESTBED.degree == 4
         assert TESTBED.link_gbps == 25.0
         assert TESTBED.gpus_per_server == 1
+        # The emulator's jobs run on the testbed preset's cluster.
+        cluster = EXPERIMENT_PRESETS["testbed"]
+        assert (
+            cluster.servers, cluster.degree, cluster.bandwidth_gbps,
+            cluster.gpus_per_server,
+        ) == (
+            TESTBED.num_servers, TESTBED.degree, TESTBED.link_gbps,
+            TESTBED.gpus_per_server,
+        )
 
 
 class TestThroughput:
@@ -48,9 +57,8 @@ class TestThroughput:
             assert topo > slow, model
 
     def test_unknown_fabric_rejected(self, emulator):
-        model = build_model("VGG16", scale="testbed")
         with pytest.raises(ValueError):
-            emulator.iteration(model, "Token Ring")
+            emulator.iteration("VGG16", "Token Ring")
 
     def test_throughput_table_structure(self, emulator):
         table = emulator.throughput_table(["ResNet50"])
@@ -62,9 +70,8 @@ class TestThroughput:
 
     def test_alltoall_batch_sweep_monotone(self, emulator):
         # Figure 21: iteration time grows with batch size.
-        model = build_model("DLRM", scale="testbed")
         times = [
-            emulator.iteration(model, "TopoOpt 4x25Gbps", bs).total_s
+            emulator.iteration("DLRM", "TopoOpt 4x25Gbps", bs).total_s
             for bs in (32, 128, 512)
         ]
         assert times[0] < times[1] < times[2]
