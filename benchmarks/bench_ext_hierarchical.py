@@ -8,11 +8,9 @@ two extra electrical hops) for needing only #racks optical ports
 instead of #servers x d.
 """
 
-from benchmarks.harness import GBPS, emit, format_table, topoopt_fabric_for
-from repro.models import build_model, compute_time_seconds
+from benchmarks.harness import emit, experiment_spec, format_table
+from repro.api import prepare
 from repro.network.hierarchical import HierarchicalTopoOptFabric
-from repro.parallel.strategy import auto_strategy
-from repro.parallel.traffic import extract_traffic
 from repro.sim.network_sim import simulate_iteration
 
 N = 32
@@ -24,13 +22,13 @@ LINK_GBPS = 100.0
 def run_experiment():
     results = {}
     for model_name in ("VGG16", "DLRM"):
-        model = build_model(model_name, scale="shared")
-        strategy = auto_strategy(model, N)
-        traffic = extract_traffic(model, strategy)
-        compute_s = compute_time_seconds(
-            model, model.default_batch_per_gpu
+        prepared = prepare(
+            experiment_spec(
+                model_name, N, "shared", degree=DEGREE, link_gbps=LINK_GBPS
+            )
         )
-        flat = topoopt_fabric_for(traffic, N, DEGREE, LINK_GBPS)
+        traffic, compute_s = prepared.traffic, prepared.compute_s
+        flat = prepared.fabric
         hierarchical = HierarchicalTopoOptFabric(
             traffic,
             servers_per_rack=SERVERS_PER_RACK,

@@ -6,13 +6,14 @@ per-GPU batch).  We simulate each List 1 model on a 100 Gbps switch at
 increasing server counts and report the communication share.
 """
 
-from benchmarks.harness import emit, format_table, full_scale, workload
-from repro.network.fattree import IdealSwitchFabric
+from benchmarks.harness import emit, experiment_spec, format_table, full_scale
+from repro.api import SpecError, prepare
 from repro.sim.network_sim import simulate_iteration
 
 MODELS = ["DLRM", "CANDLE", "BERT", "VGG16"]
 FULL_MODELS = ["DLRM", "CANDLE", "BERT", "NCF", "ResNet50", "VGG16"]
 GPUS_PER_SERVER = 4
+NICS_PER_SERVER = 4
 BANDWIDTH_GBPS = 100.0
 
 
@@ -26,13 +27,21 @@ def run_experiment():
             n = max(gpus // GPUS_PER_SERVER, 2)
             scale = "simulation" if full_scale() else "shared"
             try:
-                model, _, traffic, compute_s = workload(name, n, scale)
-            except KeyError:
-                model, _, traffic, compute_s = workload(name, n, "simulation")
+                spec = experiment_spec(name, n, scale)
+            except SpecError:
+                spec = experiment_spec(name, n, "simulation")
             # Meta-style servers: multiple GPU NICs per server (four
             # 100 Gbps pipes), matching the production setup of sec. 7.
-            fabric = IdealSwitchFabric(n, 4, BANDWIDTH_GBPS * 1e9)
-            breakdown = simulate_iteration(fabric, traffic, compute_s)
+            prepared = prepare(
+                spec.with_overrides({
+                    "degree": NICS_PER_SERVER,
+                    "bandwidth_gbps": BANDWIDTH_GBPS,
+                    "fabric.kind": "ideal-switch",
+                })
+            )
+            breakdown = simulate_iteration(
+                prepared.fabric, prepared.traffic, prepared.compute_s
+            )
             row.append(breakdown.network_overhead_fraction)
         table[name] = (gpu_counts, row)
     return table

@@ -6,18 +6,17 @@ cost-equivalent Fat-tree), trails Ideal by 1.3x/1.7x for DLRM/NCF
 (host-forwarding tax on MP transfers), OCS-reconfig suffers from demand
 mis-estimation, and the Expander is worst.
 
-Ported to the declarative API: each (model, bandwidth) cell is one
-``ExperimentSpec`` and the architectures are timed by
-``compare_fabrics`` on the spec's shared traffic.
+Ported to the declarative API: each model is one ``ExperimentSpec``,
+prepared once, and ``bandwidth_sweep`` times the architectures with
+``compare_fabrics`` at every bandwidth on the spec's shared traffic.
 
 Default scale: 32 servers with the section 5.6 model presets; set
 REPRO_SCALE=full for 128 servers with the section 5.3 presets.
 """
 
-import dataclasses
-
 from benchmarks.harness import (
     ARCHITECTURE_FABRICS,
+    bandwidth_sweep,
     emit,
     experiment_spec,
     format_table,
@@ -25,7 +24,7 @@ from benchmarks.harness import (
     scale_config,
     speedup_vs,
 )
-from repro.api import SpecError, compare_fabrics, prepare
+from repro.api import SpecError
 
 DEGREE = 4
 MODELS_SMALL = ["CANDLE", "VGG16", "BERT", "DLRM"]
@@ -40,26 +39,13 @@ def run_experiment():
     fabrics = {arch: ARCHITECTURE_FABRICS[arch] for arch in ARCHS}
     results = {}
     for name in models:
-        # The workload, strategy, traffic, and TopoOpt topology are all
-        # bandwidth-independent: prepare once, retime per bandwidth.
         try:
             spec = experiment_spec(name, n, degree=DEGREE)
         except SpecError:
             spec = experiment_spec(
                 name, n, model_scale="simulation", degree=DEGREE
             )
-        prepared = prepare(spec)
-        per_bandwidth = {}
-        for gbps in cfg.bandwidths_gbps:
-            spec_b = spec.with_overrides({"bandwidth_gbps": gbps})
-            prepared_b = dataclasses.replace(
-                prepared, spec=spec_b, fabric=None
-            )
-            timings = compare_fabrics(spec_b, fabrics, prepared_b)
-            per_bandwidth[gbps] = {
-                arch: timing.total_s for arch, timing in timings.items()
-            }
-        results[name] = per_bandwidth
+        results[name] = bandwidth_sweep(spec, fabrics, cfg.bandwidths_gbps)
     return results
 
 

@@ -5,125 +5,81 @@ Paper (432 servers, d=8, B=100 Gbps; jobs of 16 servers; mix 40% DLRM,
 iteration time 1.7x over Fat-tree and the tail up to 3.4x at full load,
 because optical sharding isolates jobs while the Fat-tree core is
 shared.
+
+Each (architecture, load) cell is one ``ScenarioSpec`` run by the
+scenario engine: every job arrives at t = 0 on its own block of
+servers, and the average and p99 pool all jobs' iterations
+(``ScenarioResult.iteration_stats``).
 """
 
-import itertools
-
-from benchmarks.harness import (
-    GBPS,
-    emit,
-    format_table,
-    full_scale,
-    scale_config,
-)
-from repro.core.topology_finder import topology_finder
-from repro.models import build_model, compute_time_seconds
-from repro.network.cost import cost_equivalent_fattree_bandwidth
-from repro.network.fattree import (
-    IdealSwitchFabric,
-    OversubscribedFatTreeFabric,
-)
-from repro.network.topoopt import TopoOptFabric
-from repro.parallel.strategy import auto_strategy
-from repro.parallel.traffic import extract_traffic
-from repro.sim.cluster import (
-    JobSpec,
-    SharedClusterSimulator,
-    iteration_time_stats,
-    remap_traffic,
+from benchmarks.harness import emit, format_table, full_scale, scale_config
+from repro.api import ClusterSpec, FabricSpec
+from repro.cluster import (
+    ArrivalSpec,
+    JobTemplateSpec,
+    ScenarioSpec,
+    run_scenario,
 )
 
 DEGREE = 8
 LINK_GBPS = 100.0
+ITERATIONS = 4
 JOB_MIX = ["DLRM", "DLRM", "DLRM", "DLRM", "BERT", "BERT", "BERT",
            "CANDLE", "CANDLE", "VGG16"]  # 40/30/20/10%
 LOADS = (0.2, 0.6, 1.0) if not full_scale() else (0.2, 0.4, 0.6, 0.8, 1.0)
 
 
-def _job_inputs(servers_per_job):
-    inputs = {}
-    for name in set(JOB_MIX):
-        model = build_model(name, scale="shared")
-        strategy = auto_strategy(model, servers_per_job)
-        traffic = extract_traffic(model, strategy)
-        compute = compute_time_seconds(model, model.default_batch_per_gpu)
-        inputs[name] = (traffic, compute)
-    return inputs
+def architectures(servers_per_job):
+    """Display name -> the scenario fabric of each Figure 16 series."""
+    return {
+        "TopoOpt": FabricSpec(kind="topoopt"),
+        "Fat-tree": FabricSpec(kind="fattree"),
+        # Racks are half a job wide, so every job spans racks and its
+        # ring crosses the (2:1 oversubscribed) ToR uplinks.
+        "Oversub Fat-tree": FabricSpec(
+            kind="oversubscribed-fattree",
+            options={"servers_per_rack": max(servers_per_job // 2, 2)},
+        ),
+        "Ideal Switch": FabricSpec(kind="ideal-switch"),
+    }
 
 
-def _make_jobs(load, cfg, inputs, fabric_builder):
-    total_jobs = max(
-        1, int(load * cfg.shared_servers / cfg.servers_per_job)
+def scenario_spec(load, fabric, cfg):
+    """The cluster at ``load``: that share of its servers busy at t = 0.
+
+    Jobs cycle through ``JOB_MIX``, one per ``servers_per_job`` block,
+    and each runs ``ITERATIONS`` iterations.
+    """
+    jobs = max(1, int(load * cfg.shared_servers / cfg.servers_per_job))
+    return ScenarioSpec(
+        name=f"fig16-{fabric.kind}-{load:g}",
+        cluster=ClusterSpec(
+            servers=cfg.shared_servers,
+            degree=DEGREE,
+            bandwidth_gbps=LINK_GBPS,
+        ),
+        fabric=fabric,
+        arrivals=ArrivalSpec(process="explicit", times=(0.0,) * jobs),
+        jobs=tuple(
+            JobTemplateSpec(
+                model=model,
+                servers=cfg.servers_per_job,
+                iterations=ITERATIONS,
+            )
+            for model in JOB_MIX
+        ),
     )
-    mix = itertools.cycle(JOB_MIX)
-    specs = []
-    capacities = {}
-    for idx in range(total_jobs):
-        name = next(mix)
-        traffic, compute = inputs[name]
-        server_map = list(
-            range(
-                idx * cfg.servers_per_job, (idx + 1) * cfg.servers_per_job
-            )
-        )
-        fabric, caps = fabric_builder(traffic, server_map)
-        capacities.update(caps)
-        specs.append(
-            JobSpec(
-                name=f"{name}-{idx}",
-                traffic=remap_traffic(traffic, server_map),
-                compute_s=compute,
-                fabric=fabric,
-            )
-        )
-    return specs, capacities
 
 
 def run_experiment():
     cfg = scale_config()
-    inputs = _job_inputs(cfg.servers_per_job)
-    equiv = cost_equivalent_fattree_bandwidth(
-        cfg.shared_servers, DEGREE, LINK_GBPS
-    )
-    shared_fattree = IdealSwitchFabric(cfg.shared_servers, 1, equiv * GBPS)
-    shared_ideal = IdealSwitchFabric(
-        cfg.shared_servers, DEGREE, LINK_GBPS * GBPS
-    )
-    # Racks are half a job wide, so every job spans racks and its ring
-    # crosses the (2:1 oversubscribed) ToR uplinks.
-    shared_oversub = OversubscribedFatTreeFabric(
-        cfg.shared_servers, DEGREE, LINK_GBPS * GBPS,
-        servers_per_rack=max(cfg.servers_per_job // 2, 2),
-    )
-
-    def topoopt_builder(traffic, server_map):
-        result = topology_finder(
-            cfg.servers_per_job,
-            DEGREE,
-            traffic.allreduce_groups,
-            traffic.mp_matrix,
-        )
-        fabric = TopoOptFabric(result, LINK_GBPS * GBPS).relabel(server_map)
-        return fabric, fabric.capacities()
-
-    def shared_builder(fabric):
-        return lambda traffic, server_map: (fabric, fabric.capacities())
-
-    architectures = {
-        "TopoOpt": topoopt_builder,
-        "Fat-tree": shared_builder(shared_fattree),
-        "Oversub Fat-tree": shared_builder(shared_oversub),
-        "Ideal Switch": shared_builder(shared_ideal),
-    }
+    fabrics = architectures(cfg.servers_per_job)
     results = {}
     for load in LOADS:
-        per_arch = {}
-        for arch, builder in architectures.items():
-            specs, capacities = _make_jobs(load, cfg, inputs, builder)
-            sim = SharedClusterSimulator(capacities, specs, seed=3)
-            stats = sim.run(iterations_per_job=4)
-            per_arch[arch] = iteration_time_stats(stats)
-        results[load] = per_arch
+        results[load] = {}
+        for arch, fabric in fabrics.items():
+            result = run_scenario(scenario_spec(load, fabric, cfg))
+            results[load][arch] = result.iteration_stats()
     return results
 
 

@@ -10,11 +10,11 @@ flat across the sweep.
 from benchmarks.harness import (
     GBPS,
     emit,
+    experiment_spec,
     format_table,
     full_scale,
-    topoopt_fabric_for,
-    workload,
 )
+from repro.api import prepare
 from repro.sim.network_sim import simulate_iteration
 from repro.sim.reconfig import ReconfigurableFabricSimulator
 
@@ -31,9 +31,15 @@ def run_experiment():
     n = _cluster_size()
     results = {}
     for model_name in ("DLRM", "BERT"):
-        _, _, traffic, compute_s = workload(model_name, n, "shared")
-        fabric = topoopt_fabric_for(traffic, n, DEGREE, LINK_GBPS)
-        topo_time = simulate_iteration(fabric, traffic, compute_s).total_s
+        prepared = prepare(
+            experiment_spec(
+                model_name, n, "shared", degree=DEGREE, link_gbps=LINK_GBPS
+            )
+        )
+        traffic, compute_s = prepared.traffic, prepared.compute_s
+        topo_time = simulate_iteration(
+            prepared.fabric, traffic, compute_s
+        ).total_s
         allreduce_demand = traffic.allreduce_matrix()
         sweep = []
         for latency in LATENCIES:

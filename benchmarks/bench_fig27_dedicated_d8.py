@@ -6,11 +6,12 @@ Ideal Switch and clearly beats the cost-equivalent Fat-tree.
 """
 
 from benchmarks.harness import (
-    dedicated_iteration_times,
+    ARCHITECTURE_FABRICS,
+    bandwidth_sweep,
     emit,
+    experiment_spec,
     format_table,
     scale_config,
-    workload,
 )
 
 DEGREE = 8
@@ -21,17 +22,15 @@ ARCHS = ["TopoOpt", "Ideal Switch", "Fat-tree", "Expander"]
 def run_experiment():
     cfg = scale_config()
     n = cfg.dedicated_servers
-    results = {}
-    for name in MODELS:
-        _, _, traffic, compute_s = workload(name, n)
-        per_bandwidth = {
-            gbps: dedicated_iteration_times(
-                traffic, compute_s, n, DEGREE, gbps, architectures=ARCHS
-            )
-            for gbps in cfg.bandwidths_gbps
-        }
-        results[name] = per_bandwidth
-    return results
+    fabrics = {arch: ARCHITECTURE_FABRICS[arch] for arch in ARCHS}
+    return {
+        name: bandwidth_sweep(
+            experiment_spec(name, n, degree=DEGREE),
+            fabrics,
+            cfg.bandwidths_gbps,
+        )
+        for name in MODELS
+    }
 
 
 def bench_fig27_dedicated_d8(benchmark):

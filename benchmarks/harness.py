@@ -7,35 +7,30 @@ the paper-scale configuration; the default is a reduced-but-
 representative scale whose result *shapes* match (both sets of
 dimensions are in :func:`scale_config`).
 
-Since the declarative API landed, workloads, strategies, and fabrics
-resolve through the :mod:`repro.api` registries: a paper architecture
-is a :class:`repro.api.FabricSpec` in :data:`ARCHITECTURE_FABRICS`, and
-:func:`dedicated_iteration_times` is a thin wrapper over
-:func:`repro.api.time_fabric`.
+Benches build their jobs through the :mod:`repro.api` pipeline: an
+:class:`repro.api.ExperimentSpec` from :func:`experiment_spec` goes
+through :func:`repro.api.prepare`, a paper architecture is a
+:class:`repro.api.FabricSpec` in :data:`ARCHITECTURE_FABRICS`, and
+:func:`bandwidth_sweep` times architectures with
+:func:`repro.api.compare_fabrics`.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.api import (
     ClusterSpec,
     ExperimentSpec,
-    FabricBuildContext,
     FabricSpec,
     OptimizerSpec,
     WorkloadSpec,
-    build_fabric,
-    build_strategy,
-    build_workload,
-    time_fabric,
+    compare_fabrics,
+    prepare,
 )
-from repro.models import compute_time_seconds
-from repro.network.topoopt import TopoOptFabric
-from repro.parallel.traffic import TrafficSummary, extract_traffic
 
 GBPS = 1e9
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -141,34 +136,6 @@ def experiment_spec(
     )
 
 
-def workload(model_name: str, n: int, model_scale: Optional[str] = None):
-    """(model, strategy, traffic, compute_s) for a model on n servers."""
-    cfg = scale_config()
-    model = build_workload(
-        WorkloadSpec(
-            model=model_name, scale=model_scale or cfg.model_scale
-        )
-    )
-    strategy = build_strategy("auto", model, n)
-    traffic = extract_traffic(model, strategy)
-    compute_s = compute_time_seconds(model, model.default_batch_per_gpu)
-    return model, strategy, traffic, compute_s
-
-
-def topoopt_fabric_for(
-    traffic: TrafficSummary, n: int, d: int, link_gbps: float
-) -> TopoOptFabric:
-    return build_fabric(
-        FabricSpec(kind="topoopt"),
-        FabricBuildContext(
-            num_servers=n,
-            degree=d,
-            link_bandwidth_bps=link_gbps * GBPS,
-            traffic=traffic,
-        ),
-    )
-
-
 #: The architectures of Figure 11, as registry-addressable fabric specs
 #: (paper display name -> FabricSpec).
 ARCHITECTURE_FABRICS: Dict[str, FabricSpec] = {
@@ -182,45 +149,27 @@ ARCHITECTURE_FABRICS: Dict[str, FabricSpec] = {
 }
 
 
-def dedicated_iteration_times(
-    traffic: TrafficSummary,
-    compute_s: float,
-    n: int,
-    d: int,
-    link_gbps: float,
-    architectures: Sequence[str] = (
-        "TopoOpt",
-        "Ideal Switch",
-        "Fat-tree",
-        "Expander",
-        "OCS-reconfig",
-        "SiP-ML",
-    ),
-    seed: int = 0,
-) -> Dict[str, float]:
-    """Iteration time of one workload on each architecture (Figure 11)."""
-    ctx = FabricBuildContext(
-        num_servers=n,
-        degree=d,
-        link_bandwidth_bps=link_gbps * GBPS,
-        traffic=traffic,
-        seed=seed,
-    )
-    times: Dict[str, float] = {}
-    for arch in architectures:
-        if arch not in ARCHITECTURE_FABRICS:
-            raise ValueError(
-                f"unknown architecture {arch!r}; "
-                f"known: {sorted(ARCHITECTURE_FABRICS)}"
-            )
-        fabric_spec = ARCHITECTURE_FABRICS[arch]
-        fabric = build_fabric(fabric_spec, ctx)
-        timing = time_fabric(
-            fabric, traffic, compute_s, fabric_spec.kind,
-            bandwidth_gbps=link_gbps, degree=d,
-        )
-        times[arch] = timing.total_s
-    return times
+def bandwidth_sweep(
+    spec: ExperimentSpec,
+    fabrics: Dict[str, FabricSpec],
+    bandwidths_gbps: Iterable[float],
+) -> Dict[float, Dict[str, float]]:
+    """Iteration time of one job on each fabric at each link bandwidth.
+
+    The workload, strategy, traffic and TopoOpt topology are all
+    bandwidth-independent: the job is prepared once and retimed per
+    bandwidth.  Returns bandwidth -> fabric label -> seconds.
+    """
+    prepared = prepare(spec)
+    sweep = {}
+    for gbps in bandwidths_gbps:
+        spec_b = spec.with_overrides({"bandwidth_gbps": gbps})
+        prepared_b = replace(prepared, spec=spec_b, fabric=None)
+        timings = compare_fabrics(spec_b, fabrics, prepared_b)
+        sweep[gbps] = {
+            label: timing.total_s for label, timing in timings.items()
+        }
+    return sweep
 
 
 def speedup_vs(times: Dict[str, float], baseline: str) -> Dict[str, float]:

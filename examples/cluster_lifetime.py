@@ -6,7 +6,7 @@ paper's production-trace statistics (section 2.2: log-normal worker
 counts by model family): jobs arrive over time, queue for a contiguous
 shard under the best-fit policy, run their co-optimized training
 iterations on an isolated optical partition, and depart -- the
-``ShardManager`` lifecycle of Appendix C driven end to end by one
+sharding lifecycle of Appendix C driven end to end by one
 :class:`repro.cluster.ScenarioSpec`.
 
 Reported per job: arrival, queueing delay, JCT; for the cluster:

@@ -1,79 +1,87 @@
 #!/usr/bin/env python3
-"""Cluster operations: sharding, look-ahead admission, failure recovery.
+"""Cluster operations: look-ahead admission, failure recovery, RDMA relays.
 
-Demonstrates the operational side of TopoOpt (section 7 + Appendix C):
+Demonstrates the operational side of TopoOpt (section 7 + Appendices C
+and I), the first two parts on the scenario engine:
 
-1. a ShardManager admits jobs into physically isolated optical shards,
-   hiding the patch panel's minutes-long robot behind look-ahead
-   provisioning (admission costs a millisecond 1x2 flip),
-2. a fiber fails mid-training; the FailureManager reroutes the broken
-   AllReduce ring edge over an MP detour (transient policy) and then
-   swaps ports for permanent recovery, and
+1. three 8-server jobs arrive together on a 16-server cluster whose
+   patch panel needs a minute of robot time to wire each new shard
+   (Table 1).  Two fit at once and pay that minute in full.  The third
+   waits at the head of the queue; with look-ahead provisioning
+   (Appendix C) its shard is wired while it waits, so it starts the
+   moment the first job leaves instead of a minute later;
+2. a fiber of the first job's shard fails mid-training: the fault plane
+   reroutes the broken AllReduce ring edge over an MP detour (transient
+   policy), then swaps ports for permanent recovery; and
 3. the NPAR RDMA-forwarding rule chains (Appendix I) are generated for a
    multi-hop logical connection.
-
-Job traffic comes from the declarative API (workload + strategy
-registries) rather than hand-built matrices.
 
 Run:  python examples/cluster_operations.py
 """
 
-from repro.api import WorkloadSpec, build_strategy, build_workload
-from repro.network.sharding import ShardManager
-from repro.parallel.traffic import extract_traffic
-from repro.sim.failures import FailureManager
+from repro.cluster import ScenarioSpec, run_scenario
+from repro.network.optical import OPTICAL_TECHNOLOGIES
 from repro.sim.rdma import RdmaForwardingModel
 
-CLUSTER_SERVERS = 24
-SERVERS_PER_JOB = 8
+CLUSTER_SERVERS = 16
 DEGREE = 4
+#: The patch-panel robot's rewiring time, paid per admission.
+ROBOT_S = OPTICAL_TECHNOLOGIES["patch_panel"].reconfiguration_latency_s
 
 
-def job_traffic(model_name="VGG16"):
-    """Data-parallel job traffic via the workload/strategy registries."""
-    model = build_workload(WorkloadSpec(model=model_name, scale="shared"))
-    strategy = build_strategy("data-parallel", model, SERVERS_PER_JOB)
-    return extract_traffic(model, strategy)
+def build_spec(provisioning):
+    """The ``shared`` preset's first three jobs on half its cluster, with
+    a fiber cut in job 0's shard 20 ms into its run, repaired 10 ms
+    later."""
+    return ScenarioSpec.preset("shared").with_overrides({
+        "servers": CLUSTER_SERVERS,
+        "cluster.degree": DEGREE,
+        "arrivals.times": [0.0, 0.0, 0.0],
+        "admission_latency_s": ROBOT_S,
+        "provisioning": provisioning,
+        "faults.events": [{
+            "kind": "link",
+            "time_s": ROBOT_S + 0.02,
+            "job_index": 0,
+            "repair_s": ROBOT_S + 0.03,
+        }],
+    })
 
 
 def main():
-    manager = ShardManager(
-        num_servers=CLUSTER_SERVERS,
-        degree=DEGREE,
-        link_bandwidth_bps=100e9,
-    )
-    print(f"Cluster: {CLUSTER_SERVERS} servers, d={DEGREE}, "
-          f"{manager.free_servers} free")
+    print(f"Cluster: {CLUSTER_SERVERS} servers, d={DEGREE}; the patch "
+          f"panel takes {ROBOT_S:.0f} s to wire a shard")
 
     # --- Admission with look-ahead (Appendix C) -----------------------
-    print("\nPre-provisioning the first job on the look-ahead plane ...")
-    robot_s = manager.preprovision(job_traffic("VGG16"))
-    print(f"  robot wiring latency (off critical path): {robot_s:.0f} s")
-    shard_a, admit_s = manager.admit(job_traffic("VGG16"))
-    print(f"  job {shard_a.job_id} admitted on servers "
-          f"{shard_a.servers} in {admit_s * 1e3:.0f} ms (1x2 flip)")
-
-    shard_b, admit_s = manager.admit(job_traffic("CANDLE"))
-    print(f"  job {shard_b.job_id} admitted cold on servers "
-          f"{shard_b.servers} in {admit_s:.0f} s (robot on critical path)")
-    print(f"  free servers: {manager.free_servers}")
+    results = {}
+    for provisioning in ("flat", "lookahead"):
+        result = results[provisioning] = run_scenario(build_spec(provisioning))
+        print(f"\n{provisioning} provisioning:")
+        for job in result.jobs:
+            first_start = job.completed_s - sum(job.iteration_times)
+            print(f"  job {job.index} ({job.model:<6}) servers "
+                  f"{job.servers[0]}-{job.servers[-1]}: admitted at "
+                  f"{job.admitted_s:6.2f} s, training from "
+                  f"{first_start:6.2f} s, done at {job.completed_s:6.2f} s")
+    flat, ahead = (results[p].jobs[2] for p in ("flat", "lookahead"))
+    print(f"\nlook-ahead wired job 2's shard while it queued: it finished "
+          f"{flat.completed_s - ahead.completed_s:.0f} s sooner")
 
     # --- Failure handling (section 7) ----------------------------------
-    print("\nFailing a fiber in job 0's AllReduce ring ...")
-    failures = FailureManager(shard_a.topology_result)
-    ring = shard_a.topology_result.group_plans[0].rings[0]
-    src, dst = ring[0], ring[1]
-    action = failures.fail_link(src, dst)
-    print(f"  link {src}->{dst} down; detour {action.detour_path} "
-          f"({action.extra_hops} extra hop(s))")
-    members = shard_a.topology_result.group_plans[0].group.members
-    print(f"  ring still logically complete: "
-          f"{failures.ring_still_complete(members)}")
-    print(f"  worst AllReduce slowdown while degraded: "
-          f"{failures.slowdown_factor(members):.1f}x")
-    failures.repair_permanently(src, dst)
-    print(f"  port swap applied; slowdown back to "
-          f"{failures.slowdown_factor(members):.1f}x")
+    result = results["lookahead"]
+    print("\nFailure log (job 0):")
+    for entry in result.failure_log:
+        src, dst = entry["link"]
+        if entry["kind"] == "mp_detour":
+            print(f"  t={entry['time_s']:.2f} s  link {src}->{dst} down; "
+                  f"traffic detours over {entry['extra_hops']} extra hop(s)")
+        else:
+            print(f"  t={entry['time_s']:.2f} s  {entry['kind']} on "
+                  f"{src}->{dst} after {entry['downtime_s'] * 1e3:.0f} ms")
+    times_ms = ", ".join(
+        f"{t * 1e3:.2f}" for t in result.jobs[0].iteration_times
+    )
+    print(f"  job 0's iteration times (ms): {times_ms}")
 
     # --- RDMA forwarding rules (Appendix I) ----------------------------
     print("\nNPAR rule chain for a 3-hop logical RDMA connection:")
@@ -85,11 +93,6 @@ def main():
     rate = rdma.effective_rate_bps(3, 25e9)
     print(f"  effective rate over 2 kernel relays: {rate / 1e9:.1f} Gbps "
           f"(line rate 25.0)")
-
-    # --- Teardown ------------------------------------------------------
-    manager.release(shard_a.job_id)
-    manager.release(shard_b.job_id)
-    print(f"\njobs released; free servers: {manager.free_servers}")
 
 
 if __name__ == "__main__":

@@ -39,9 +39,9 @@ def cdf_from_rows(rows: Sequence[Mapping[str, Any]], key: str) -> Cdf:
     return empirical_cdf([float(value) for value in values])
 
 
-def iteration_time_cdf(result, skip_first: int = 0) -> Cdf:
+def iteration_time_cdf(result) -> Cdf:
     """CDF of all jobs' iteration times in one scenario (Figure 16)."""
-    return empirical_cdf(result.iteration_samples(skip_first))
+    return empirical_cdf(result.iteration_samples())
 
 
 def jct_cdf(result) -> Cdf:
@@ -55,7 +55,7 @@ def queueing_delay_cdf(result) -> Cdf:
 
 
 def iteration_time_series(
-    results: Mapping[str, Any], skip_first: int = 0
+    results: Mapping[str, Any]
 ) -> List[Dict[str, float]]:
     """Figure 16's series: per-label average and p99 iteration time.
 
@@ -65,6 +65,6 @@ def iteration_time_series(
     """
     series = []
     for label, result in results.items():
-        avg, p99 = result.iteration_stats(skip_first)
+        avg, p99 = result.iteration_stats()
         series.append({"label": label, "avg_s": avg, "p99_s": p99})
     return series

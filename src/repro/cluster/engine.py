@@ -32,9 +32,9 @@ per kind, in this order:
    ``topoopt``, the one contended cluster-wide network otherwise.
 
 Determinism: every random draw derives from the spec seed through
-:func:`repro.api.runner.point_seed` streams, the fluid simulation is
-seedless (stagger disabled), and all reductions are insertion-ordered,
-so ``run_scenario(spec).to_dict()`` is a pure function of (spec, seed).
+:func:`repro.api.runner.point_seed` streams, the fluid simulation draws
+none, and all reductions are insertion-ordered, so
+``run_scenario(spec).to_dict()`` is a pure function of (spec, seed).
 
 Strategy parity across fabrics: every fabric runs the same
 ``prepare`` call per job, so a ``fattree`` scenario offers *exactly*
@@ -338,9 +338,7 @@ class ScenarioEngine:
             )
             self._shared_fabric = build_fabric(spec.fabric, ctx)
             self._substrates.append(
-                self.substrate_class(
-                    self._shared_fabric.capacities(), seed=0, stagger=False
-                )
+                self.substrate_class(self._shared_fabric.capacities())
             )
         self.failure_log: List[Dict[str, Any]] = []
         #: The declarative fault plane (``spec.faults``), resolved into
@@ -571,9 +569,7 @@ class ScenarioEngine:
                 fabric = None
         estimate = 2.0 * prepared.compute_s
         if fabric is not None:
-            sim = self.substrate_class(
-                fabric.capacities(), seed=0, stagger=False
-            )
+            sim = self.substrate_class(fabric.capacities())
             state = sim.add_job(
                 JobSpec(
                     name="estimate",
@@ -635,9 +631,7 @@ class ScenarioEngine:
                 server_map=servers,
             )
         fabric = prepared.fabric.relabel(servers)
-        substrate = self.substrate_class(
-            fabric.capacities(), seed=0, stagger=False
-        )
+        substrate = self.substrate_class(fabric.capacities())
         self._substrates.append(substrate)
         return substrate, JobSpec(
             name=name,

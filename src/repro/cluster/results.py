@@ -164,14 +164,14 @@ class ScenarioResult(Record, derived={
     wall_time_s: Optional[float] = field(default=None, off_json=True)
 
     # -- aggregate metrics ---------------------------------------------
-    def iteration_samples(self, skip_first: int = 0) -> List[float]:
+    def iteration_samples(self) -> List[float]:
         """All jobs' iteration times pooled (Figure 16's raw series)."""
         samples: List[float] = []
         for job in self.jobs:
-            samples.extend(job.iteration_times[skip_first:])
+            samples.extend(job.iteration_times)
         return samples
 
-    def iteration_stats(self, skip_first: int = 0) -> Tuple[float, float]:
+    def iteration_stats(self) -> Tuple[float, float]:
         """(average, p99) iteration time across all jobs.
 
         Jobs with run-length-encoded iterations (``iteration_counts``)
@@ -182,7 +182,7 @@ class ScenarioResult(Record, derived={
         results are untouched.
         """
         if not any(job.iteration_counts is not None for job in self.jobs):
-            samples = self.iteration_samples(skip_first)
+            samples = self.iteration_samples()
             if not samples:
                 raise ValueError("no iteration samples recorded")
             return float(np.mean(samples)), float(np.percentile(samples, 99))
@@ -192,14 +192,8 @@ class ScenarioResult(Record, derived={
             job_counts = job.iteration_counts or (
                 (1,) * len(job.iteration_times)
             )
-            skip = skip_first
-            for value, count in zip(job.iteration_times, job_counts):
-                if skip >= count:
-                    skip -= count
-                    continue
-                times.append(float(value))
-                counts.append(int(count - skip))
-                skip = 0
+            times.extend(float(value) for value in job.iteration_times)
+            counts.extend(int(count) for count in job_counts)
         if not times:
             raise ValueError("no iteration samples recorded")
         values = np.asarray(times)

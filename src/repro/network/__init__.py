@@ -9,9 +9,8 @@ This subpackage provides every interconnect the paper evaluates:
 * :mod:`repro.network.expander` -- Jellyfish-style random regular expander.
 * :mod:`repro.network.sipml` -- the SiP-ML ring fabric (modified per
   Appendix F of the paper).
-* :mod:`repro.network.optical` -- optical switching devices (patch panels,
-  3D-MEMS OCS, 1x2 mechanical switches) and the look-ahead provisioning
-  design from Appendix C.
+* :mod:`repro.network.optical` -- optical switching devices (patch panels
+  and 3D-MEMS OCSs, Table 1).
 * :mod:`repro.network.cost` -- the component cost model of Table 2 /
   Appendix G and per-architecture interconnect cost (Figure 10).
 """
@@ -30,7 +29,6 @@ from repro.network.optical import (
     OpticalPatchPanel,
     OpticalTechnology,
     OPTICAL_TECHNOLOGIES,
-    LookAheadSwitch,
 )
 from repro.network.cost import (
     ComponentCosts,
@@ -71,7 +69,6 @@ __all__ = [
     "OpticalPatchPanel",
     "OpticalTechnology",
     "OPTICAL_TECHNOLOGIES",
-    "LookAheadSwitch",
     "ComponentCosts",
     "COMPONENT_COSTS",
     "architecture_cost",

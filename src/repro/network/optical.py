@@ -1,17 +1,17 @@
-"""Optical switching devices: patch panels, OCSs, and look-ahead switching.
+"""Optical switching devices: patch panels and OCSs.
 
 Table 1 of the paper compares the optical technologies usable in a
 TopoOpt cluster.  This module models the two commercially deployable
 ones in functional detail -- reconfigurable optical patch panels
 (Telescent-style, minutes-scale robotic reconfiguration) and 3D-MEMS
-optical circuit switches (~10 ms) -- plus the 1x2 mechanical switch +
-dual-patch-panel *look-ahead* design of Appendix C that hides the patch
-panel's reconfiguration latency between jobs.
+optical circuit switches (~10 ms).  Appendix C's look-ahead admission,
+which hides the patch panel's latency between jobs, is charged by the
+scenario engine (:class:`repro.cluster.scheduler.ShardManager`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 Port = int
@@ -142,57 +142,3 @@ class OpticalCircuitSwitch(_CircuitDevice):
         super().__init__(port_count, tech.reconfiguration_latency_s)
         self.technology = tech
 
-
-@dataclass
-class LookAheadSwitch:
-    """The 1x2 mechanical switch + dual patch panel design (Appendix C).
-
-    Each server interface feeds a 1x2 switch whose outputs go to an
-    *active* and a *look-ahead* patch panel.  While a job trains on the
-    active plane, the look-ahead plane is pre-provisioned for the next
-    job; flipping the 1x2 switches (milliseconds) then swaps planes,
-    hiding the patch panel's minutes-long robotic reconfiguration.
-    """
-
-    num_interfaces: int
-    flip_latency_s: float = 10e-3
-    insertion_loss_db: float = 0.73  # measured in the paper's prototype
-    active_plane: int = 0
-    planes: Tuple[OpticalPatchPanel, OpticalPatchPanel] = None  # type: ignore
-    pending_ready: bool = field(default=False)
-
-    def __post_init__(self):
-        if self.planes is None:
-            ports = max(2, self.num_interfaces)
-            self.planes = (
-                OpticalPatchPanel(ports),
-                OpticalPatchPanel(ports),
-            )
-
-    @property
-    def lookahead_plane(self) -> int:
-        return 1 - self.active_plane
-
-    def provision_next(self, circuits: List[Circuit]) -> float:
-        """Wire the look-ahead plane for the next job (slow, off-path)."""
-        latency = self.planes[self.lookahead_plane].reconfigure(circuits)
-        self.pending_ready = True
-        return latency
-
-    def flip(self) -> float:
-        """Swap planes; only legal once the look-ahead plane is wired."""
-        if not self.pending_ready:
-            raise RuntimeError(
-                "look-ahead plane has not been provisioned; call "
-                "provision_next first"
-            )
-        self.active_plane = self.lookahead_plane
-        self.pending_ready = False
-        return self.flip_latency_s
-
-    def active_circuits(self) -> List[Circuit]:
-        return self.planes[self.active_plane].circuits()
-
-    def effective_job_switch_latency(self) -> float:
-        """Latency a new job observes: just the 1x2 flip, not the robot."""
-        return self.flip_latency_s

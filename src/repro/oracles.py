@@ -629,14 +629,8 @@ class ReferenceSharedClusterSimulator(SharedClusterSimulator):
     so floats may then differ by a few 1e-9 relative.
     """
 
-    def __init__(
-        self,
-        capacities: Dict[Link, float],
-        jobs: Sequence = (),
-        seed: int = 0,
-        stagger: bool = True,
-    ):
-        super().__init__(capacities, jobs, seed, stagger)
+    def __init__(self, capacities: Dict[Link, float]):
+        super().__init__(capacities)
         self.network = ReferenceFluidNetwork(capacities)
 
     def remove_job(self, state: _JobState) -> None:

@@ -13,8 +13,8 @@ piecewise-constant rates and 1 us per-hop propagation latency.
 * :mod:`repro.sim.fluid` -- the max-min phase runner built on it.
 * :mod:`repro.sim.network_sim` -- training-iteration simulation
   (compute + MP + AllReduce phases, Eq. 1) on a fabric.
-* :mod:`repro.sim.cluster` -- shared clusters: sharding, job mixes, and
-  per-job iteration-time statistics (section 5.6).
+* :mod:`repro.sim.cluster` -- shared clusters: the concurrent-jobs
+  fluid simulation the scenario engine steps (section 5.6).
 * :mod:`repro.sim.reconfig` -- reconfigurable fabrics (OCS-reconfig and
   SiP-ML) with periodic demand estimation (section 5.7).
 * :mod:`repro.sim.rdma` -- the host-based RDMA forwarding overlay

@@ -11,33 +11,22 @@ single shared fluid network:
 
     compute (timer)  ->  communicate (MP + AllReduce flows)  ->  repeat
 
-and records per-iteration completion times, from which the bench reports
-the average and 99th-percentile across jobs (the Figure 16 series).
+and records per-iteration completion times.  The scenario engine in
+:mod:`repro.cluster.engine` drives it: jobs join and leave at arbitrary
+simulation times (:meth:`~SharedClusterSimulator.add_job`,
+:meth:`~SharedClusterSimulator.remove_job`), the engine steps the clock
+with :meth:`~SharedClusterSimulator.next_event_time` and
+:meth:`~SharedClusterSimulator.advance_to`, and it owns every job's
+iteration quota.
 
-Two usage modes share one event core:
-
-* **Batch** (the original interface): construct with a job list and call
-  :meth:`SharedClusterSimulator.run`, which starts every job at time
-  zero (with a seeded random stagger) and simulates until each reaches
-  its iteration quota.
-* **Dynamic membership** (what the scenario engine in
-  :mod:`repro.cluster.engine` drives): construct empty, then
-  :meth:`~SharedClusterSimulator.add_job` /
-  :meth:`~SharedClusterSimulator.remove_job` jobs at arbitrary
-  simulation times, stepping the clock with
-  :meth:`~SharedClusterSimulator.next_event_time` and
-  :meth:`~SharedClusterSimulator.advance_to`.
-
-Determinism: all randomness comes from the per-simulation
-``random.Random(seed)`` (used only for the optional start stagger), and
-every reduction iterates insertion-ordered containers, so two runs with
-the same inputs and seed produce bit-identical iteration times -- the
-property the scenario engine's same-spec-same-seed JSON gate relies on.
+Determinism: the simulation draws no random numbers, and every
+reduction iterates insertion-ordered containers, so two runs with the
+same inputs produce bit-identical iteration times -- the property the
+scenario engine's same-spec-same-seed JSON gate relies on.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -103,7 +92,6 @@ class _JobState:
     phase: str = "compute"  # compute -> mp -> allreduce
     outstanding: int = 0
     stats: JobStats = None  # type: ignore[assignment]
-    started: bool = False
     #: This job's registered flow columns in the substrate's persistent
     #: incidence (None until the first communication phase builds and
     #: registers them).
@@ -490,42 +478,18 @@ class _SubstrateFlowKernel:
 class SharedClusterSimulator:
     """Concurrent training jobs over one capacitated network.
 
-    Parameters
-    ----------
-    capacities:
-        Directed link -> bits/s table of the shared substrate.
-    jobs:
-        Jobs to start together at time zero when :meth:`run` is called.
-        May be empty for dynamic-membership use (:meth:`add_job`).
-    seed:
-        Seeds the per-simulation RNG; the only consumer is the start
-        stagger, so identical (inputs, seed) pairs replay identically.
-    stagger:
-        Randomly offset each job's first compute phase by a fraction of
-        its compute time (the batch mode's decorrelation device).  The
-        scenario engine disables it: arrival processes supply their own
-        randomness and admission times must be exact.
+    ``capacities`` is the substrate's directed link -> bits/s table.
+    The simulator starts empty; jobs join with :meth:`add_job`.
 
     Max-min rates come from one persistent :class:`_SubstrateFlowKernel`
     per simulator.  The seed allocator it replaced is the oracle
     :class:`repro.oracles.ReferenceSharedClusterSimulator`.
     """
 
-    def __init__(
-        self,
-        capacities: Dict[Link, float],
-        jobs: Sequence[JobSpec] = (),
-        seed: int = 0,
-        stagger: bool = True,
-    ):
+    def __init__(self, capacities: Dict[Link, float]):
         self._kernel = _SubstrateFlowKernel(capacities)
-        self.rng = random.Random(seed)
-        self.stagger = stagger
         self.now = 0.0
-        self.states: List[_JobState] = [
-            _JobState(spec=job, stats=JobStats(name=job.name))
-            for job in jobs
-        ]
+        self.states: List[_JobState] = []
         self._timers: List[Tuple[float, _JobState]] = []
         #: In-flight flow (persistent column id) -> owning job.
         self._flow_owner: Dict[int, _JobState] = {}
@@ -536,18 +500,14 @@ class SharedClusterSimulator:
     def add_job(self, spec: JobSpec, start: Optional[float] = None) -> _JobState:
         """Admit ``spec`` at simulation time ``start`` (default: now).
 
-        The job begins its first compute phase at ``start`` (plus the
-        seeded stagger offset when ``stagger`` is enabled) and runs
+        The job begins its first compute phase at ``start`` and runs
         until removed; the caller owns the iteration quota.
         """
         t0 = self.now if start is None else start
-        state = _JobState(
-            spec=spec, stats=JobStats(name=spec.name), started=True
-        )
-        offset = self.rng.random() * spec.compute_s if self.stagger else 0.0
+        state = _JobState(spec=spec, stats=JobStats(name=spec.name))
         state.iteration_start = t0
         self.states.append(state)
-        self._timers.append((t0 + offset + spec.compute_s, state))
+        self._timers.append((t0 + spec.compute_s, state))
         return state
 
     def remove_job(self, state: _JobState) -> None:
@@ -674,48 +634,6 @@ class SharedClusterSimulator:
         self._timers = still_pending
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        iterations_per_job: int = 5,
-        max_sim_time_s: float = 3600.0,
-    ) -> List[JobStats]:
-        """Simulate until every job completes its iteration quota."""
-        if not self.states:
-            raise ValueError("need at least one job")
-        # Stagger job starts by a random fraction of their compute time
-        # so the cluster does not run in lockstep.  Jobs admitted via
-        # add_job() are already started and keep their existing timers.
-        for state in self.states:
-            if state.started:
-                continue
-            offset = (
-                self.rng.random() * state.spec.compute_s
-                if self.stagger
-                else 0.0
-            )
-            state.iteration_start = self.now
-            self._timers.append(
-                (self.now + offset + state.spec.compute_s, state)
-            )
-            state.started = True
-
-        while True:
-            if all(
-                len(s.stats.iteration_times) >= iterations_per_job
-                for s in self.states
-            ):
-                break
-            if self.now > max_sim_time_s:
-                raise RuntimeError(
-                    f"shared-cluster simulation exceeded {max_sim_time_s}s"
-                )
-            target = self.next_event_time()
-            if target is None:
-                break
-            self.advance_to(target)
-        return [state.stats for state in self.states]
-
-    # ------------------------------------------------------------------
     def _start_communication(self, state: _JobState, now: float) -> None:
         spec = state.spec
         cols = state.flow_cols
@@ -755,18 +673,3 @@ class SharedClusterSimulator:
         self._timers.append((now + state.spec.compute_s, state))
         self._finished_buffer.append(state)
 
-
-def iteration_time_stats(
-    stats: Sequence[JobStats], skip_first: int = 1
-) -> Tuple[float, float]:
-    """(average, 99th percentile) across all jobs' recorded iterations.
-
-    The first iteration of each job includes the random start stagger,
-    so it is skipped by default.
-    """
-    samples: List[float] = []
-    for job in stats:
-        samples.extend(job.iteration_times[skip_first:])
-    if not samples:
-        raise ValueError("no iteration samples recorded")
-    return float(np.mean(samples)), float(np.percentile(samples, 99))

@@ -16,12 +16,11 @@ sweeps (Figure 21).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.registry import build_fabric
 from repro.api.runner import PreparedExperiment, prepare
-from repro.api.spec import ExperimentSpec, FabricSpec
+from repro.api.spec import EXPERIMENT_PRESETS, ExperimentSpec, FabricSpec
 from repro.network.topoopt import TopoOptFabric
 from repro.parallel.traffic import TrafficSummary
 from repro.sim.network_sim import IterationBreakdown, simulate_iteration
@@ -36,29 +35,13 @@ SWITCH_GBPS: Dict[str, float] = {
 }
 
 
-@dataclass(frozen=True)
-class TestbedConfig:
-    """Physical parameters of the prototype."""
-
-    num_servers: int = 12
-    degree: int = 4
-    link_gbps: float = 25.0
-    gpus_per_server: int = 1
-    kernel_forwarding_penalty: float = 0.05
-
-
-TESTBED = TestbedConfig()
-
-
 class TestbedEmulator:
     """Runs testbed workloads on the three section 6 fabrics."""
 
     __test__ = False  # not a pytest test class despite the name
 
     def __init__(self):
-        self.rdma = RdmaForwardingModel(
-            TESTBED.degree, TESTBED.kernel_forwarding_penalty
-        )
+        self.rdma = RdmaForwardingModel(EXPERIMENT_PRESETS["testbed"].degree)
 
     def iteration(
         self,
@@ -73,45 +56,54 @@ class TestbedEmulator:
         ``fabric_name``: "TopoOpt 4x25Gbps", "Switch 100Gbps", or
         "Switch 25Gbps".
         """
-        return self._run(model_name, fabric_name, batch_per_gpu)[1]
+        return self._run(model_name, (fabric_name,), batch_per_gpu)[1][
+            fabric_name
+        ]
 
     def _run(
         self,
         model_name: str,
-        fabric_name: str,
+        fabric_names: Sequence[str],
         batch_per_gpu: Optional[int],
-    ) -> Tuple[PreparedExperiment, IterationBreakdown]:
-        if fabric_name != TOPOOPT and fabric_name not in SWITCH_GBPS:
-            raise ValueError(
-                f"unknown testbed fabric {fabric_name!r}; use "
-                "'TopoOpt 4x25Gbps', 'Switch 100Gbps', or 'Switch 25Gbps'"
-            )
+    ) -> Tuple[PreparedExperiment, Dict[str, IterationBreakdown]]:
+        """Prepare the job once and time it on each named fabric."""
+        for fabric_name in fabric_names:
+            if fabric_name != TOPOOPT and fabric_name not in SWITCH_GBPS:
+                raise ValueError(
+                    f"unknown testbed fabric {fabric_name!r}; use "
+                    "'TopoOpt 4x25Gbps', 'Switch 100Gbps', or "
+                    "'Switch 25Gbps'"
+                )
         prepared = prepare(
             ExperimentSpec.preset("testbed", model_name).with_overrides(
                 {"strategy": "auto", "batch_per_gpu": batch_per_gpu}
             )
         )
+        return prepared, {
+            fabric_name: self._simulate(prepared, fabric_name)
+            for fabric_name in fabric_names
+        }
+
+    def _simulate(
+        self, prepared: PreparedExperiment, fabric_name: str
+    ) -> IterationBreakdown:
         traffic = prepared.traffic
         if fabric_name == TOPOOPT:
             breakdown = simulate_iteration(
                 prepared.fabric, traffic, prepared.compute_s
             )
-            breakdown = self._apply_rdma_penalty(
+            return self._apply_rdma_penalty(
                 breakdown, prepared.fabric, traffic
             )
-        else:
-            switch = build_fabric(
-                FabricSpec(
-                    kind="ideal-switch",
-                    degree=1,
-                    bandwidth_gbps=SWITCH_GBPS[fabric_name],
-                ),
-                prepared.context,
-            )
-            breakdown = simulate_iteration(
-                switch, traffic, prepared.compute_s
-            )
-        return prepared, breakdown
+        switch = build_fabric(
+            FabricSpec(
+                kind="ideal-switch",
+                degree=1,
+                bandwidth_gbps=SWITCH_GBPS[fabric_name],
+            ),
+            prepared.context,
+        )
+        return simulate_iteration(switch, traffic, prepared.compute_s)
 
     def _apply_rdma_penalty(
         self,
@@ -157,22 +149,36 @@ class TestbedEmulator:
         batch_per_gpu: Optional[int] = None,
     ) -> float:
         """Figure 19's samples/second for one (model, fabric) pair."""
-        prepared, breakdown = self._run(model_name, fabric_name, batch_per_gpu)
+        return self._throughputs(model_name, (fabric_name,), batch_per_gpu)[
+            fabric_name
+        ]
+
+    def _throughputs(
+        self,
+        model_name: str,
+        fabric_names: Sequence[str],
+        batch_per_gpu: Optional[int] = None,
+    ) -> Dict[str, float]:
+        prepared, breakdowns = self._run(
+            model_name, fabric_names, batch_per_gpu
+        )
         cluster = prepared.spec.cluster
         samples = (
             prepared.batch_per_gpu * cluster.gpus_per_server * cluster.servers
         )
-        return samples / breakdown.total_s
+        return {
+            fabric_name: samples / breakdown.total_s
+            for fabric_name, breakdown in breakdowns.items()
+        }
 
     def throughput_table(
         self, model_names: List[str]
     ) -> Dict[str, Dict[str, float]]:
-        """Figure 19: model -> fabric -> samples/second."""
-        fabrics = [TOPOOPT, *SWITCH_GBPS]
+        """Figure 19: model -> fabric -> samples/second.
+
+        Each model is prepared once and timed on all three fabrics.
+        """
         return {
-            name: {
-                fabric: self.throughput_samples_per_s(name, fabric)
-                for fabric in fabrics
-            }
+            name: self._throughputs(name, (TOPOOPT, *SWITCH_GBPS))
             for name in model_names
         }

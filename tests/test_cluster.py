@@ -1,21 +1,31 @@
 """Integration tests for the shared-cluster simulator (section 5.6)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.cluster import ScenarioSpec, run_scenario
 from repro.core.topology_finder import AllReduceGroup, topology_finder
 from repro.network.fattree import IdealSwitchFabric
 from repro.network.topoopt import TopoOptFabric
 from repro.oracles import ReferenceSharedClusterSimulator
 from repro.parallel.traffic import TrafficSummary
-from repro.sim.cluster import (
-    JobSpec,
-    SharedClusterSimulator,
-    iteration_time_stats,
-    remap_traffic,
-)
+from repro.sim.cluster import JobSpec, SharedClusterSimulator, remap_traffic
 
 GBPS = 1e9
+
+
+def run_jobs(
+    capacities, jobs, iterations=3, simulator=SharedClusterSimulator
+):
+    """Start ``jobs`` together at t = 0 and step the simulator until each
+    has ``iterations`` iteration times; returns them per job."""
+    sim = simulator(capacities)
+    states = [sim.add_job(job, start=0.0) for job in jobs]
+    while any(len(s.stats.iteration_times) < iterations for s in states):
+        sim.advance_to(sim.next_event_time())
+    return [s.stats.iteration_times for s in states]
 
 
 def dp_traffic(n, total_bytes):
@@ -65,11 +75,9 @@ class TestSharding:
         capacities = {}
         capacities.update(job_a.fabric.capacities())
         capacities.update(job_b.fabric.capacities())
-        sim = SharedClusterSimulator(capacities, [job_a, job_b], seed=1)
-        stats = sim.run(iterations_per_job=3)
         solo = _solo_iteration_time(job_a)
-        for job_stats in stats:
-            for t in job_stats.iteration_times[1:]:
+        for times in run_jobs(capacities, [job_a, job_b]):
+            for t in times:
                 assert t == pytest.approx(solo, rel=0.05)
 
     def test_shared_switch_contends(self):
@@ -85,111 +93,71 @@ class TestSharding:
             ]
         job_a = JobSpec("a", t_a, 0.001, fabric)
         job_b = JobSpec("b", t_b, 0.001, fabric)
-        sim = SharedClusterSimulator(
-            fabric.capacities(), [job_a, job_b], seed=1
-        )
-        stats = sim.run(iterations_per_job=3)
-        solo = _solo_iteration_time(job_a)
-        avg, _ = iteration_time_stats(stats)
-        assert avg > solo
+        samples = [
+            t for times in run_jobs(fabric.capacities(), [job_a, job_b])
+            for t in times
+        ]
+        assert np.mean(samples) > _solo_iteration_time(job_a)
 
 
 def _solo_iteration_time(job):
-    sim = SharedClusterSimulator(
-        dict(job.fabric.capacities()), [job], seed=0
-    )
-    stats = sim.run(iterations_per_job=3)
-    return stats[0].iteration_times[-1]
+    return run_jobs(dict(job.fabric.capacities()), [job])[0][-1]
 
 
 class TestStats:
-    def test_iteration_stats_skip_first(self):
-        from repro.sim.cluster import JobStats
-
-        stats = [JobStats(name="a", iteration_times=[10.0, 1.0, 1.0])]
-        avg, p99 = iteration_time_stats(stats)
-        assert avg == pytest.approx(1.0)
-
     def test_empty_samples_rejected(self):
-        from repro.sim.cluster import JobStats
-
+        # Pooled iteration statistics need at least one sample.
+        result = run_scenario(
+            ScenarioSpec.preset("shared").with_overrides(
+                {"arrivals.times": [0.0], "jobs.0.iterations": 1}
+            )
+        )
+        empty = replace(
+            result,
+            jobs=tuple(
+                replace(job, iteration_times=()) for job in result.jobs
+            ),
+        )
         with pytest.raises(ValueError):
-            iteration_time_stats([JobStats(name="a", iteration_times=[1.0])])
-
-    def test_needs_jobs(self):
-        # Constructing empty is legal (dynamic-membership mode); running
-        # a batch simulation without jobs is not.
-        with pytest.raises(ValueError):
-            SharedClusterSimulator({(0, 1): GBPS}, []).run()
+            empty.iteration_stats()
 
 
 class TestDeterminism:
-    def _run(self, seed, stagger=True, simulator=SharedClusterSimulator):
+    def _run(self, simulator=SharedClusterSimulator):
         n = 8
         fabric = IdealSwitchFabric(n, 2, 25 * GBPS)
         jobs = [
             JobSpec("a", dp_traffic(n, 1e9), 0.001, fabric),
             JobSpec("b", dp_traffic(n, 1.5e9), 0.002, fabric),
         ]
-        sim = simulator(
-            fabric.capacities(), jobs, seed=seed, stagger=stagger
-        )
-        return [tuple(s.iteration_times) for s in sim.run(3)]
+        return [
+            tuple(times)
+            for times in run_jobs(
+                fabric.capacities(), jobs, simulator=simulator
+            )
+        ]
 
     def test_same_seed_bit_identical(self):
-        # The RNG is per-simulation and every reduction is insertion-
-        # ordered, so two in-process runs replay exactly.
-        assert self._run(seed=7) == self._run(seed=7)
-
-    def test_seed_changes_stagger(self):
-        assert self._run(seed=1) != self._run(seed=2)
-
-    def test_stagger_off_removes_rng(self):
-        # Without the stagger the seed is inert: any two seeds agree.
-        assert self._run(3, stagger=False) == self._run(4, stagger=False)
+        # The simulation draws no random numbers and every reduction is
+        # insertion-ordered, so two in-process runs replay exactly.
+        assert self._run() == self._run()
 
     def test_reference_solver_matches_kernel(self):
-        kernel = self._run(5, stagger=False)
-        reference = self._run(
-            5, stagger=False, simulator=ReferenceSharedClusterSimulator
-        )
+        kernel = self._run()
+        reference = self._run(simulator=ReferenceSharedClusterSimulator)
         for k_job, r_job in zip(kernel, reference):
             for k_t, r_t in zip(k_job, r_job):
                 assert k_t == pytest.approx(r_t, rel=1e-9)
 
 
 class TestDynamicMembership:
-    def test_run_after_add_job_does_not_double_start(self):
-        # run() must not schedule a second compute timer for jobs that
-        # add_job() already started (that would interleave two
-        # iteration pipelines and corrupt iteration times).
-        n = 8
-        fabric = IdealSwitchFabric(n, 2, 25 * GBPS)
-        job = JobSpec("a", dp_traffic(n, 1e9), 0.001, fabric)
-
-        batch = SharedClusterSimulator(
-            fabric.capacities(), [job], seed=0, stagger=False
-        )
-        expected = batch.run(3)[0].iteration_times
-
-        dynamic = SharedClusterSimulator(
-            fabric.capacities(), seed=0, stagger=False
-        )
-        dynamic.add_job(
-            JobSpec("a", dp_traffic(n, 1e9), 0.001, fabric), start=0.0
-        )
-        got = dynamic.run(3)[0].iteration_times
-        assert got == pytest.approx(expected)
-
     def test_remove_job_matches_by_identity_not_equality(self):
         # Two dynamically added jobs with identical specs compare equal
         # as dataclasses; remove_job must detach exactly the instance
         # it was given, not the first equal one.
         n = 4
         fabric = IdealSwitchFabric(n, 2, 25 * GBPS)
-        sim = SharedClusterSimulator(
-            fabric.capacities(), seed=0, stagger=False
-        )
+        sim = SharedClusterSimulator(fabric.capacities())
         job = JobSpec("twin", dp_traffic(n, 1e9), 0.001, fabric)
         first = sim.add_job(job, start=0.0)
         second = sim.add_job(job, start=0.0)
@@ -204,9 +172,7 @@ class TestDynamicMembership:
     def test_add_and_remove_mid_run(self):
         n = 8
         fabric = IdealSwitchFabric(n, 2, 25 * GBPS)
-        sim = SharedClusterSimulator(
-            fabric.capacities(), seed=0, stagger=False
-        )
+        sim = SharedClusterSimulator(fabric.capacities())
         job_a = JobSpec("a", dp_traffic(n, 1e9), 0.001, fabric)
         job_b = JobSpec("b", dp_traffic(n, 1e9), 0.001, fabric)
         state_a = sim.add_job(job_a, start=0.0)

@@ -24,9 +24,10 @@ from repro.cluster.engine import ScenarioEngine
 from repro.cluster.spec import ScenarioSpec
 from repro.core.topology_finder import AllReduceGroup
 from repro.parallel.traffic import TrafficSummary
-from repro.sim.cluster import JobSpec, SharedClusterSimulator
+from repro.sim.cluster import JobSpec
 from repro.sim.flows import Flow
 from repro.sim.fluid import simulate_phase_completions
+from test_cluster import run_jobs
 
 GBPS = 1e9
 SCALES = st.integers(-10, 10)
@@ -102,11 +103,10 @@ class TestScaleInvariance:
             job = JobSpec(
                 model, scaled, prepared.compute_s, prepared.fabric
             )
-            sim = SharedClusterSimulator(
+            return run_jobs(
                 {link: cap * scale for link, cap in capacities.items()},
-                [job], seed=0, stagger=False,
-            )
-            return sim.run(iterations_per_job=3)[0].iteration_times
+                [job],
+            )[0]
 
         unscaled = iteration_times(1.0)
         assert len(unscaled) == 3

@@ -1,10 +1,9 @@
-"""Unit tests for optical devices (Table 1, Appendices B and C)."""
+"""Unit tests for optical devices (Table 1, Appendix B)."""
 
 import pytest
 
 from repro.network.optical import (
     CircuitConflictError,
-    LookAheadSwitch,
     OPTICAL_TECHNOLOGIES,
     OpticalCircuitSwitch,
     OpticalPatchPanel,
@@ -106,37 +105,3 @@ class TestCircuitDevice:
             OpticalCircuitSwitch(8).reconfiguration_latency_s
             < OpticalPatchPanel(8).reconfiguration_latency_s
         )
-
-
-class TestLookAheadSwitch:
-    def test_flip_requires_provisioning(self):
-        switch = LookAheadSwitch(num_interfaces=4)
-        with pytest.raises(RuntimeError):
-            switch.flip()
-
-    def test_provision_then_flip(self):
-        switch = LookAheadSwitch(num_interfaces=4)
-        switch.provision_next([(0, 1), (2, 3)])
-        old_active = switch.active_plane
-        latency = switch.flip()
-        assert switch.active_plane != old_active
-        assert latency == switch.flip_latency_s
-        assert switch.active_circuits() == [(0, 1), (2, 3)]
-
-    def test_job_switch_latency_hides_robot(self):
-        # Appendix C's point: the job-visible latency is the 1x2 flip
-        # (ms), not the patch panel's minutes.
-        switch = LookAheadSwitch(num_interfaces=4)
-        provision_latency = switch.provision_next([(0, 1)])
-        assert switch.effective_job_switch_latency() < provision_latency
-
-    def test_double_flip_requires_reprovision(self):
-        switch = LookAheadSwitch(num_interfaces=4)
-        switch.provision_next([(0, 1)])
-        switch.flip()
-        with pytest.raises(RuntimeError):
-            switch.flip()
-
-    def test_measured_insertion_loss(self):
-        # The paper measured 0.73 dB on the prototype's 1x2 switches.
-        assert LookAheadSwitch(num_interfaces=4).insertion_loss_db == 0.73

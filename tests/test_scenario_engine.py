@@ -145,6 +145,61 @@ class TestQueueing:
             run_scenario(shared_spec(max_sim_time_s=1e-6))
 
 
+class TestAppendixC:
+    """Optical sharding and look-ahead admission on the engine: a job
+    admitted at arrival pays the whole reconfiguration latency, a job
+    that waits at the queue head has its shard wired meanwhile, and
+    shards are disjoint and isolated."""
+
+    LATENCY_S = 0.05
+
+    def run(self, provisioning):
+        # Two 8-server jobs fill the 16 servers at t = 0; the third
+        # waits at the head of the queue until the first departs.
+        return run_scenario(ScenarioSpec.preset("shared").with_overrides({
+            "servers": 16,
+            "arrivals.times": [0.0, 0.0, 0.0],
+            "admission_latency_s": self.LATENCY_S,
+            "provisioning": provisioning,
+        }))
+
+    @staticmethod
+    def latency_paid(job):
+        """Time from admission to the first iteration's start."""
+        return job.completed_s - job.admitted_s - sum(job.iteration_times)
+
+    def test_admission_at_arrival_pays_full_latency(self):
+        for provisioning in ("flat", "lookahead"):
+            for job in self.run(provisioning).jobs[:2]:
+                assert job.admitted_s == 0.0
+                assert self.latency_paid(job) == pytest.approx(
+                    self.LATENCY_S
+                )
+
+    def test_lookahead_wires_the_queue_head_while_it_waits(self):
+        flat = self.run("flat").jobs[2]
+        ahead = self.run("lookahead").jobs[2]
+        assert ahead.admitted_s == flat.admitted_s > self.LATENCY_S
+        assert self.latency_paid(flat) == pytest.approx(self.LATENCY_S)
+        assert self.latency_paid(ahead) == pytest.approx(0.0, abs=1e-12)
+        assert ahead.completed_s == pytest.approx(
+            flat.completed_s - self.LATENCY_S, abs=1e-12
+        )
+
+    def test_shards_are_disjoint_and_isolated(self):
+        # Each job of the shared preset runs on its own block and
+        # iterates exactly as it does alone on the cluster.
+        spec = ScenarioSpec.preset("shared")
+        multi = run_scenario(spec)
+        blocks = [set(job.servers) for job in multi.jobs]
+        assert sum(map(len, blocks)) == len(set().union(*blocks))
+        for job, template in zip(multi.jobs, spec.jobs):
+            solo = run_scenario(spec.with_overrides({
+                "arrivals.times": [0.0], "jobs": [template.to_dict()],
+            }))
+            assert solo.jobs[0].iteration_times == job.iteration_times
+
+
 class TestArrivalProcesses:
     def test_explicit_cycles_templates_in_order(self):
         result = run_scenario(shared_spec())

@@ -427,7 +427,7 @@ class TestRateMemo:
                 "memo", prepared.traffic, prepared.compute_s, fabric,
                 flows=flows,
             )
-            sim = SharedClusterSimulator(caps, seed=0, stagger=False)
+            sim = SharedClusterSimulator(caps)
             return first_phase_kernel(sim, job)
 
         with TRACER.recording(TraceRecorder()) as recorder:

@@ -1,82 +1,11 @@
-"""Tests for cluster sharding (Appendix C) and failure handling (sec. 7)."""
+"""Tests for shard link-failure handling (section 7)."""
 
 import numpy as np
 import pytest
 
 from repro.core.topology_finder import AllReduceGroup
-from repro.network.sharding import ShardManager, ShardingError
-from repro.parallel.traffic import TrafficSummary
 from repro.sim.failures import FailureManager, LinkFailureError
 from repro.core.topology_finder import topology_finder
-
-
-def dp_traffic(n, total_bytes=1e9):
-    return TrafficSummary(
-        n=n,
-        allreduce_groups=[
-            AllReduceGroup(members=tuple(range(n)), total_bytes=total_bytes)
-        ],
-        mp_matrix=np.zeros((n, n)),
-    )
-
-
-class TestShardManager:
-    def make(self, servers=16, degree=2, lookahead=True):
-        return ShardManager(
-            num_servers=servers,
-            degree=degree,
-            link_bandwidth_bps=25e9,
-            lookahead=lookahead,
-        )
-
-    def test_admission_allocates_disjoint_servers(self):
-        mgr = self.make()
-        shard_a, _ = mgr.admit(dp_traffic(4))
-        shard_b, _ = mgr.admit(dp_traffic(4))
-        assert not set(shard_a.servers) & set(shard_b.servers)
-        assert mgr.free_servers == 8
-
-    def test_capacity_enforced(self):
-        mgr = self.make(servers=8)
-        mgr.admit(dp_traffic(6))
-        with pytest.raises(ShardingError):
-            mgr.admit(dp_traffic(4))
-
-    def test_release_returns_servers(self):
-        mgr = self.make()
-        shard, _ = mgr.admit(dp_traffic(8))
-        mgr.release(shard.job_id)
-        assert mgr.free_servers == 16
-        with pytest.raises(KeyError):
-            mgr.shard_of(shard.job_id)
-
-    def test_preprovisioned_admission_is_fast(self):
-        mgr = self.make()
-        robot_latency = mgr.preprovision(dp_traffic(4))
-        _, admit_latency = mgr.admit(dp_traffic(4))
-        # Look-ahead: admission pays the 1x2 flip, not the robot.
-        assert admit_latency < robot_latency
-
-    def test_cold_admission_pays_robot(self):
-        mgr = self.make()
-        _, latency = mgr.admit(dp_traffic(4))
-        panel = mgr._switch.planes[0]
-        assert latency == pytest.approx(panel.reconfiguration_latency_s)
-
-    def test_shard_fabric_uses_global_ids(self):
-        mgr = self.make()
-        mgr.admit(dp_traffic(4))  # occupies servers 0..3
-        shard, _ = mgr.admit(dp_traffic(4))  # gets 4..7
-        for (src, dst) in shard.fabric.capacities():
-            assert src in shard.servers and dst in shard.servers
-
-    def test_jobs_run_on_disjoint_links(self):
-        mgr = self.make()
-        shard_a, _ = mgr.admit(dp_traffic(4))
-        shard_b, _ = mgr.admit(dp_traffic(4))
-        links_a = set(shard_a.fabric.capacities())
-        links_b = set(shard_b.fabric.capacities())
-        assert not links_a & links_b
 
 
 class TestFailureManager:

@@ -5,7 +5,7 @@ import pytest
 from repro.api.spec import EXPERIMENT_PRESETS
 from repro.testbed.accuracy import TimeToAccuracyModel
 from repro.testbed.nccl import NcclCommunicator
-from repro.testbed.prototype import TESTBED, TestbedEmulator
+from repro.testbed.prototype import TestbedEmulator
 from repro.core.topology_finder import AllReduceGroup, topology_finder
 from repro.parallel.traffic import extract_traffic
 from repro.parallel.strategy import hybrid_strategy
@@ -13,19 +13,12 @@ from repro.parallel.strategy import hybrid_strategy
 
 class TestTestbedConfig:
     def test_paper_dimensions(self):
-        assert TESTBED.num_servers == 12
-        assert TESTBED.degree == 4
-        assert TESTBED.link_gbps == 25.0
-        assert TESTBED.gpus_per_server == 1
         # The emulator's jobs run on the testbed preset's cluster.
         cluster = EXPERIMENT_PRESETS["testbed"]
         assert (
             cluster.servers, cluster.degree, cluster.bandwidth_gbps,
             cluster.gpus_per_server,
-        ) == (
-            TESTBED.num_servers, TESTBED.degree, TESTBED.link_gbps,
-            TESTBED.gpus_per_server,
-        )
+        ) == (12, 4, 25.0, 1)
 
 
 class TestThroughput:
