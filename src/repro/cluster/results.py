@@ -6,8 +6,8 @@ iteration times), the cluster's utilization and fragmentation timelines,
 and the failure log.  ``to_dict()`` is **deterministic for a given
 (spec, seed)** -- wall time lives only on the in-memory object -- which
 is what the bench-smoke determinism gate and the sweep engine's JSON
-round-trip rely on.  The derived ``metrics`` block in the JSON is
-recomputed on load, never stored state.
+round-trip rely on.  The derived ``metrics`` block in the JSON is a
+function of the fields: dropped on load, computed once per result.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class ScenarioResult(Record, derived={
     and departure.  ``failure_log`` records the injected link failures
     and their repair actions as read-only dicts.  The JSON carries a
     ``"type": "scenario"`` tag and the derived ``metrics`` and
-    ``provenance`` blocks, recomputed on every ``to_dict``.
+    ``provenance`` blocks; ``metrics`` is computed once per result.
     """
 
     spec: ScenarioSpec
@@ -287,7 +287,16 @@ class ScenarioResult(Record, derived={
         The resilience block (:meth:`fault_metrics`) appears only when
         the scenario saw failures or left jobs unfinished, so fault-free
         results keep their exact historical key set (and bytes).
+        Computed once per result, which is frozen and of which the block
+        is a pure function; each call hands out a fresh dict.
         """
+        block = self.__dict__.get("_metrics")
+        if block is None:
+            block = self._compute_metrics()
+            object.__setattr__(self, "_metrics", block)
+        return dict(block)
+
+    def _compute_metrics(self) -> Dict[str, Any]:
         if self.jobs:
             iter_avg, iter_p99 = self.iteration_stats()
             jct_avg, jct_p99 = self.jct_stats()

@@ -31,6 +31,13 @@ field (the sweep's ``base_spec`` and ``result``).  The ``derived=``
 class keyword adds output-only blocks (``metrics``, ``provenance``,
 the scenario ``type`` tag), dropped again on input.
 
+**Interning.**  :func:`spec_from_dict`, the one spec dispatcher (the
+service's ``spec_from_request``), hands a repeated request the spec it
+built before, keyed by the request's canonical JSON: specs are
+immutable, and a parse reads only append-only registries and constant
+tables.  A shared spec's ``to_dict()`` still hands out fresh
+containers, so no caller sees another's edits.
+
 >>> from repro.api.spec import ClusterSpec
 >>> ClusterSpec(servers=8, bandwidth_gbps=100).bandwidth_gbps
 100.0
@@ -49,7 +56,9 @@ import hashlib
 import json
 import math
 import numbers
+import threading
 import typing
+from collections import OrderedDict
 from collections.abc import Mapping
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
@@ -208,8 +217,84 @@ def field(
 # Polymorphic dispatch: the one spec and the one result dispatcher
 # ----------------------------------------------------------------------
 
-def spec_from_dict(data: Mapping[str, Any]):
-    """An ExperimentSpec or ScenarioSpec: only scenarios have ``arrivals``."""
+#: Upper bound on the total length of the spec intern's keys (4 MiB).
+INTERN_KEY_CHARS = 4 << 20
+
+
+class _SpecIntern:
+    """A thread-safe LRU from a request's canonical JSON to its spec.
+
+    Bounded by the total length of its keys, not by an entry count.
+    """
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.size = 0
+        self.lock = threading.Lock()
+        self.specs: "OrderedDict[str, Any]" = OrderedDict()
+
+    def get(self, key: str):
+        with self.lock:
+            spec = self.specs.get(key)
+            if spec is not None:
+                self.specs.move_to_end(key)
+            return spec
+
+    def put(self, key: str, spec) -> None:
+        if len(key) > self.bound:
+            return
+        with self.lock:
+            if key in self.specs:  # a racing parse of the same request
+                return
+            self.specs[key] = spec
+            self.size += len(key)
+            while self.size > self.bound:
+                evicted, _ = self.specs.popitem(last=False)
+                self.size -= len(evicted)
+
+
+_SPEC_INTERN = _SpecIntern(INTERN_KEY_CHARS)
+_STR = frozenset({str})
+
+
+def _plain_json(node: Any) -> bool:
+    """True for a value built of ``dict`` (``str`` keys), ``list`` and
+    JSON scalars only, subclasses excluded."""
+    kind = type(node)
+    if kind is dict:
+        if not _STR.issuperset(map(type, node)):
+            return False
+        items = node.values()
+    elif kind is list:
+        items = node
+    else:
+        return kind in _JSON_SCALARS
+    for item in items:
+        if type(item) not in _JSON_SCALARS and not _plain_json(item):
+            return False
+    return True
+
+
+def _intern_key(data: Any) -> Optional[str]:
+    """The canonical JSON of a plain JSON request object, or None.
+
+    ``json.dumps`` writes a number, bool or None key as a string and a
+    tuple as a list, so a request with one could share its text with a
+    twin that parses differently (``{1: "x"}`` under ``options`` is a
+    ``SpecError``, ``{"1": "x"}`` is not): only plain requests get a key.
+    """
+    if type(data) is not dict:
+        return None
+    try:
+        # Encoding first stops at a cycle, which the walk would chase.
+        key = canonical_json(data)
+        plain = _plain_json(data)
+    except (TypeError, ValueError, RecursionError):
+        return None
+    return key if plain else None
+
+
+def _parse_spec(data: Mapping[str, Any]):
     if isinstance(data, _MAPPING) and "arrivals" in data:
         from repro.cluster.spec import ScenarioSpec
 
@@ -217,6 +302,30 @@ def spec_from_dict(data: Mapping[str, Any]):
     from repro.api.spec import ExperimentSpec
 
     return ExperimentSpec.from_dict(data)
+
+
+def spec_from_dict(data: Mapping[str, Any]):
+    """An ExperimentSpec or ScenarioSpec: only scenarios have ``arrivals``.
+
+    Interned: a plain JSON request (dicts with ``str`` keys, lists,
+    JSON scalars) whose canonical JSON built a spec before gets that
+    same immutable spec back, its ``content_hash`` already computed,
+    without parsing or validating again.  Only successful parses are
+    kept, in an LRU bounded by :data:`INTERN_KEY_CHARS` of keys.
+
+    >>> request = {"name": "twin", "cluster": {"servers": 8}}
+    >>> spec_from_dict(request) is spec_from_dict(dict(request))
+    True
+    """
+    key = _intern_key(data)
+    if key is not None:
+        spec = _SPEC_INTERN.get(key)
+        if spec is not None:
+            return spec
+    spec = _parse_spec(data)
+    if key is not None:
+        _SPEC_INTERN.put(key, spec)
+    return spec
 
 
 def result_from_dict(data: Mapping[str, Any]):

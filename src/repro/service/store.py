@@ -120,15 +120,33 @@ class ResultStore:
         return result
 
     def contains(self, spec) -> bool:
-        """True when ``spec`` would hit (either tier); counts nothing."""
+        """True when ``spec`` would hit (either tier); counts nothing.
+
+        A disk entry is a hit only if :meth:`get` would serve it, so it
+        is read and decoded under the same checks.
+        """
         key = self.key_for(spec)
         with self._lock:
             if key in self._memory:
                 return True
-        path = self.path_for(key)
-        return path is not None and path.exists()
+        try:
+            return self._load_disk(key) is not None
+        except Exception:
+            return False  # damaged: get() counts it corrupt and misses
 
     def _read_disk(self, key: str):
+        try:
+            return self._load_disk(key)
+        except Exception:
+            # Torn, truncated, stale-version, or mislabeled entry: a
+            # damaged cache is a cold cache, never a crash.
+            with self._lock:
+                self._counts["corrupt"] += 1
+            return None
+
+    def _load_disk(self, key: str):
+        """The decoded disk entry, None when there is none; raises when
+        the entry is damaged."""
         path = self.path_for(key)
         if path is None:
             return None
@@ -136,21 +154,14 @@ class ResultStore:
             raw = path.read_text()
         except OSError:
             return None
-        try:
-            entry = json.loads(raw)
-            if (
-                not isinstance(entry, dict)
-                or entry.get("version") != STORE_VERSION
-                or entry.get("key") != key
-            ):
-                raise ValueError("entry stamp mismatch")
-            return result_from_dict(entry["result"])
-        except Exception:
-            # Torn, truncated, stale-version, or mislabeled entry: a
-            # damaged cache is a cold cache, never a crash.
-            with self._lock:
-                self._counts["corrupt"] += 1
-            return None
+        entry = json.loads(raw)
+        if (
+            not isinstance(entry, dict)
+            or entry.get("version") != STORE_VERSION
+            or entry.get("key") != key
+        ):
+            raise ValueError("entry stamp mismatch")
+        return result_from_dict(entry["result"])
 
     # -- writes --------------------------------------------------------
     def put(self, spec, result) -> str:

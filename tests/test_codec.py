@@ -4,9 +4,11 @@ Properties (hypothesis): any JSON value at any position of a valid
 spec dict parses or raises ``SpecError``; whatever parses round-trips
 through ``to_dict``/``from_dict`` and JSON and keeps its hash; equal
 specs hash equal; the hash is the SHA-256 of the canonical JSON, so
-changing any one field changes it.
+changing any one field changes it; the interned ``spec_from_dict``
+gives what the uncached typed parse gives.
 Plus one regression test per defect of the hand-written codecs this
-module replaced, and the no-aliasing contract of ``to_dict``.
+module replaced and per rule of the spec intern, and the no-aliasing
+contract of ``to_dict``.
 """
 
 import dataclasses
@@ -14,6 +16,9 @@ import hashlib
 import json
 import math
 import pickle
+import secrets
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -222,6 +227,16 @@ class TestNoAliasing:
             before = canonical_json(record.to_dict())
             self.mutate_everything(record.to_dict())
             assert canonical_json(record.to_dict()) == before
+        # The metrics block is computed once and handed out fresh.
+        metrics = canonical_json(scenario.metrics())
+        before = canonical_json(scenario.to_dict())
+        self.mutate_everything(scenario.metrics())
+        self.mutate_everything(scenario.to_dict()["metrics"])
+        assert canonical_json(scenario.metrics()) == metrics
+        assert canonical_json(scenario.to_dict()) == before
+        again = pickle.loads(pickle.dumps(scenario))
+        assert again == scenario
+        assert canonical_json(again.to_dict()) == before
 
     def test_nested_state_is_read_only(self, results):
         experiment, scenario = results[:2]
@@ -300,6 +315,27 @@ class TestProperties:
         assert again == spec
         assert again.content_hash() == spec.content_hash()
         assert type(spec).from_dict(spec.to_dict()) == spec
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(mutated_spec_dicts())
+    def test_interned_parse_is_the_typed_parse(self, data):
+        """Twice through the intern, a request gives what the uncached
+        typed parse gives: an equal spec, or its ``SpecError``."""
+        scenario = isinstance(data, dict) and "arrivals" in data
+        typed = ScenarioSpec if scenario else ExperimentSpec
+        try:
+            expected = typed.from_dict(data)
+        except SpecError as error:
+            for _ in range(2):
+                with pytest.raises(SpecError) as raised:
+                    spec_from_dict(data)
+                assert str(raised.value) == str(error)
+            return
+        first, second = spec_from_dict(data), spec_from_dict(data)
+        assert first == expected and second == expected
+        assert type(first) is typed
+        assert second.content_hash() == expected.content_hash()
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(SPEC_DICTS), st.data())
@@ -479,6 +515,102 @@ class TestBoundaryRegressions:
         assert spec_from_request is spec_from_dict
         assert isinstance(spec_from_dict(ScenarioSpec().to_dict()),
                           ScenarioSpec)
+
+    @pytest.mark.parametrize("key, text", [
+        (1, "1"), (1.5, "1.5"), (True, "true"), (None, "null"),
+    ])
+    def test_interned_twin_keeps_its_spec_error(self, key, text):
+        # json.dumps writes such a key as a string: both requests have
+        # one canonical text, and only the str-keyed one is a spec.
+        valid = {"fabric": {"options": {text: "x"}}}
+        invalid = {"fabric": {"options": {key: "x"}}}
+        assert canonical_json(invalid) == canonical_json(valid)
+        assert spec_from_dict(valid).fabric.options == {text: "x"}
+        for _ in range(2):
+            with pytest.raises(SpecError, match="keys must be strings"):
+                spec_from_dict(invalid)
+
+    @pytest.mark.parametrize("twin_first", [True, False])
+    def test_tuples_and_numpy_integers_parse_equal_to_twins(
+        self, twin_first
+    ):
+        data = spec_samples()[2].to_dict()
+        data["name"] = f"intern-twins-{twin_first}"
+        fabric = {**data["fabric"],
+                  "options": {**data["fabric"]["options"], "x": (1, 2)}}
+        variants = [
+            {**data, "baselines": tuple(data["baselines"])},
+            {**data, "seed": np.int64(data["seed"])},
+            {**data, "fabric": fabric},
+        ]
+        expected = ExperimentSpec.from_dict(data)
+        if twin_first:
+            assert spec_from_dict(data) == expected
+        for variant in variants:
+            spec = spec_from_dict(variant)
+            assert spec == expected
+            assert spec.content_hash() == expected.content_hash()
+        assert spec_from_dict(data) == expected
+
+    def test_mutating_a_parsed_request_leaves_its_spec(self):
+        data = spec_samples()[3].to_dict()
+        original = json.loads(json.dumps(data))
+        spec = spec_from_dict(data)
+        data["seed"] += 1
+        data["cluster"]["bandwidth_gbps"] = 25.0
+        data["jobs"][0]["iterations"] = 1
+        assert spec_from_dict(original) == spec
+        assert spec_from_dict(data) == ScenarioSpec.from_dict(data) != spec
+
+    def test_intern_is_an_lru_bounded_by_key_length(self):
+        table = codec._SpecIntern(bound=10)
+        for key in ("aaaa", "bbbb", "cccc"):
+            table.put(key, key.upper())
+        assert list(table.specs) == ["bbbb", "cccc"] and table.size == 8
+        assert table.get("bbbb") == "BBBB"  # now the most recent
+        table.put("dd", "DD")
+        assert list(table.specs) == ["cccc", "bbbb", "dd"]
+        table.put("x" * 11, "X")  # longer than the bound: never kept
+        assert table.get("x" * 11) is None and table.size == 10
+
+    def test_threads_parsing_the_same_requests_agree(self):
+        token = secrets.token_hex(4)  # requests the intern has not seen
+        requests = [
+            {**spec.to_dict(), "name": f"intern-threads-{token}-{index}"}
+            for index, spec in enumerate(spec_samples()[2:6])
+        ]
+        expected = [
+            (ScenarioSpec if "arrivals" in data else ExperimentSpec)
+            .from_dict(data) for data in requests
+        ]
+        barrier = threading.Barrier(8)
+        parsed, errors = [], []
+
+        def parse():
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(20):
+                    parsed.append([spec_from_dict(data) for data in requests])
+            except Exception as error:  # reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=parse) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(parsed) == 8 * 20
+        assert all(specs == expected for specs in parsed)
+        table = codec._SPEC_INTERN
+        with table.lock:
+            assert table.size == sum(map(len, table.specs))
 
     def test_observe_is_not_a_spec_field(self, capsys):
         # Observing a run is ``TRACER.recording()``; a spec file or a

@@ -21,6 +21,7 @@ from repro.api.spec import (
     WorkloadSpec,
     canonical_json,
 )
+from repro.cli import main
 from repro.cluster.engine import run_scenario
 from repro.cluster.invariants import GOLDEN_POLICIES, golden_scenario_spec
 from repro.cluster.spec import (
@@ -336,6 +337,32 @@ class TestResultStore:
         assert store.contains(spec)
         stats = store.stats()
         assert stats["hits"] == 0 and stats["misses"] == 0
+
+    @pytest.mark.parametrize("damage", ["version 3", "torn"])
+    def test_contains_agrees_with_get_on_a_damaged_entry(
+        self, tmp_path, capsys, damage
+    ):
+        """An entry ``get`` treats as a miss is no hit for ``contains``
+        or ``repro cache lookup`` either."""
+        spec = cheap_spec()
+        key = ResultStore(tmp_path).put(spec, run_experiment(spec))
+        path = ResultStore(tmp_path).path_for(key)
+        if damage == "torn":
+            path.write_text(path.read_text()[:40])
+        else:
+            entry = json.loads(path.read_text())
+            entry["version"] = 3
+            path.write_text(json.dumps(entry))
+        store = ResultStore(tmp_path)
+        assert not store.contains(spec)
+        assert store.stats()["corrupt"] == 0  # contains counts nothing
+        assert store.get(spec) is None
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec.to_dict()))
+        assert main([
+            "cache", "lookup", str(spec_file), "--store", str(tmp_path),
+        ]) == 0
+        assert capsys.readouterr().out == f"miss {key}\n"
 
     def test_rejects_bad_memory_bound(self):
         with pytest.raises(ValueError):
