@@ -9,10 +9,20 @@ S --seconds 25 --trace 0`` once in each checkout, the parent first on
 even pairs (0, 2, ...) and the change first on odd ones.  Then prints,
 per workload and end-to-end metric of ``BENCHMARK.json``: each side's
 median and quartiles, the parent's interquartile range (IQR), the ratio
-of the medians (change / parent), and how many pairs the change won.
-A win is strictly better in the metric's ``better`` direction; ties
-count for neither side.  Quartiles interpolate linearly, as NumPy's
-default percentile does.
+of the medians (change / parent), how many pairs the change won, and a
+verdict.  A win is strictly better in the metric's ``better``
+direction; ties count for neither side.  Quartiles interpolate
+linearly, as NumPy's default percentile does.
+
+The verdict is the first that applies of:
+
+* ``gain`` -- the change won at least 9 in 10 of the pairs, and its
+  median is better than the parent's by more than the parent's IQR;
+* ``worse`` -- the change's median is worse than the parent's by more
+  than the metric's ``bound`` (a fraction of the parent's median);
+* ``unresolved`` -- the parent's IQR is wider than ``bound`` times its
+  median, unless every change run beat every parent run;
+* ``within bound`` -- any other case.
 
 Every run whose last line is not a JSON object with ``"correct": true``
 is listed at the end, and the script then exits 1.  It reads nothing
@@ -80,13 +90,34 @@ def quartiles(values: List[float]) -> Tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(metric: dict, parent: List[float], change: List[float]
+            ) -> str:
+    """The verdict on one metric's paired runs (see the module docstring)."""
+    lower = metric["better"] == "lower"
+
+    def better(a: float, b: float) -> bool:
+        return a < b if lower else a > b
+
+    p1, pm, p3 = quartiles(parent)
+    cm = quartiles(change)[1]
+    iqr, bound = p3 - p1, metric["bound"] * abs(pm)
+    won = sum(better(c, p) for p, c in zip(parent, change))
+    if 10 * won >= 9 * len(parent) and better(cm, pm) and abs(cm - pm) > iqr:
+        return "gain"
+    if better(pm, cm) and abs(cm - pm) > bound:
+        return "worse"
+    if iqr > bound and not all(better(c, p) for c in change for p in parent):
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(metrics: Sequence[dict], pairs: List[Tuple[dict, dict]]
               ) -> List[str]:
     """Table rows for one workload's completed pairs."""
     rows = [
         f"{'metric':<16} {'parent q1 / median / q3':>31} "
         f"{'change q1 / median / q3':>31} {'parent IQR':>11} "
-        f"{'ratio':>7} {'won':>7}"
+        f"{'ratio':>7} {'won':>7}  verdict"
     ]
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -101,7 +132,8 @@ def summarize(metrics: Sequence[dict], pairs: List[Tuple[dict, dict]]
         rows.append(
             f"{name:<16} {p1:>9.4g} / {pm:>8.4g} / {p3:>8.4g} "
             f"{c1:>9.4g} / {cm:>8.4g} / {c3:>8.4g} {p3 - p1:>11.4g} "
-            f"{ratio:>7.3f} {won:>3}/{len(pairs):<3}"
+            f"{ratio:>7.3f} {won:>3}/{len(pairs):<3}  "
+            f"{verdict(metric, parent, change)}"
         )
     return rows
 

@@ -28,12 +28,11 @@ from repro.core.matching import matching_edge_counts, mp_matchings
 from repro.core.select_perms import select_permutations
 from repro.core.totient import coprime_strides, prime_strides, ring_permutation
 from repro.network.topology import DegreeExceededError, DirectConnectTopology
+from repro.perf.graph import MinHopRoutes, PathSet
 
 Pair = Tuple[int, int]
 #: One route: the server sequence a transfer crosses.
 Path = Tuple[int, ...]
-#: Every route of one ordered pair; traffic splits evenly across them.
-PathSet = Tuple[Path, ...]
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,6 @@ class GroupPlan:
     router: Optional[CoinChangeRouter] = None
 
 
-@dataclass
 class RoutingTable:
     """Per-pair path sets for the flow simulator.
 
@@ -89,18 +87,76 @@ class RoutingTable:
     of ints, so a cached result's routes cost full collections nothing.
     Writers (:class:`repro.sim.failures.FailureManager`) replace whole
     path sets.
+
+    A table built by :func:`topology_finder` starts lazy.  Its MP routes
+    are flat arrays (:attr:`mp_routes`), and :meth:`paths_for` builds a
+    pair's tuples on first request and keeps them; its AllReduce routes
+    are built from the group plans the first time anything reads them.
+    Reading :attr:`mp_paths` materializes every MP pair into a plain dict
+    and retires the arrays, because that dict may be written from then
+    on and the arrays would go stale.  Lookups take no lock: concurrent
+    callers may build the same tuples twice, but every one of them gets
+    the table's contents.
     """
 
-    allreduce_paths: Dict[Pair, PathSet] = field(default_factory=dict)
-    mp_paths: Dict[Pair, PathSet] = field(default_factory=dict)
+    def __init__(
+        self,
+        allreduce_paths: Optional[Dict[Pair, PathSet]] = None,
+        mp_paths: Optional[Dict[Pair, PathSet]] = None,
+    ):
+        self._allreduce = {} if allreduce_paths is None else allreduce_paths
+        self._mp: Dict[Pair, PathSet] = {} if mp_paths is None else mp_paths
+        self.mp_routes: Optional[MinHopRoutes] = None
+
+    @classmethod
+    def lazy(
+        cls, mp_routes: MinHopRoutes, plans: Sequence[GroupPlan]
+    ) -> "RoutingTable":
+        """A table over MP route arrays and the plans' coin-change routes."""
+        table = cls.__new__(cls)
+        table._plans = plans
+        table._mp = {}
+        table.mp_routes = mp_routes
+        return table
+
+    @property
+    def allreduce_paths(self) -> Dict[Pair, PathSet]:
+        """Pair -> coin-change path sets, built on the first read."""
+        table = self.__dict__.get("_allreduce")
+        if table is None:
+            # setdefault: racing first readers all keep the same dict.
+            table = self.__dict__.setdefault(
+                "_allreduce", _coin_change_routes(self._plans)
+            )
+        return table
+
+    @property
+    def mp_paths(self) -> Dict[Pair, PathSet]:
+        """Pair -> MP path sets, as a plain dict that retires the arrays."""
+        routes = self.mp_routes
+        if routes is not None:
+            table = self._mp
+            for pair, paths in routes.path_sets():
+                table.setdefault(pair, paths)
+            self.mp_routes = None
+        return self._mp
+
+    def _mp_lookup(self, pair: Pair) -> PathSet:
+        # Read the arrays before the dict: once they are retired, the
+        # dict holds every pair.
+        routes = self.mp_routes
+        paths = self._mp.get(pair)
+        if paths is not None or routes is None:
+            return paths or ()
+        paths = routes.path_set(*pair)
+        return self._mp.setdefault(pair, paths) if paths else ()
 
     def paths_for(self, src: int, dst: int, kind: str = "mp") -> PathSet:
-        table = self.allreduce_paths if kind == "allreduce" else self.mp_paths
-        paths = table.get((src, dst))
-        if paths:
-            return paths
-        other = self.mp_paths if kind == "allreduce" else self.allreduce_paths
-        return other.get((src, dst), ())
+        if kind == "allreduce":
+            paths = self.allreduce_paths.get((src, dst))
+            return paths if paths else self._mp_lookup((src, dst))
+        paths = self._mp_lookup((src, dst))
+        return paths if paths else self.allreduce_paths.get((src, dst), ())
 
 
 @dataclass
@@ -187,7 +243,7 @@ def topology_finder(
     mp_link_counts = _build_mp_subtopology(topology, mp_traffic, d_mp)
     _ensure_connected(topology, group_plans)
 
-    routing = _build_routing(topology, n, group_plans, mp_traffic, mp_path_count)
+    routing = _build_routing(topology, group_plans, mp_traffic, mp_path_count)
     return TopologyFinderResult(
         topology=topology,
         routing=routing,
@@ -286,16 +342,9 @@ def _ensure_connected(
         )
 
 
-def _build_routing(
-    topology: DirectConnectTopology,
-    n: int,
-    plans: Sequence[GroupPlan],
-    mp_traffic: np.ndarray,
-    mp_path_count: int,
-) -> RoutingTable:
-    """Algorithm 1 lines 19-20: coin-change + k-shortest-path routing."""
-    routing = RoutingTable()
-    allreduce = routing.allreduce_paths
+def _coin_change_routes(plans: Sequence[GroupPlan]) -> Dict[Pair, PathSet]:
+    """Algorithm 1 line 19: every group's coin-change routes."""
+    allreduce: Dict[Pair, PathSet] = {}
     for plan in plans:
         if plan.router is None:
             continue
@@ -308,22 +357,26 @@ def _build_routing(
                 path = tuple([members[p] for p in positions])
                 # A pair in several groups keeps each plan's route.
                 allreduce[(src, dst)] = allreduce.get((src, dst), ()) + (path,)
-    # MP routing: ECMP over all minimum-hop paths (up to mp_path_count)
-    # on the *combined* topology for every pair with MP demand, plus a
-    # shortest-path default for all pairs so the simulator can always
-    # route.  Splitting across the full shortest-path set is what keeps
-    # host-forwarded all-to-all traffic off a single hot relay.  Built
-    # as one layered sweep per source off the topology's cached
-    # all-pairs hop counts rather than an independent BFS per pair.
-    has_demand = (mp_traffic > 0).tolist()
-    for src in range(n):
-        demand_row = has_demand[src]
-        paths_by_dst = topology.min_hop_paths_from(src, mp_path_count)
-        for dst, paths in paths_by_dst.items():
-            if not paths:
-                continue
-            if demand_row[dst]:
-                routing.mp_paths[(src, dst)] = tuple(map(tuple, paths))
-            else:
-                routing.mp_paths[(src, dst)] = (tuple(paths[0]),)
-    return routing
+    return allreduce
+
+
+def _build_routing(
+    topology: DirectConnectTopology,
+    plans: Sequence[GroupPlan],
+    mp_traffic: np.ndarray,
+    mp_path_count: int,
+) -> RoutingTable:
+    """Algorithm 1 lines 19-20: coin-change + k-shortest-path routing.
+
+    MP routing: ECMP over all minimum-hop paths (up to
+    ``mp_path_count``) on the *combined* topology for every pair with
+    MP demand, plus a shortest-path default for all pairs so the
+    simulator can always route.  Splitting across the full
+    shortest-path set is what keeps host-forwarded all-to-all traffic
+    off a single hot relay.  Built in one pass over all sources as
+    flat arrays; the coin-change AllReduce routes wait for their first
+    reader.
+    """
+    routes = topology.min_hop_routes(mp_path_count)
+    keep = np.where(mp_traffic.reshape(-1) > 0, routes.path_counts(), 1)
+    return RoutingTable.lazy(routes.first(keep), plans)

@@ -43,19 +43,6 @@ class SwitchFabricBase:
     def paths(self, src: int, dst: int, kind: str = "mp") -> List[List[int]]:
         raise NotImplementedError
 
-    def bulk_paths(self, kind: str = "mp"):
-        """Yield ``(src, dst, paths)`` over the whole ordered pair space.
-
-        The routing-matrix assembly in :mod:`repro.perf.costmodel`
-        consumes this instead of one :meth:`paths` call per pair;
-        subclasses with closed-form paths override it to skip the
-        per-call range checks.
-        """
-        for src in range(self.num_servers):
-            for dst in range(self.num_servers):
-                if src != dst:
-                    yield src, dst, self.paths(src, dst, kind)
-
     def _check(self, server: int) -> None:
         if not 0 <= server < self.num_servers:
             raise ValueError(
@@ -101,13 +88,6 @@ class IdealSwitchFabric(SwitchFabricBase):
         if src == dst:
             return [[src]]
         return [[src, self.hub, dst]]
-
-    def bulk_paths(self, kind: str = "mp"):
-        hub = self.hub
-        for src in range(self.num_servers):
-            for dst in range(self.num_servers):
-                if src != dst:
-                    yield src, dst, [[src, hub, dst]]
 
 
 class FatTreeFabric(IdealSwitchFabric):

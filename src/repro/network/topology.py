@@ -17,14 +17,17 @@ all-pairs hop-count matrix are cached on the instance and invalidated
 by a version counter that every mutation bumps, so cluster-scale sweeps
 (``diameter``, ``average_path_length``, routing construction) cost one
 C-level BFS sweep instead of ``n`` (or ``n^2``) Python BFS runs.
+Min-hop path sets of every pair come from one all-sources NumPy pass
+(:meth:`min_hop_routes`); :meth:`min_hop_paths_from` and
+:meth:`all_shortest_paths` are views of its cached arrays.
 In/out-degree counters are maintained incrementally -- ``add_link`` is
 O(1) instead of re-summing a Counter.  The pure-Python per-source BFS
 (:meth:`shortest_path_lengths_from`) is retained as the reference
 implementation for equivalence tests.  Yen's ``k_shortest_paths`` runs
 its spur searches on out-neighbor lists sliced from the cached CSR
 adjacency, excluding root edges via a set instead of mutating the
-graph; the seed mutate-and-restore version and the seed per-pair ECMP
-BFS are oracles in :mod:`repro.oracles`.
+graph; the seed mutate-and-restore version, the seed per-pair ECMP
+BFS and the per-source path DP are oracles in :mod:`repro.oracles`.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -121,9 +125,11 @@ class DirectConnectTopology:
         self._version = 0
         self._adjacency_cache: Optional[Tuple[int, sparse.csr_matrix]] = None
         self._hops_cache: Optional[Tuple[int, np.ndarray]] = None
-        self._hops_int_cache: Optional[Tuple[int, List[List[int]]]] = None
         self._pred_cache: Optional[Tuple[int, List[List[int]]]] = None
         self._succ_cache: Optional[Tuple[int, List[List[int]]]] = None
+        self._routes_cache: Optional[
+            Tuple[Tuple[int, int], graph_kernels.MinHopRoutes]
+        ] = None
 
     def _bump_version(self) -> None:
         self._version += 1
@@ -248,12 +254,18 @@ class DirectConnectTopology:
         return sum(count for _, _, count in self.edges())
 
     def copy(self) -> "DirectConnectTopology":
+        """An independent topology with the same links, in the same order.
+
+        Both neighbour tables keep their own insertion order, so the
+        clone's :meth:`_pred_lists` and :meth:`_succ_lists` -- and with
+        them its capped min-hop path sets -- equal the original's.
+        """
         clone = DirectConnectTopology(self.n, self.degree, self.enforce_degree)
-        for src, dst, count in self.edges():
-            clone._out[src][dst] = count
-            clone._in[dst][src] = count
-            clone._out_degree[src] += count
-            clone._in_degree[dst] += count
+        for node in range(self.n):
+            clone._out[node] = self._out[node].copy()
+            clone._in[node] = self._in[node].copy()
+        clone._out_degree = list(self._out_degree)
+        clone._in_degree = list(self._in_degree)
         return clone
 
     def capacity_map(self, link_bandwidth_bps: float) -> LinkCapacityMap:
@@ -308,20 +320,6 @@ class DirectConnectTopology:
         self._hops_cache = (self._version, hops)
         return hops
 
-    def _hops_int_rows(self) -> List[List[int]]:
-        """Hop-count rows as plain int lists (fast path enumeration)."""
-        if (
-            self._hops_int_cache is not None
-            and self._hops_int_cache[0] == self._version
-        ):
-            return self._hops_int_cache[1]
-        hops = self.all_pairs_hop_counts()
-        rows = np.where(
-            np.isfinite(hops), hops, graph_kernels.UNREACHABLE
-        ).astype(np.int64).tolist()
-        self._hops_int_cache = (self._version, rows)
-        return rows
-
     def _pred_lists(self) -> List[List[int]]:
         """Per-node in-neighbor lists (cached view of ``_in``)."""
         if (
@@ -354,26 +352,50 @@ class DirectConnectTopology:
         self._succ_cache = (self._version, succ)
         return succ
 
+    def min_hop_routes(self, cap: int = 6) -> graph_kernels.MinHopRoutes:
+        """Up to ``cap`` minimum-hop paths of every ordered pair, as arrays.
+
+        One all-sources pass of :func:`repro.perf.graph.min_hop_routes`
+        over the cached hop counts; each pair's paths follow the
+        in-neighbour order of :meth:`_pred_lists`.  Computed afresh on
+        every call: the routing builder keeps only what its demand rule
+        selects, so caching the full set here would hold routes twice.
+        """
+        preds = self._pred_lists()
+        pred_ptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in preds], out=pred_ptr[1:])
+        pred_idx = np.fromiter(
+            chain.from_iterable(preds), dtype=np.int64,
+            count=int(pred_ptr[-1]),
+        )
+        return graph_kernels.min_hop_routes(
+            self.all_pairs_hop_counts(), pred_ptr, pred_idx, cap
+        )
+
+    def _routes(self, cap: int) -> graph_kernels.MinHopRoutes:
+        """:meth:`min_hop_routes`, cached per topology version and cap."""
+        key = (self._version, cap)
+        if self._routes_cache is None or self._routes_cache[0] != key:
+            self._routes_cache = (key, self.min_hop_routes(cap))
+        return self._routes_cache[1]
+
     def min_hop_paths_from(
         self, src: int, cap: int = 6
     ) -> Dict[int, List[List[int]]]:
         """Minimum-hop path sets from ``src`` to every reachable server.
 
-        Batched equivalent of calling :meth:`all_shortest_paths` for
-        each destination: the BFS layering comes from the cached
-        all-pairs matrix, so only the output-bounded path backtracking
-        (O(cap * path length) per destination) remains per call.
+        A per-source view of the cached :meth:`min_hop_routes` arrays;
+        the lists are built per call, so the cache holds each route
+        once.
 
         Returns
         -------
         Mapping of destination -> list of up to ``cap`` minimum-hop
-        paths (each a node list starting at ``src``); unreachable
-        destinations are absent.
+        paths (each a node list starting at ``src``), nearest
+        destinations first; unreachable destinations are absent.
         """
         self._check_node(src)
-        return graph_kernels.min_hop_paths_from_source(
-            self._hops_int_rows()[src], self._pred_lists(), src, cap
-        )
+        return self._routes(cap).paths_from(src)
 
     # ------------------------------------------------------------------
     # Graph algorithms
@@ -432,15 +454,15 @@ class DirectConnectTopology:
     ) -> List[List[int]]:
         """Up to ``cap`` distinct minimum-hop paths (ECMP path set).
 
-        The BFS layering comes from the cached all-pairs hop-count
-        matrix; only the bounded backtrack from ``dst`` through
-        strictly-decreasing-distance predecessors runs per call.
+        The pair's entry in the cached :meth:`min_hop_routes` arrays:
+        paths through earlier in-neighbours (:meth:`_pred_lists`
+        order) come first, hop by hop back from ``dst``.
         """
         self._check_node(src)
         self._check_node(dst)
-        return graph_kernels.enumerate_min_hop_paths(
-            self._hops_int_rows()[src], self._pred_lists(), src, dst, cap
-        )
+        if src == dst:
+            return [[src]]
+        return [list(path) for path in self._routes(cap).path_set(src, dst)]
 
     def k_shortest_paths(self, src: int, dst: int, k: int) -> List[List[int]]:
         """Yen's algorithm for up to ``k`` loopless shortest paths.

@@ -7,7 +7,9 @@ the flow simulator and the cost model.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
+
+import numpy as np
 
 if TYPE_CHECKING:  # avoid a circular import; only needed for annotations
     from repro.core.topology_finder import PathSet, TopologyFinderResult
@@ -60,19 +62,23 @@ class TopoOptFabric:
             self._fallback_cache[key] = (tuple(path),) if path else ()
         return self._fallback_cache[key]
 
-    def bulk_paths(
-        self, kind: str = "mp"
-    ) -> Iterator[Tuple[int, int, "PathSet"]]:
-        """Yield ``(src, dst, paths)`` over the whole ordered pair space.
+    def mp_route_arrays(self):
+        """The MP routes of every pair as arrays, or None once retired.
 
-        Bulk enumeration for the cost-model kernel's routing-matrix
-        assembly; same per-pair path sets as :meth:`paths`
-        (routing-table hit, then cached shortest-path fallback).
+        ``(pairs, paths_per_pair, path_lengths, nodes)``: the pair ids
+        ``src * n + dst`` that have routes, in ascending order, how many
+        paths each has, every path's node count, and all paths' nodes
+        back to back -- the same routes :meth:`paths` serves, in the
+        same order.  None when the routing table no longer holds its
+        arrays (see :class:`~repro.core.topology_finder.RoutingTable`);
+        the cost-model kernel then asks :meth:`paths` pair by pair.
         """
-        for src in range(self.num_servers):
-            for dst in range(self.num_servers):
-                if src != dst:
-                    yield src, dst, self.paths(src, dst, kind)
+        routes = self.result.routing.mp_routes
+        if routes is None:
+            return None
+        counts = routes.path_counts()
+        pairs = np.flatnonzero(counts)
+        return pairs, counts[pairs], np.diff(routes.path_ptr), routes.nodes
 
     def ring_strides_for(self, members: Tuple[int, ...]) -> List[int]:
         """Selected TotientPerms strides for an AllReduce group."""

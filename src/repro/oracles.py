@@ -21,6 +21,8 @@ standing in for a class the runtime builds:
 * :func:`all_shortest_paths_bfs` and :func:`k_shortest_paths_reference`
   -- the seed per-pair ECMP BFS and mutate-and-restore Yen's algorithm
   on a :class:`~repro.network.topology.DirectConnectTopology`;
+* :func:`min_hop_paths_from_source` -- the per-source min-hop path DP,
+  the oracle of :func:`repro.perf.graph.min_hop_routes`;
 * :func:`dense_lp_assembly` -- the seed dense routing-LP constraints;
 * :class:`ReferenceIterationCostModel`, :class:`ReferenceMCMCSearch` and
   :class:`ReferenceAlternatingOptimizer` -- the full-rebuild search
@@ -343,6 +345,48 @@ def all_shortest_paths_bfs(
             if dist.get(pred, -1) == dist[head] - 1:
                 stack.append(partial + [pred])
     return paths
+
+
+def min_hop_paths_from_source(
+    dist_from_src: Sequence[int],
+    predecessors: Sequence[Sequence[int]],
+    src: int,
+    cap: int,
+) -> Dict[int, List[List[int]]]:
+    """Min-hop path sets from ``src`` to every reachable destination.
+
+    Dynamic programming over the shortest-path DAG in distance order:
+    a node at hop ``k`` extends the already-assembled path lists of its
+    DAG parents at hop ``k - 1``, in ``predecessors`` order, and keeps
+    the first ``cap`` paths of that concatenation.  ``dist_from_src``
+    holds integer hop counts, ``-1`` for unreachable nodes.
+    """
+    reachable = [
+        (d, node)
+        for node, d in enumerate(dist_from_src)
+        if d > 0
+    ]
+    reachable.sort()
+    paths_by_node: List[Optional[List[List[int]]]] = [None] * len(
+        dist_from_src
+    )
+    paths_by_node[src] = [[src]]
+    result: Dict[int, List[List[int]]] = {}
+    for d, node in reachable:
+        want = d - 1
+        acc: List[List[int]] = []
+        for pred in predecessors[node]:
+            if dist_from_src[pred] != want:
+                continue
+            for prefix in paths_by_node[pred]:
+                acc.append(prefix + [node])
+                if len(acc) >= cap:
+                    break
+            if len(acc) >= cap:
+                break
+        paths_by_node[node] = acc
+        result[node] = acc
+    return result
 
 
 def k_shortest_paths_reference(

@@ -10,10 +10,15 @@ leans on for cluster-scale runs:
   Python loops, plus its incremental delta-repair counterpart.
 - :mod:`repro.perf.graph` -- all-pairs hop counts (one C-level BFS
   sweep per source via ``scipy.sparse.csgraph``), strong-connectivity
-  checks, min-hop path enumeration from a precomputed distance matrix,
-  and the node/edge-avoiding BFS behind Yen's spur searches.
+  checks, the all-sources min-hop route DP
+  (:func:`~repro.perf.graph.min_hop_routes`, whose flat
+  :class:`~repro.perf.graph.MinHopRoutes` arrays TopologyFinder's
+  routing table keeps and the cost model compiles), and the
+  node/edge-avoiding BFS behind Yen's spur searches.
 - :mod:`repro.perf.costmodel` -- the sparse iteration-cost kernel for
-  the strategy search: per-fabric pair -> link routing matrices,
+  the strategy search: per-fabric pair -> link routing matrices
+  (compiled straight from a fabric's ``mp_route_arrays()`` when it
+  has them),
   compiled per-layer load vectors, and the delta-updated
   :class:`~repro.perf.costmodel.IncrementalCostEvaluator` the MCMC
   inner loop mutates.
@@ -31,13 +36,13 @@ incremental cost model).
 from repro.perf.fairshare import progressive_filling_rates
 from repro.perf.graph import (
     all_pairs_hop_counts,
-    enumerate_min_hop_paths,
     is_strongly_connected,
+    min_hop_routes,
 )
 
 __all__ = [
     "progressive_filling_rates",
     "all_pairs_hop_counts",
-    "enumerate_min_hop_paths",
     "is_strongly_connected",
+    "min_hop_routes",
 ]

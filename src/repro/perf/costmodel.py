@@ -37,7 +37,6 @@ from itertools import chain
 from typing import (
     TYPE_CHECKING,
     Dict,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -59,23 +58,42 @@ Link = Tuple[int, int]
 SYNC_INTERVAL = 256
 
 
-def _iter_pair_paths(
-    fabric, kind: str, n: int
-) -> Iterator[Tuple[int, int, Sequence[Sequence[int]]]]:
-    """Yield ``(src, dst, paths)`` for every ordered server pair.
+def _flatten_pair_paths(
+    fabric, n: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every ordered pair's MP paths, flattened pair by pair.
 
-    Fabrics may expose a ``bulk_paths(kind)`` hook that enumerates the
-    whole pair space without per-call overhead; the generic fallback
-    asks ``fabric.paths`` pair by pair over the ``n``-server id space.
+    The generic source of :meth:`CostModelKernel.mp_routing`: asks
+    ``fabric.paths`` for every ordered pair of the ``n``-server id space
+    and returns what the ``mp_route_arrays()`` hook does -- the pair ids
+    ``src * n + dst`` with a path, paths per pair, every path's node
+    count, and the nodes of all paths back to back.
     """
-    bulk = getattr(fabric, "bulk_paths", None)
-    if bulk is not None and getattr(fabric, "num_servers", None) == n:
-        yield from bulk(kind)
-        return
+    pairs: List[int] = []
+    path_counts: List[int] = []
+    paths_flat: List[Sequence[int]] = []
     for src in range(n):
         for dst in range(n):
-            if src != dst:
-                yield src, dst, fabric.paths(src, dst, kind)
+            if src == dst:
+                continue
+            paths = fabric.paths(src, dst, "mp")
+            if paths:
+                pairs.append(src * n + dst)
+                path_counts.append(len(paths))
+                paths_flat.extend(paths)
+    lens = np.fromiter(
+        map(len, paths_flat), dtype=np.int64, count=len(paths_flat)
+    )
+    nodes = np.fromiter(
+        chain.from_iterable(paths_flat), dtype=np.int64,
+        count=int(lens.sum()),
+    )
+    return (
+        np.asarray(pairs, dtype=np.int64),
+        np.asarray(path_counts, dtype=np.int64),
+        lens,
+        nodes,
+    )
 
 
 @dataclass
@@ -180,40 +198,32 @@ class CostModelKernel:
         each link carries under equal splitting over the fabric's MP
         path set; pairs without any path are flagged ``unroutable``
         (demand there makes the phase time infinite, as in the seed).
-        The COO triplets come from the flattened path sets in pair,
-        path, hop order, so the matrix is the same bit for bit as one
+        The routes come from the fabric's ``mp_route_arrays()`` hook
+        while it has them (TopoOpt's route arrays), else from its
+        ``paths`` pair by pair.  The COO triplets run in pair, path,
+        hop order, so the matrix is the same bit for bit as one
         assembled hop by hop.
         """
         routing = self._mp_routing.get(n)
         if routing is not None:
             return routing
-        unroutable = np.zeros(n * n, dtype=bool)
-        pairs: List[int] = []
-        path_counts: List[int] = []
-        paths_flat: List[Sequence[int]] = []
-        for src, dst, paths in _iter_pair_paths(self.fabric, "mp", n):
-            pair = src * n + dst
-            if not paths:
-                unroutable[pair] = True
-                continue
-            pairs.append(pair)
-            path_counts.append(len(paths))
-            paths_flat.extend(paths)
-        lens = np.fromiter(
-            map(len, paths_flat), dtype=np.int64, count=len(paths_flat)
-        )
-        flat = np.fromiter(
-            chain.from_iterable(paths_flat), dtype=np.int64,
-            count=int(lens.sum()),
-        )
+        arrays = None
+        hook = getattr(self.fabric, "mp_route_arrays", None)
+        if hook is not None and getattr(self.fabric, "num_servers", None) == n:
+            arrays = hook()
+        if arrays is None:
+            arrays = _flatten_pair_paths(self.fabric, n)
+        pairs, per_pair, lens, nodes = arrays
+        flat = np.asarray(nodes, dtype=np.int64)
+        unroutable = np.ones(n * n, dtype=bool)
+        unroutable[:: n + 1] = False
+        unroutable[pairs] = False
         # Every node but the last of each path heads one hop.
         is_head = np.ones(flat.size, dtype=bool)
         is_head[np.cumsum(lens) - 1] = False
         head_pos = np.flatnonzero(is_head)
-        per_pair = np.asarray(path_counts, dtype=np.int64)
         hops = lens - 1
-        rows = np.repeat(np.repeat(np.asarray(pairs, dtype=np.int64),
-                                   per_pair), hops)
+        rows = np.repeat(np.repeat(pairs, per_pair), hops)
         cols = self._link_ids(flat[head_pos], flat[head_pos + 1])
         data = np.repeat(np.repeat(1.0 / per_pair, per_pair), hops)
         matrix = sparse.csr_matrix(

@@ -136,11 +136,14 @@ def kernel_for(fabric):
 
     An anchored entry costs what it keeps alive: the result's topology
     and caches, group plans and route table, plus the kernel's routing
-    matrices.  A full cache of co-search entries (16-40 servers) holds
-    about 440 KiB per entry.  Routes are tuples of ints (see
-    :class:`~repro.core.topology_finder.RoutingTable`), which CPython's
-    cyclic collector untracks, so an entry leaves only ~160 tracked
-    objects for every full collection to rescan.
+    matrices.  A full cache of co-search entries (16-40 servers, after
+    perfbench's ``cosearch`` warm-up) holds about 150 KiB per entry
+    (median 125 KiB), most of it arrays.  MP routes are flat arrays,
+    and the route tuples built on demand are int tuples, which
+    CPython's cyclic collector untracks (see
+    :class:`~repro.core.topology_finder.RoutingTable`), so an entry
+    leaves ~140 tracked objects for every full collection to rescan,
+    most of them the topology's neighbour tables.
     """
     from repro.perf.costmodel import CostModelKernel
 

@@ -9,6 +9,7 @@ routing matrix and compiled layer loads must match their per-hop and
 scipy oracles byte for byte.
 """
 
+import copy
 import math
 import random
 
@@ -426,8 +427,17 @@ def routed_fabrics(n, degree, seed, density):
         members=tuple(range(n)), total_bytes=float(rng.uniform(1e6, 1e9))
     )
     result = topology_finder(n, degree, [group], demand)
+    # TopoOpt twice: compiled from the fresh table's route arrays, and
+    # pair by pair from a copy whose dict view has retired them.
+    from_arrays = TopoOptFabric(result, 100 * GBPS)
+    materialized = copy.deepcopy(result)
+    assert materialized.routing.mp_paths
+    pairwise = TopoOptFabric(materialized, 100 * GBPS)
+    assert from_arrays.mp_route_arrays() is not None
+    assert pairwise.mp_route_arrays() is None
     return [
-        TopoOptFabric(result, 100 * GBPS),
+        from_arrays,
+        pairwise,
         IdealSwitchFabric(n, degree, 100 * GBPS),
         FatTreeFabric(n, degree, 40 * GBPS),
         SkipRingFabric(n),

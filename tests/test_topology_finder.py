@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.topology_finder import (
     AllReduceGroup,
+    GroupPlan,
     _distribute_degree,
     topology_finder,
 )
@@ -174,18 +175,40 @@ class TestRouting:
 
 def assert_routes_untracked(routing):
     """No route of ``routing`` is left for the cyclic collector to scan."""
+    # Read the tables first: a lazy table builds its tuples on that
+    # read, and a new tuple stays tracked until a collection sees it.
+    tables = (routing.mp_paths, routing.allreduce_paths)
     # A container is untracked only once everything it holds is: the
     # first full collection untracks each int-only path, the second the
     # path sets holding them and the tables holding those.
     gc.collect()
     gc.collect()
-    for table in (routing.mp_paths, routing.allreduce_paths):
+    for table in tables:
         assert table
         assert not gc.is_tracked(table)
         for paths in table.values():
             assert not gc.is_tracked(paths)
             for path in paths:
                 assert not gc.is_tracked(path)
+
+
+def held_path_sets(routing):
+    """The path-set tuples ``routing`` holds, its group plans aside."""
+    found, stack = [], [vars(routing)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, GroupPlan):
+            continue
+        if isinstance(item, dict):
+            stack.extend(item.keys())
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            if item and all(isinstance(path, tuple) for path in item):
+                found.append(item)
+            stack.extend(item)
+        elif hasattr(item, "__dict__"):
+            stack.append(vars(item))
+    return found
 
 
 class TestRoutesUntracked:
@@ -204,7 +227,10 @@ class TestRoutesUntracked:
         return topology_finder(n, 4, groups, demand)
 
     def test_fresh_result(self):
-        assert_routes_untracked(self._result().routing)
+        routing = self._result().routing
+        # A fresh table keeps its MP routes as arrays until asked.
+        assert held_path_sets(routing) == []
+        assert_routes_untracked(routing)
 
     def test_copy_on_write_fault_path(self):
         # The scenario engine's fault path: a private deep copy, a
